@@ -15,14 +15,6 @@
  * the baseline cost for identical numbers. The Nomad and Jenga
  * competitors (extension) ride the same shared baselines: adding a
  * policy adds only its own runs, never a baseline re-run.
- *
- * Every run executes the workload's ShardContext port on the epoch
- * engine (KLOC_SHARDS picks the worker-thread count; results are
- * worker-count-invariant), and the sweep carries its own fig9-style
- * determinism gates: one representative cell replays at worker
- * counts {1, 2, 4, 8} with zero-drift and trace byte-identity gated,
- * plus the engine's barrier-overhead counters as non-gating
- * `shard.*` metrics.
  */
 
 #include "bench/harness.hh"
@@ -71,11 +63,10 @@ main()
                 policy = strategies[(slot - baseline_runs) / workloads.size()];
                 workload = (slot - baseline_runs) % workloads.size();
             }
-            return runTwoTierPolicySharded(workloads[workload], policy,
-                                           platform_config,
-                                           workloadConfig(config),
-                                           /*workers=*/0)
-                .outcome.throughput;
+            return runTwoTierPolicy(workloads[workload], policy,
+                                    platform_config,
+                                    workloadConfig(config))
+                .throughput;
         });
 
     section("Figure 6: capacity x bandwidth sensitivity "
@@ -120,15 +111,6 @@ main()
             std::printf("\n");
         }
     }
-    // Determinism gates on one representative cell (fast 8 GB, 1:8,
-    // klocs, rocksdb): worker counts must not move any metric.
-    TwoTierPlatform::Config gate_config = twoTierConfig(config);
-    gate_config.fastCapacity = 8 * kGiB;
-    gate_config.bandwidthRatio = 8;
-    const bool gates_ok = addShardGates(report, "rocksdb", "klocs",
-                                        gate_config,
-                                        workloadConfig(config));
-
     report.write();
-    return gates_ok ? 0 : 1;
+    return 0;
 }

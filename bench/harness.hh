@@ -18,10 +18,8 @@
 #ifndef KLOC_BENCH_HARNESS_HH
 #define KLOC_BENCH_HARNESS_HH
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <memory>
 #include <string>
 #include <vector>
@@ -149,161 +147,6 @@ runTwoTierPolicy(const std::string &workload_name,
     RunOutcome outcome = collectTwoTierOutcome(platform, result);
     workload->teardown(sys);
     return outcome;
-}
-
-/** runTwoTierPolicySharded's extras beyond the common RunOutcome. */
-struct ShardedOutcome
-{
-    RunOutcome outcome;
-    ShardRunStats shardStats{};
-    double wallMs = 0.0;
-    /** Serialized trace when capture was requested (identity gates). */
-    std::string trace;
-};
-
-/**
- * runTwoTierPolicy on the epoch engine: same platform/policy recipe,
- * but the measured run executes the workload's ShardContext port on
- * the fixed 4-shard decomposition with @p workers threads (0 = the
- * KLOC_SHARDS default). Simulated results are worker-count-invariant;
- * wallMs and the ShardRunStats wall counters are host-side and must
- * only feed non-gating metrics.
- */
-inline ShardedOutcome
-runTwoTierPolicySharded(const std::string &workload_name,
-                        const std::string &policy_name,
-                        TwoTierPlatform::Config platform_config,
-                        WorkloadConfig workload_config, unsigned workers,
-                        bool trace = false)
-{
-    if (policy_name == "all_fast") {
-        platform_config.fastCapacity += platform_config.slowCapacity;
-    }
-    TwoTierPlatform platform(platform_config);
-    System &sys = platform.sys();
-    if (trace)
-        sys.machine().tracer().setEnabled(true);
-    platform.applyPolicyByName(policy_name);
-    sys.fs().startDaemons();
-
-    auto workload = makeWorkload(workload_name, workload_config);
-    ShardPlan plan;
-    plan.workers = workers;
-    ShardedWorkloadRunner runner(sys, plan);
-    timespec start{};
-    clock_gettime(CLOCK_MONOTONIC, &start);
-    const WorkloadResult result = runner.run(*workload);
-    timespec end{};
-    clock_gettime(CLOCK_MONOTONIC, &end);
-
-    ShardedOutcome sharded;
-    sharded.outcome = collectTwoTierOutcome(platform, result);
-    sharded.shardStats = runner.stats();
-    sharded.wallMs =
-        1e3 * static_cast<double>(end.tv_sec - start.tv_sec) +
-        1e-6 * static_cast<double>(end.tv_nsec - start.tv_nsec);
-    if (trace)
-        sharded.trace = sys.machine().tracer().serialize();
-    workload->teardown(sys);
-    return sharded;
-}
-
-/** Relative deviation of @p value from @p base (0 when both 0). */
-inline double
-metricDrift(double base, double value)
-{
-    if (base == 0.0)
-        return value == 0.0 ? 0.0 : 1.0;
-    return std::abs(value - base) / std::abs(base);
-}
-
-/** Worst drift of the gated RunOutcome metrics vs @p base. */
-inline double
-outcomeDrift(const RunOutcome &base, const RunOutcome &run)
-{
-    return std::max(
-        {metricDrift(base.throughput, run.throughput),
-         metricDrift(static_cast<double>(base.result.operations),
-                     static_cast<double>(run.result.operations)),
-         metricDrift(static_cast<double>(base.result.elapsed),
-                     static_cast<double>(run.result.elapsed)),
-         metricDrift(static_cast<double>(base.migration.migratedPages),
-                     static_cast<double>(run.migration.migratedPages)),
-         metricDrift(static_cast<double>(base.kernelRefs),
-                     static_cast<double>(run.kernelRefs)),
-         metricDrift(static_cast<double>(base.userRefs),
-                     static_cast<double>(run.userRefs))});
-}
-
-/**
- * Fig-9-style determinism gate for a sharded figure sweep: replay one
- * representative (workload, policy) configuration at worker counts
- * {1, 2, 4, 8} plus traced 1-vs-4 runs, and add the zero-drift and
- * byte-identity gates (gated) alongside the engine's barrier-overhead
- * counters and wall clocks (never gated) to @p report.
- *
- * @return true when the gates hold (drift 0, traces identical).
- */
-inline bool
-addShardGates(JsonReport &report, const std::string &workload_name,
-              const std::string &policy_name,
-              const TwoTierPlatform::Config &platform_config,
-              const WorkloadConfig &workload_config)
-{
-    const std::vector<unsigned> worker_counts = {1, 2, 4, 8};
-    std::vector<ShardedOutcome> runs;
-    for (const unsigned workers : worker_counts) {
-        runs.push_back(runTwoTierPolicySharded(
-            workload_name, policy_name, platform_config, workload_config,
-            workers));
-    }
-    const ShardedOutcome traced_serial = runTwoTierPolicySharded(
-        workload_name, policy_name, platform_config, workload_config, 1,
-        /*trace=*/true);
-    const ShardedOutcome traced_wide = runTwoTierPolicySharded(
-        workload_name, policy_name, platform_config, workload_config, 4,
-        /*trace=*/true);
-    const bool traces_identical =
-        !traced_serial.trace.empty() &&
-        traced_serial.trace == traced_wide.trace;
-
-    double max_drift = 0.0;
-    for (const ShardedOutcome &run : runs)
-        max_drift = std::max(max_drift,
-                             outcomeDrift(runs[0].outcome, run.outcome));
-
-    std::printf("-> shard gates (%s under %s): max metric drift %.3g "
-                "(must be 0), traces %s\n",
-                workload_name.c_str(), policy_name.c_str(), max_drift,
-                traces_identical ? "identical" : "DIVERGED");
-
-    report.add("shard.metric_drift", max_drift, "ratio", "lower", true);
-    report.add("shard.trace_identical", traces_identical ? 1.0 : 0.0,
-               "bool", "higher", true);
-    // Engine overhead: deterministic counters plus host wall time —
-    // diagnostics for the barrier cost, never success metrics.
-    const ShardRunStats &stats = runs[0].shardStats;
-    report.add("shard.epochs", static_cast<double>(stats.epochs),
-               "epochs", "lower", false);
-    report.add("shard.mailbox_messages",
-               static_cast<double>(stats.messages), "msgs", "lower",
-               false);
-    report.add("shard.events_merged",
-               static_cast<double>(traced_serial.shardStats.eventsMerged),
-               "events", "lower", false);
-    report.add("shard.barrier_wall_ns",
-               static_cast<double>(stats.barrierWallNs), "ns", "lower",
-               false);
-    report.add("shard.merge_wall_ns",
-               static_cast<double>(stats.mergeWallNs), "ns", "lower",
-               false);
-    for (size_t i = 0; i < runs.size(); ++i) {
-        report.add("wall_ms.workers_" + std::to_string(worker_counts[i]),
-                   runs[i].wallMs, "ms", "lower", false);
-    }
-    report.add("wall_speedup.workers_4", runs[0].wallMs / runs[2].wallMs,
-               "x", "higher", false);
-    return max_drift == 0.0 && traces_identical;
 }
 
 /** runTwoTierPolicy with a StrategyKind (the classic benches). */

@@ -55,9 +55,8 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 
 BENCHES=(micro_structures fig2_characterization fig4_twotier
          fig5a_optane fig5b_breakdown fig5c_objtypes fig6_sensitivity
-         fig7_policies fig8_degradation fig9_sharding table6_memusage
-         ablation_percpu ablation_prefetch
-         ablation_thp)
+         fig7_policies fig8_degradation table6_memusage
+         ablation_percpu ablation_prefetch ablation_thp)
 if [ ${#ONLY[@]} -gt 0 ]; then
     BENCHES=("${ONLY[@]}")
 fi
@@ -65,10 +64,6 @@ fi
 mkdir -p "$OUTDIR"
 rm -f "$OUTDIR"/BENCH_*.json
 export KLOC_BENCH_OUTDIR="$OUTDIR"
-# Sharded benches (fig6/fig7/fig9) spread epoch bodies over worker
-# threads. The worker count only moves wall-clock — gated metrics and
-# traces are identical at any value — so default it to the machine.
-export KLOC_SHARDS=${KLOC_SHARDS:-$JOBS}
 if [ "$QUICK" = 1 ]; then
     export KLOC_BENCH_QUICK=1
 fi

@@ -18,7 +18,8 @@
 #   --sanitize  rebuild with -DKLOC_SANITIZE=ON (ASan+UBSan) in
 #               BUILD_DIR-asan and run the full test suite there
 #   --tsan      rebuild with -DKLOC_TSAN=ON in BUILD_DIR-tsan and run
-#               the RunPool/parallel-identity/fuzz-sweep/shard tests
+#               the RunPool/parallel-identity/fuzz-sweep tests and
+#               the pooled workload and poison-storm identity tests
 #               there
 #   --all       everything above (except --lint-fast, which --lint
 #               subsumes)
@@ -29,9 +30,6 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 JOBS=${JOBS:-$(nproc)}
 export KLOC_JOBS=${KLOC_JOBS:-$(nproc)}
-# Sharded-engine worker threads (sim/epoch.hh). Any value must
-# produce byte-identical traces; the tests exercise 1/2/4 explicitly.
-export KLOC_SHARDS=${KLOC_SHARDS:-$(nproc)}
 
 DO_LINT=0
 DO_LINT_FAST=0
@@ -149,15 +147,16 @@ fi
 
 if [ "$DO_TSAN" = 1 ]; then
     # ThreadSanitizer smoke over the concurrency surface: the pool
-    # itself, the parallel-vs-serial identity tests, and the pooled
-    # fuzz sweep. The rest of the suite is single-threaded and runs
-    # under ASan/UBSan above.
+    # itself, the parallel-vs-serial identity tests, the pooled fuzz
+    # sweep, and the pooled workload and poison-storm identity tests.
+    # The rest of the suite is single-threaded and runs under
+    # ASan/UBSan above.
     TSAN_DIR="${BUILD_DIR}-tsan"
     cmake -B "$TSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DKLOC_TSAN=ON
     cmake --build "$TSAN_DIR" -j "$JOBS"
     ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-        -R 'RunPool|ParallelIdentity|FaultFuzz|Shard'
+        -R 'RunPool|ParallelIdentity|FaultFuzz|ChaosSoakWorkloads|WorkloadParam\.(TracesByteIdentical|TeardownReleasesMemoryOnPool)'
     echo "check.sh: tsan stage OK"
 fi
 

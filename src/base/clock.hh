@@ -34,14 +34,6 @@ class VirtualClock
         _now += delta;
     }
 
-    /** Jump directly to @p when (must not be in the past). */
-    void
-    advanceTo(Tick when)
-    {
-        KLOC_ASSERT(when >= _now, "advanceTo into the past");
-        _now = when;
-    }
-
     /** Reset to zero (between experiment runs). */
     void reset() { _now = Tick{}; }
 

@@ -43,24 +43,6 @@ class MemAccessor
         _lru.onAccessed(frame);
     }
 
-    /**
-     * Replay the side effects of a touch whose timing cost was
-     * already charged elsewhere — the sharded-workload path, where a
-     * shard body prices the access against its local clock mid-epoch
-     * and the reference bits are applied here, serially, at the
-     * barrier. Keeps dirty/lastWriteTick/LRU semantics identical to
-     * touch() without double-charging.
-     */
-    void
-    markTouched(Frame *frame, AccessType type)
-    {
-        if (type == AccessType::Write) {
-            frame->dirty = true;
-            frame->lastWriteTick = _machine.now();
-        }
-        _lru.onAccessed(frame);
-    }
-
     Machine &machine() { return _machine; }
     LruEngine &lru() { return _lru; }
 

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <queue>
 #include <vector>
 
@@ -31,20 +30,6 @@ class EventQueue
     schedule(Tick when, Callback fn)
     {
         _events.push(Event{when, _sequence++, std::move(fn)});
-    }
-
-    /**
-     * Deadline of the earliest pending event, or nullopt when the
-     * queue is empty. (A Tick{-1} sentinel here was a strong-units
-     * footgun: -1 compares less-than every real deadline, so the
-     * "empty" case silently won every min().)
-     */
-    std::optional<Tick>
-    nextDeadline() const
-    {
-        if (_events.empty())
-            return std::nullopt;
-        return _events.top().when;
     }
 
     bool empty() const { return _events.empty(); }

@@ -3,12 +3,8 @@
  * Machine: the composition hub every subsystem charges work through.
  *
  * Owns the virtual clock, the event queue for asynchronous kernel
- * work, and the simulated CPU topology. The shard-shared half —
- * topology, memory timing model, and the reference-accounting
- * counters behind Fig. 2c — lives in MachineCore (machine_core.hh);
- * Machine delegates so serial code keeps its one-object view while
- * the sharded engine (sim/shard.hh) shares the core between
- * ShardContexts.
+ * work, the simulated CPU topology, the memory timing model, and the
+ * reference-accounting counters behind Fig. 2c.
  */
 
 #ifndef KLOC_SIM_MACHINE_HH
@@ -21,11 +17,43 @@
 #include "fault/fault.hh"
 #include "base/clock.hh"
 #include "sim/event_queue.hh"
-#include "sim/machine_core.hh"
 #include "sim/memory_model.hh"
 #include "trace/trace.hh"
 
 namespace kloc {
+
+/** Attribution of a memory reference for Fig. 2c accounting. */
+enum class RefDomain { User, Kernel };
+
+/** Fig. 2c reference counters (kernel vs. user memory traffic). */
+struct RefStats
+{
+    uint64_t kernelRefs = 0;
+    uint64_t userRefs = 0;
+    Tick kernelRefTicks{};
+    Tick userRefTicks{};
+
+    void
+    account(RefDomain domain, Tick cost)
+    {
+        if (domain == RefDomain::Kernel) {
+            ++kernelRefs;
+            kernelRefTicks += cost;
+        } else {
+            ++userRefs;
+            userRefTicks += cost;
+        }
+    }
+
+    void
+    reset()
+    {
+        kernelRefs = 0;
+        userRefs = 0;
+        kernelRefTicks = Tick{};
+        userRefTicks = Tick{};
+    }
+};
 
 /** The simulated machine. */
 class Machine
@@ -38,11 +66,16 @@ class Machine
     explicit Machine(unsigned num_cpus = 16, unsigned num_sockets = 1);
 
     // -- topology ---------------------------------------------------------
-    unsigned cpuCount() const { return _core.cpuCount(); }
-    unsigned socketCount() const { return _core.socketCount(); }
+    unsigned cpuCount() const { return _numCpus; }
+    unsigned socketCount() const { return _numSockets; }
 
     /** Socket hosting @p cpu. */
-    int socketOf(unsigned cpu) const { return _core.socketOf(cpu); }
+    int
+    socketOf(unsigned cpu) const
+    {
+        return static_cast<int>(cpu / ((_numCpus + _numSockets - 1) /
+                                       _numSockets));
+    }
 
     /** CPU the current simulated thread of control runs on. */
     unsigned currentCpu() const { return _currentCpu; }
@@ -51,15 +84,11 @@ class Machine
     void
     setCurrentCpu(unsigned cpu)
     {
-        KLOC_ASSERT(cpu < _core.cpuCount(), "cpu %u out of range", cpu);
+        KLOC_ASSERT(cpu < _numCpus, "cpu %u out of range", cpu);
         _currentCpu = cpu;
     }
 
-    int currentSocket() const { return _core.socketOf(_currentCpu); }
-
-    /** The shard-shared half (topology, timing, global stats). */
-    MachineCore &core() { return _core; }
-    const MachineCore &core() const { return _core; }
+    int currentSocket() const { return socketOf(_currentCpu); }
 
     // -- time -------------------------------------------------------------
     Tick now() const { return _clock.now(); }
@@ -73,18 +102,6 @@ class Machine
     }
 
     /**
-     * Jump the clock forward to @p when (an epoch-barrier tick) and
-     * run the async work that became due. Used by the sharded
-     * engine's coordinator; serial code charges costs instead.
-     */
-    void
-    advanceTo(Tick when)
-    {
-        _clock.advanceTo(when);
-        _events.runDue(_clock.now());
-    }
-
-    /**
      * Charge pure CPU work (no memory attribution). The simulation
      * serialises all worker threads onto one clock; compute-bound
      * work overlaps across real cores, so it is divided by the CPU
@@ -92,10 +109,15 @@ class Machine
      * bandwidth is the shared bottleneck the paper's platforms
      * expose.
      */
-    void cpuWork(Tick cost) { charge(cost / _core.cpuParallelism()); }
+    void cpuWork(Tick cost) { charge(cost / _cpuParallelism); }
 
     /** Set the effective overlap factor for CPU-bound work. */
-    void setCpuParallelism(unsigned factor) { _core.setCpuParallelism(factor); }
+    void
+    setCpuParallelism(unsigned factor)
+    {
+        KLOC_ASSERT(factor >= 1, "cpu parallelism below 1");
+        _cpuParallelism = static_cast<int64_t>(factor);
+    }
 
     EventQueue &events() { return _events; }
     VirtualClock &clock() { return _clock; }
@@ -110,8 +132,8 @@ class Machine
     const FaultInjector &faults() const { return _faults; }
 
     // -- memory -----------------------------------------------------------
-    MemoryModel &memModel() { return _core.memModel(); }
-    const MemoryModel &memModel() const { return _core.memModel(); }
+    MemoryModel &memModel() { return _memModel; }
+    const MemoryModel &memModel() const { return _memModel; }
 
     /**
      * Charge one memory access of @p bytes against @p tier from the
@@ -121,10 +143,10 @@ class Machine
     Tick
     access(TierId tier, Bytes bytes, AccessType type, RefDomain domain)
     {
-        const Tick cost = _core.memModel().accessCost(tier, bytes, type,
-                                                      currentSocket());
+        const Tick cost = _memModel.accessCost(tier, bytes, type,
+                                               currentSocket());
         charge(cost);
-        _core.accountRef(domain, cost);
+        _refs.account(domain, cost);
         return cost;
     }
 
@@ -142,16 +164,20 @@ class Machine
     }
 
     // -- Fig. 2c accounting -------------------------------------------------
-    uint64_t kernelRefs() const { return _core.refs().kernelRefs; }
-    uint64_t userRefs() const { return _core.refs().userRefs; }
-    Tick kernelRefTicks() const { return _core.refs().kernelRefTicks; }
-    Tick userRefTicks() const { return _core.refs().userRefTicks; }
+    uint64_t kernelRefs() const { return _refs.kernelRefs; }
+    uint64_t userRefs() const { return _refs.userRefs; }
+    Tick kernelRefTicks() const { return _refs.kernelRefTicks; }
+    Tick userRefTicks() const { return _refs.userRefTicks; }
 
     /** Reset clock, events, and counters between experiment runs. */
     void reset();
 
   private:
-    MachineCore _core;
+    unsigned _numCpus;
+    unsigned _numSockets;
+    int64_t _cpuParallelism = 8;
+    MemoryModel _memModel;
+    RefStats _refs;
     VirtualClock _clock;
     EventQueue _events;
     Tracer _tracer{_clock};

@@ -804,94 +804,6 @@ InvariantChecker::consume(const TraceEvent &event)
         // Informational; the surrounding brackets carry the state.
         break;
 
-      case TraceEventType::ShardWork:
-        // Coordinator-emitted per-shard epoch summary. All shard
-        // events of one epoch arrive in the same barrier batch, so
-        // they must agree on the epoch and arrive in shard order.
-        if (_openEpoch >= 0 && static_cast<int64_t>(b) != _openEpoch) {
-            violation(event,
-                      "shard %llu work for epoch %llu inside open "
-                      "epoch %lld",
-                      (unsigned long long)a, (unsigned long long)b,
-                      (long long)_openEpoch);
-        }
-        _openEpoch = static_cast<int64_t>(b);
-        if (!_workShards.empty() && a <= _workShards.back()) {
-            violation(event,
-                      "shard work out of shard order (%llu after %llu)",
-                      (unsigned long long)a,
-                      (unsigned long long)_workShards.back());
-        }
-        _workShards.push_back(a);
-        break;
-
-      case TraceEventType::ShardMsg:
-        // Cross-shard messages drain at the barrier in (shard, seq)
-        // order with per-shard seq contiguous from zero.
-        if (_openEpoch >= 0 && static_cast<int64_t>(b) != _openEpoch) {
-            violation(event,
-                      "shard %llu message for epoch %llu inside open "
-                      "epoch %lld",
-                      (unsigned long long)a, (unsigned long long)b,
-                      (long long)_openEpoch);
-        }
-        _openEpoch = static_cast<int64_t>(b);
-        if (_msgLastShard >= 0 &&
-            static_cast<int64_t>(a) < _msgLastShard) {
-            violation(event,
-                      "shard message drain out of shard order (%llu "
-                      "after %lld)",
-                      (unsigned long long)a, (long long)_msgLastShard);
-        }
-        _msgLastShard = static_cast<int64_t>(a);
-        if (c != _msgNextSeq[a]) {
-            violation(event,
-                      "shard %llu message seq %llu, expected %llu",
-                      (unsigned long long)a, (unsigned long long)c,
-                      (unsigned long long)_msgNextSeq[a]);
-        }
-        _msgNextSeq[a] = c + 1;
-        ++_epochMsgs;
-        break;
-
-      case TraceEventType::EpochBarrier: {
-        if (_openEpoch >= 0 && static_cast<int64_t>(a) != _openEpoch) {
-            violation(event,
-                      "barrier closes epoch %llu but shard events "
-                      "were for epoch %lld",
-                      (unsigned long long)a, (long long)_openEpoch);
-        }
-        // Epochs count up from 0 per engine run; a fresh engine on
-        // the same machine restarts at 0.
-        if (_lastBarrierEpoch >= 0 && a != 0 &&
-            static_cast<int64_t>(a) != _lastBarrierEpoch + 1) {
-            violation(event,
-                      "barrier epoch %llu not successor of %lld",
-                      (unsigned long long)a,
-                      (long long)_lastBarrierEpoch);
-        }
-        if (_workShards.size() > b ||
-            (_strict && !_workShards.empty() && _workShards.size() != b)) {
-            violation(event,
-                      "barrier reports %llu shards but %zu reported "
-                      "work",
-                      (unsigned long long)b, _workShards.size());
-        }
-        if (_epochMsgs > d || (_strict && _epochMsgs != d)) {
-            violation(event,
-                      "barrier reports %llu messages but %llu drained",
-                      (unsigned long long)d,
-                      (unsigned long long)_epochMsgs);
-        }
-        _lastBarrierEpoch = static_cast<int64_t>(a);
-        _openEpoch = -1;
-        _msgLastShard = -1;
-        _msgNextSeq.clear();
-        _workShards.clear();
-        _epochMsgs = 0;
-        break;
-      }
-
       case TraceEventType::NumTypes:
         violation(event, "malformed event type");
         break;

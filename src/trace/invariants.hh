@@ -34,11 +34,6 @@
  *  - tier health moves one step at a time (healthy <-> degraded <->
  *    failed) from the state the model last saw, and every transition
  *    respects the hysteresis thresholds its score reports
- *  - sharded execution (docs/SHARDING.md) is well-bracketed: shard
- *    work/message events agree on the epoch their barrier closes,
- *    barrier epochs count up by one per engine run, messages drain
- *    in shard order with contiguous per-shard sequence numbers, and
- *    the barrier's shard/message totals match what was seen
  *
  * Violations are collected, not fatal, so tests can assert on the
  * full list and tools can report totals.
@@ -154,14 +149,6 @@ class InvariantChecker
     std::vector<bool> _tierOffline;    ///< per-tier offline flag
     std::unordered_set<uint64_t> _quarantined; ///< retired frame keys
     std::vector<uint64_t> _tierHealth; ///< per-tier health (0/1/2)
-    // Sharded-execution protocol (docs/SHARDING.md): epoch open/close
-    // agreement, barrier-drain shard ordering, contiguous message seq.
-    int64_t _openEpoch = -1;        ///< epoch with shard events pending
-    int64_t _lastBarrierEpoch = -1; ///< last closed epoch
-    int64_t _msgLastShard = -1;     ///< drain-order watermark
-    std::unordered_map<uint64_t, uint64_t> _msgNextSeq; ///< shard->seq
-    std::vector<uint64_t> _workShards; ///< shards reporting this epoch
-    uint64_t _epochMsgs = 0;           ///< messages drained this epoch
     int _journalWindows = 0;   ///< nesting depth of commit/detach windows
     bool _journalArmed = false;///< a journal subsystem has shown itself
     bool _sawAdoption = false; ///< attach was mid-run; relax counting

@@ -74,9 +74,6 @@ const EventSpec kEventSpecs[kNumTraceEventTypes] = {
     {"soft_offline",         2, {"inode", "moved", nullptr, nullptr}},
     {"poison_storm",         3, {"tier", "requested", "poisoned",
                                  nullptr}},
-    {"shard_work",           4, {"shard", "epoch", "ops", "staged"}},
-    {"shard_msg",            4, {"shard", "epoch", "seq", "kind"}},
-    {"epoch_barrier",        4, {"epoch", "shards", "merged", "msgs"}},
 };
 
 const EventSpec &
@@ -236,21 +233,6 @@ Tracer::flushBatch()
         return;
     emitBatch(_staged.data(), _stagedCount);
     _stagedCount = 0;
-}
-
-void
-Tracer::absorb(TraceEvent *events, size_t count)
-{
-    if (!_enabled || count == 0)
-        return;
-    KLOC_ASSERT(_stagedCount == 0,
-                "absorbing merged shard events inside an open batch "
-                "window; flushBatch() first");
-    // Shard-local seq values only ordered the merge; the global
-    // trace numbers events by absorption order.
-    for (size_t i = 0; i < count; ++i)
-        events[i].seq = _emitted++;
-    emitBatch(events, count);
 }
 
 void

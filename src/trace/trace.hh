@@ -95,11 +95,6 @@ enum class TraceEventType : uint8_t {
     KlocDamaged,        ///< inode, tier, pfn
     SoftOffline,        ///< inode, moved
     PoisonStorm,        ///< tier, requested, poisoned
-    // sim/shard + sim/epoch: sharded-execution protocol
-    // (docs/SHARDING.md). Emitted by the coordinator at barriers.
-    ShardWork,          ///< shard, epoch, ops, staged
-    ShardMsg,           ///< shard, epoch, seq, kind
-    EpochBarrier,       ///< epoch, shards, merged, msgs
     NumTypes
 };
 
@@ -229,19 +224,6 @@ class Tracer
 
     /** Staged-but-undelivered events in the open batch window. */
     size_t stagedCount() const { return _stagedCount; }
-
-    /**
-     * Adopt @p count pre-built events into the trace, re-stamping
-     * their seq fields with this tracer's emission counter but
-     * keeping their ticks. The sharded engine (sim/epoch.hh) merges
-     * shard-staged events into (tick, shard, local-seq) order and
-     * absorbs the run at each barrier, so the global trace is
-     * byte-identical for any worker count. Events must arrive in
-     * nondecreasing tick order relative to previous absorptions.
-     * No-op while tracing is disabled. @p events is restamped in
-     * place.
-     */
-    void absorb(TraceEvent *events, size_t count);
 
     /** Events emitted since construction/clear (including dropped). */
     uint64_t emitted() const { return _emitted; }

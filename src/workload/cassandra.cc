@@ -108,120 +108,6 @@ CassandraWorkload::doWrite(System &sys, int sd, uint64_t key)
     sys.net().send(sd, kRequestBytes);
 }
 
-void
-CassandraWorkload::setupShards(System &sys, unsigned shards)
-{
-    beginShards(sys, shards, _config.operations);
-    _shardState.clear();
-    _shardState.resize(shards);
-    for (unsigned i = 0; i < shards; ++i) {
-        _shardState[i].zipf = std::make_unique<ZipfianGenerator>(
-            _numKeys, 0.99, shardSeed(i) ^ 0xca55);
-    }
-    for (size_t i = 0; i < _clients.size(); ++i)
-        _shardState[i % shards].clients.push_back(_clients[i]);
-}
-
-void
-CassandraWorkload::shardEpoch(ShardContext &shard, uint64_t)
-{
-    ShardSlice &slice = _slices[shard.id()];
-    CassandraShard &my = _shardState[shard.id()];
-    for (uint64_t n = epochQuota(slice); n > 0; --n) {
-        const int sd = my.clients.empty()
-            ? -1
-            : my.clients[my.clientCursor++ % my.clients.size()];
-        const uint64_t key = my.zipf->next();
-        shard.cpuWork(kJavaOverhead);
-        CassandraShard::Op op{CassandraShard::Op::ReadHit, sd, key, 0};
-        if (slice.rng.nextBool(0.5)) {
-            if (slice.rng.nextBool(kCacheHitRate) || _sstables.empty()) {
-                // Row cache hit: pure app-memory work.
-                shardTouchArena(shard, slice, key, kRowBytes,
-                                AccessType::Read);
-            } else {
-                op.kind = CassandraShard::Op::ReadMiss;
-                op.pos = (key * _sstables.size() / _numKeys) %
-                         _sstables.size();
-                // Fill the row cache.
-                shardTouchArena(shard, slice, key, kRowBytes,
-                                AccessType::Write);
-            }
-        } else {
-            op.kind = CassandraShard::Op::Write;
-            // Memtable insert; the commitlog append defers.
-            shardTouchArena(shard, slice, key, kRowBytes,
-                            AccessType::Write);
-            my.putBytes += kRowBytes;
-        }
-        if (sd >= 0)
-            my.ops.push_back(op);
-        ++slice.done;
-    }
-    if (!slice.touches.empty() || !my.ops.empty())
-        postShardApply(shard);
-}
-
-void
-CassandraWorkload::applyShardOpsAtBarrier(System &sys,
-                                          unsigned slice_index)
-{
-    Workload::applyShardOpsAtBarrier(sys, slice_index);
-    CassandraShard &my = _shardState[slice_index];
-    for (const CassandraShard::Op &op : my.ops) {
-        switch (op.kind) {
-          case CassandraShard::Op::Write:
-            sys.net().deliver(op.sd, kRequestBytes + kRowBytes);
-            sys.net().recv(op.sd, kRequestBytes + kRowBytes);
-            sys.fs().write(_commitlogFd, _commitlogCursor, kRowBytes);
-            _commitlogCursor += kRowBytes;
-            if (++_commitlogAppends % kCommitlogSyncEvery == 0)
-                sys.fs().fsync(_commitlogFd);
-            sys.net().send(op.sd, kRequestBytes);
-            break;
-          case CassandraShard::Op::ReadMiss:
-            sys.net().deliver(op.sd, kRequestBytes);
-            sys.net().recv(op.sd, kRequestBytes);
-            if (op.pos < _sstables.size()) {
-                const int fd = _fdCache.get(sys, _sstables[op.pos]);
-                if (fd >= 0) {
-                    sys.fs().read(fd, Bytes{0}, kPageSize);
-                    const uint64_t blocks = kSstableBytes / kPageSize;
-                    sys.fs().read(
-                        fd, (1 + op.key % (blocks - 1)) * kPageSize,
-                        kPageSize);
-                }
-            }
-            sys.net().send(op.sd, kRowBytes);
-            break;
-          case CassandraShard::Op::ReadHit:
-            sys.net().deliver(op.sd, kRequestBytes);
-            sys.net().recv(op.sd, kRequestBytes);
-            sys.net().send(op.sd, kRowBytes);
-            break;
-        }
-    }
-    my.ops.clear();
-    _memtableFill += my.putBytes;
-    my.putBytes = Bytes{};
-}
-
-void
-CassandraWorkload::shardBarrier(System &sys, uint64_t)
-{
-    while (_memtableFill >= kSstableBytes) {
-        _memtableFill -= kSstableBytes;
-        writeSstable(sys);
-        // Size-tiered compaction keeps the table count bounded.
-        if (_sstables.size() > 48) {
-            const std::string victim = _sstables.front();
-            _sstables.erase(_sstables.begin());
-            _fdCache.drop(sys, victim);
-            sys.fs().unlink(victim);
-        }
-    }
-}
-
 WorkloadResult
 CassandraWorkload::run(System &sys)
 {

@@ -43,42 +43,7 @@ class CassandraWorkload : public Workload
     WorkloadResult run(System &sys) override;
     void teardown(System &sys) override;
 
-    // Sharded port: clients partition into shards; row-cache hits
-    // and the YCSB mix roll on slice-local rng, row touches price
-    // locally, and the kernel half of each request — sockets, SSTable
-    // probes, commitlog appends (offsets assigned serially against
-    // the shared cursor) — defers to the barrier replay. Flushes and
-    // size-tiered compaction run in the barrier hook.
-    bool shardable() const override { return true; }
-    void setupShards(System &sys, unsigned shards) override;
-    void shardEpoch(ShardContext &shard, uint64_t epoch) override;
-    void shardBarrier(System &sys, uint64_t epoch) override;
-
-  protected:
-    void applyShardOpsAtBarrier(System &sys, unsigned slice_index) override;
-
   private:
-    /** Per-shard client state beyond the common slice. */
-    struct CassandraShard
-    {
-        /** One deferred request's kernel half. */
-        struct Op
-        {
-            enum Kind : uint8_t { ReadHit, ReadMiss, Write };
-            Kind kind;
-            int sd;
-            uint64_t key;
-            /** SSTable index for ReadMiss (epoch-start list). */
-            uint64_t pos;
-        };
-        std::vector<int> clients;
-        uint64_t clientCursor = 0;
-        std::unique_ptr<ZipfianGenerator> zipf;
-        std::vector<Op> ops;
-        /** Memtable bytes this slice inserted in the epoch. */
-        Bytes putBytes{};
-    };
-
     void writeSstable(System &sys);
     void doRead(System &sys, int sd, uint64_t key);
     void doWrite(System &sys, int sd, uint64_t key);
@@ -93,7 +58,6 @@ class CassandraWorkload : public Workload
     uint64_t _commitlogAppends = 0;
     Bytes _memtableFill{};
     std::unique_ptr<ZipfianGenerator> _zipf;
-    std::vector<CassandraShard> _shardState;
 };
 
 } // namespace kloc

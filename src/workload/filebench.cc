@@ -48,52 +48,6 @@ FilebenchWorkload::run(System &sys)
 }
 
 void
-FilebenchWorkload::setupShards(System &sys, unsigned shards)
-{
-    beginShards(sys, shards, _config.operations);
-    _shardState.assign(shards, FilebenchShard{});
-    // Stagger the sequential streams across the file so the shards
-    // don't replay one another's pages.
-    const uint64_t pages = _fileBytes / kIoBytes;
-    for (unsigned i = 0; i < shards; ++i)
-        _shardState[i].seqCursor = pages * i / shards;
-}
-
-void
-FilebenchWorkload::shardEpoch(ShardContext &shard, uint64_t)
-{
-    ShardSlice &slice = _slices[shard.id()];
-    FilebenchShard &my = _shardState[shard.id()];
-    const auto shards = static_cast<uint64_t>(_slices.size());
-    const uint64_t pages = _fileBytes / kIoBytes;
-    for (uint64_t n = epochQuota(slice); n > 0; --n) {
-        uint64_t page;
-        if (slice.rng.nextBool(0.5)) {
-            page = my.seqCursor++ % pages;
-        } else {
-            page = slice.rng.nextBounded(pages);
-        }
-        my.reads.push_back(page * kIoBytes);
-        shardTouchArena(shard, slice, slice.done * shards + shard.id(),
-                        Bytes{256}, AccessType::Write);
-        ++slice.done;
-    }
-    if (!slice.touches.empty() || !my.reads.empty())
-        postShardApply(shard);
-}
-
-void
-FilebenchWorkload::applyShardOpsAtBarrier(System &sys,
-                                          unsigned slice_index)
-{
-    Workload::applyShardOpsAtBarrier(sys, slice_index);
-    FilebenchShard &my = _shardState[slice_index];
-    for (const Bytes offset : my.reads)
-        sys.fs().read(_fd, offset, kIoBytes);
-    my.reads.clear();
-}
-
-void
 FilebenchWorkload::teardown(System &sys)
 {
     if (_fd >= 0) {

@@ -34,31 +34,11 @@ class FilebenchWorkload : public Workload
     WorkloadResult run(System &sys) override;
     void teardown(System &sys) override;
 
-    // Sharded port: each of the 16 emulated threads' streams maps to
-    // a shard with its own sequential cursor and random picker; the
-    // private scratch touch prices locally and the big-file reads
-    // defer to the barrier replay.
-    bool shardable() const override { return true; }
-    void setupShards(System &sys, unsigned shards) override;
-    void shardEpoch(ShardContext &shard, uint64_t epoch) override;
-
-  protected:
-    void applyShardOpsAtBarrier(System &sys, unsigned slice_index) override;
-
   private:
-    /** Per-shard I/O stream beyond the common slice. */
-    struct FilebenchShard
-    {
-        uint64_t seqCursor = 0;
-        /** Deferred big-file read offsets, op order. */
-        std::vector<Bytes> reads;
-    };
-
     const std::string _fileName = "filebench_bigfile";
     int _fd = -1;
     Bytes _fileBytes{};
     uint64_t _seqCursor = 0;
-    std::vector<FilebenchShard> _shardState;
 };
 
 } // namespace kloc

@@ -49,78 +49,6 @@ RedisWorkload::bgsave(System &sys)
     ++_checkpoints;
 }
 
-void
-RedisWorkload::setupShards(System &sys, unsigned shards)
-{
-    beginShards(sys, shards, _config.operations);
-    _shardState.clear();
-    _shardState.resize(shards);
-    _ckptCredited = 0;
-    for (unsigned i = 0; i < shards; ++i) {
-        _shardState[i].zipf = std::make_unique<ZipfianGenerator>(
-            _numKeys, 0.99, shardSeed(i) ^ 0xd15);
-    }
-    for (size_t i = 0; i < _clients.size(); ++i)
-        _shardState[i % shards].clients.push_back(_clients[i]);
-}
-
-void
-RedisWorkload::shardEpoch(ShardContext &shard, uint64_t)
-{
-    ShardSlice &slice = _slices[shard.id()];
-    RedisShard &my = _shardState[shard.id()];
-    const uint64_t dataset_pages = _datasetBytes / kPageSize;
-    for (uint64_t n = epochQuota(slice); n > 0; --n) {
-        const int sd = my.clients.empty()
-            ? -1
-            : my.clients[my.clientCursor++ % my.clients.size()];
-        const uint64_t key = my.zipf->next();
-        const uint64_t page = key * dataset_pages / _numKeys;
-        const bool set = slice.rng.nextBool(0.75);
-        shardTouchArena(shard, slice, page, kValueBytes,
-                        set ? AccessType::Write : AccessType::Read);
-        if (sd >= 0)
-            my.netOps.push_back({sd, set});
-        ++slice.done;
-    }
-    if (!slice.touches.empty() || !my.netOps.empty())
-        postShardApply(shard);
-}
-
-void
-RedisWorkload::applyShardOpsAtBarrier(System &sys, unsigned slice_index)
-{
-    Workload::applyShardOpsAtBarrier(sys, slice_index);
-    RedisShard &my = _shardState[slice_index];
-    for (const RedisShard::NetOp &op : my.netOps) {
-        if (op.set) {
-            // SET: request carries the value in.
-            sys.net().deliver(op.sd, kRequestBytes + kValueBytes);
-            sys.net().recv(op.sd, kRequestBytes + kValueBytes);
-            sys.net().send(op.sd, kRequestBytes);
-        } else {
-            // GET: response carries the value out.
-            sys.net().deliver(op.sd, kRequestBytes);
-            sys.net().recv(op.sd, kRequestBytes);
-            sys.net().send(op.sd, kValueBytes);
-        }
-    }
-    my.netOps.clear();
-}
-
-void
-RedisWorkload::shardBarrier(System &sys, uint64_t)
-{
-    // Serial cadence: one BGSAVE per ops/6 completed operations,
-    // counted over all slices.
-    const uint64_t ckpt_every = _config.operations / 6 + 1;
-    const uint64_t done = shardOpsDone();
-    while (done - _ckptCredited >= ckpt_every) {
-        _ckptCredited += ckpt_every;
-        bgsave(sys);
-    }
-}
-
 WorkloadResult
 RedisWorkload::run(System &sys)
 {

@@ -37,35 +37,7 @@ class RedisWorkload : public Workload
 
     uint64_t checkpoints() const { return _checkpoints; }
 
-    // Sharded port: the 16 client sockets partition round-robin into
-    // shards; each slice rolls its own zipf keys and set/get mix,
-    // prices the dataset touch locally, and defers the socket
-    // deliver/recv/send to the barrier replay. BGSAVE keeps its
-    // serial cadence against the total op count at the barrier.
-    bool shardable() const override { return true; }
-    void setupShards(System &sys, unsigned shards) override;
-    void shardEpoch(ShardContext &shard, uint64_t epoch) override;
-    void shardBarrier(System &sys, uint64_t epoch) override;
-
-  protected:
-    void applyShardOpsAtBarrier(System &sys, unsigned slice_index) override;
-
   private:
-    /** Per-shard client state beyond the common slice. */
-    struct RedisShard
-    {
-        /** One deferred request's network half. */
-        struct NetOp
-        {
-            int sd;
-            bool set;
-        };
-        std::vector<int> clients;
-        uint64_t clientCursor = 0;
-        std::unique_ptr<ZipfianGenerator> zipf;
-        std::vector<NetOp> netOps;
-    };
-
     void bgsave(System &sys);
 
     std::vector<int> _clients;
@@ -73,9 +45,6 @@ class RedisWorkload : public Workload
     Bytes _datasetBytes{};
     uint64_t _checkpoints = 0;
     std::unique_ptr<ZipfianGenerator> _zipf;
-    std::vector<RedisShard> _shardState;
-    /** Total ops already credited toward the BGSAVE cadence. */
-    uint64_t _ckptCredited = 0;
 };
 
 } // namespace kloc

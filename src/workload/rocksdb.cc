@@ -36,7 +36,6 @@ RocksDbWorkload::writeSst(System &sys, const std::string &name)
 void
 RocksDbWorkload::setup(System &sys)
 {
-    _sys = &sys;
     // Memtable (4 MB) plus a block-cache-like app heap.
     const Bytes dataset =
         scaled(_config.smallInput ? 10 * kGiB : 40 * kGiB);
@@ -125,93 +124,6 @@ RocksDbWorkload::doGet(System &sys, uint64_t key)
     const uint64_t blocks = kSstBytes / kPageSize;
     const uint64_t block = 1 + key % (blocks - 1);
     sys.fs().read(fd, block * kPageSize, kPageSize);
-}
-
-void
-RocksDbWorkload::setupShards(System &sys, unsigned shards)
-{
-    beginShards(sys, shards, _config.operations);
-    _shardState.clear();
-    _shardState.resize(shards);
-    for (unsigned i = 0; i < shards; ++i) {
-        _shardState[i].zipf = std::make_unique<ZipfianGenerator>(
-            _numKeys, 0.99, shardSeed(i) ^ 0x5eed);
-    }
-}
-
-void
-RocksDbWorkload::shardEpoch(ShardContext &shard, uint64_t)
-{
-    ShardSlice &slice = _slices[shard.id()];
-    RocksShard &my = _shardState[shard.id()];
-    const auto shards = static_cast<uint64_t>(_slices.size());
-    constexpr uint64_t memtable_pages = kSstBytes / kPageSize;
-    for (uint64_t n = epochQuota(slice); n > 0; --n) {
-        const uint64_t zipf_key = my.zipf->next();
-        const uint64_t seq_key =
-            (slice.done * shards + shard.id()) % _numKeys;
-        // dbbench mix: 50% writes, 50% reads, half sequential.
-        if (slice.rng.nextBool(0.5)) {
-            const uint64_t key =
-                slice.rng.nextBool(0.5) ? seq_key : zipf_key;
-            shardTouchArena(shard, slice, key % memtable_pages,
-                            kValueBytes, AccessType::Write);
-            my.putBytes += kValueBytes;
-        } else {
-            const uint64_t key =
-                slice.rng.nextBool(0.5) ? seq_key : zipf_key;
-            shardTouchArena(shard, slice, key % memtable_pages,
-                            Bytes{200}, AccessType::Read);
-            if (!_liveSsts.empty()) {
-                const uint64_t pos =
-                    _liveSsts.size() - 1 -
-                    (key * _liveSsts.size() / _numKeys) %
-                        _liveSsts.size();
-                my.gets.push_back({pos, key});
-            }
-        }
-        ++slice.done;
-    }
-    if (!slice.touches.empty() || !my.gets.empty() ||
-        my.putBytes > Bytes{}) {
-        postShardApply(shard);
-    }
-}
-
-void
-RocksDbWorkload::applyShardOpsAtBarrier(System &sys, unsigned slice_index)
-{
-    Workload::applyShardOpsAtBarrier(sys, slice_index);
-    RocksShard &my = _shardState[slice_index];
-    for (const RocksShard::Get &get : my.gets) {
-        if (get.pos >= _liveSsts.size())
-            continue;
-        const int fd = _fdCache.get(sys, _liveSsts[get.pos]);
-        if (fd < 0)
-            continue;
-        // Index block, then the data block holding the key.
-        sys.fs().read(fd, Bytes{0}, kPageSize);
-        const uint64_t blocks = kSstBytes / kPageSize;
-        sys.fs().read(fd, (1 + get.key % (blocks - 1)) * kPageSize,
-                      kPageSize);
-    }
-    my.gets.clear();
-    _memtableFill += my.putBytes;
-    my.putBytes = Bytes{};
-}
-
-void
-RocksDbWorkload::shardBarrier(System &sys, uint64_t)
-{
-    // The pooled puts of all slices fill the shared memtable; each
-    // full memtable flushes to a fresh SST exactly like the serial
-    // path, including the compaction cadence.
-    while (_memtableFill >= kSstBytes) {
-        _memtableFill -= kSstBytes;
-        writeSst(sys, "sst_" + std::to_string(_nextSstId++));
-        if (++_flushes % kCompactEvery == 0)
-            compact(sys);
-    }
 }
 
 WorkloadResult

@@ -42,42 +42,13 @@ class RocksDbWorkload : public Workload
 
     uint64_t liveSstCount() const { return _liveSsts.size(); }
 
-    // Sharded port: clients partition into shards (own zipf cursor
-    // and op mix); puts price the memtable touch locally and pool
-    // their fill bytes, gets defer the SST probes; the barrier runs
-    // flushes and compaction serially against the epoch-start SST
-    // list, which shard bodies read const mid-epoch.
-    bool shardable() const override { return true; }
-    void setupShards(System &sys, unsigned shards) override;
-    void shardEpoch(ShardContext &shard, uint64_t epoch) override;
-    void shardBarrier(System &sys, uint64_t epoch) override;
-
-  protected:
-    void applyShardOpsAtBarrier(System &sys, unsigned slice_index) override;
-
   private:
-    /** Per-shard client state beyond the common slice. */
-    struct RocksShard
-    {
-        /** One deferred SST probe: index + data block reads. */
-        struct Get
-        {
-            uint64_t pos;
-            uint64_t key;
-        };
-        std::unique_ptr<ZipfianGenerator> zipf;
-        /** Memtable bytes this slice appended in the epoch. */
-        Bytes putBytes{};
-        std::vector<Get> gets;
-    };
-
     void writeSst(System &sys, const std::string &name);
     void flushMemtable(System &sys);
     void compact(System &sys);
     void doPut(System &sys, uint64_t key);
     void doGet(System &sys, uint64_t key);
 
-    System *_sys = nullptr;
     FdCache _fdCache;
     std::vector<std::string> _liveSsts;
     uint64_t _nextSstId = 0;
@@ -85,7 +56,6 @@ class RocksDbWorkload : public Workload
     Bytes _memtableFill{};
     uint64_t _flushes = 0;
     std::unique_ptr<ZipfianGenerator> _zipf;
-    std::vector<RocksShard> _shardState;
 };
 
 } // namespace kloc

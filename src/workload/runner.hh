@@ -14,7 +14,6 @@
 #ifndef KLOC_WORKLOAD_RUNNER_HH
 #define KLOC_WORKLOAD_RUNNER_HH
 
-#include "sim/epoch.hh"
 #include "trace/trace.hh"
 #include "workload/workload.hh"
 
@@ -43,70 +42,6 @@ runMeasured(System &sys, Workload &workload)
     sys.machine().charge(kQuiesceWindow);
     return workload.run(sys);
 }
-
-/**
- * Decomposition and epoch sizing of one sharded workload run. The
- * logical shard count is part of the scenario: changing it changes
- * the simulated results. The worker count never does — it only sets
- * how many threads advance shards between barriers (KLOC_SHARDS).
- */
-struct ShardPlan
-{
-    /** Logical shards the per-run state is partitioned into. */
-    unsigned shards = 4;
-    /** Worker threads; 0 = ShardedEngine::defaultWorkers(). */
-    unsigned workers = 0;
-    /** Per-shard ops per epoch; 0 = auto (~32 epochs per run). */
-    uint64_t opsPerEpoch = 0;
-    /**
-     * Virtual time between barriers beyond the shard work itself.
-     * The default barriers as soon as every body parks, so an epoch
-     * spans exactly the slowest shard's charged time.
-     */
-    Tick epochLength{1};
-};
-
-/** Engine counters of one sharded run, for `shard.*` bench metrics. */
-struct ShardRunStats
-{
-    unsigned shards = 0;
-    unsigned workers = 0;
-    uint64_t epochs = 0;
-    uint64_t messages = 0;
-    uint64_t eventsMerged = 0;
-    /** Host-wall barrier overhead; nondeterministic, never gated. */
-    uint64_t barrierWallNs = 0;
-    uint64_t mergeWallNs = 0;
-};
-
-/**
- * Shared driver for sharded workload runs: owns the setup/quiesce
- * protocol (same as runMeasured), the shard decomposition handoff
- * (Workload::setupShards), epoch sizing, and the epoch loop with the
- * driver's barrier hook — so each workload port is a shard body plus
- * a decomposition policy, not bespoke engine code.
- */
-class ShardedWorkloadRunner
-{
-  public:
-    ShardedWorkloadRunner(System &sys, ShardPlan plan)
-        : _sys(sys), _plan(plan)
-    {}
-
-    /**
-     * Run @p workload sharded: setup + quiesce (serial, batched),
-     * then epochs until the driver reports completion. The caller
-     * tears down afterwards. Asserts the driver is shardable().
-     */
-    WorkloadResult run(Workload &workload);
-
-    const ShardRunStats &stats() const { return _stats; }
-
-  private:
-    System &_sys;
-    ShardPlan _plan;
-    ShardRunStats _stats;
-};
 
 } // namespace kloc
 

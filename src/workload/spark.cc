@@ -81,197 +81,6 @@ SparkWorkload::sort(System &sys)
     return chunks;
 }
 
-std::string
-SparkWorkload::inName(unsigned part) const
-{
-    return "ts_in_" + std::to_string(_jobId) + "_" + std::to_string(part);
-}
-
-std::string
-SparkWorkload::outName(unsigned part) const
-{
-    return "ts_out_" + std::to_string(_jobId) + "_" + std::to_string(part);
-}
-
-void
-SparkWorkload::setupShards(System &sys, unsigned shards)
-{
-    // One fresh terasort job, like run(): retire the previous job's
-    // files before the epochs start.
-    for (const auto &name : _inputs)
-        sys.fs().unlink(name);
-    for (const auto &name : _outputs)
-        sys.fs().unlink(name);
-    _inputs.clear();
-    _outputs.clear();
-    ++_jobId;
-    beginShards(sys, shards, 0);
-    _shardState.clear();
-    _shardState.resize(shards);
-    _partFds.assign(kPartitions, -1);
-    const uint64_t chunks_per_part =
-        (_partBytes.value() + kChunkBytes.value() - 1) /
-        kChunkBytes.value();
-    for (unsigned part = 0; part < kPartitions; ++part)
-        _shardState[part % shards].parts.push_back(part);
-    // Quotas follow partition ownership, not an even op split: each
-    // owned partition is worth chunks_per_part chunks in each of the
-    // three phases.
-    for (unsigned i = 0; i < shards; ++i)
-        _slices[i].quota = _shardState[i].parts.size() * chunks_per_part * 3;
-    _phase = Phase::Generate;
-}
-
-void
-SparkWorkload::shardEpoch(ShardContext &shard, uint64_t)
-{
-    ShardSlice &slice = _slices[shard.id()];
-    SparkShard &my = _shardState[shard.id()];
-    using Op = SparkShard::Op;
-    // _phase is const mid-epoch; it only advances in shardBarrier.
-    for (uint64_t budget = epochQuota(slice);
-         budget > 0 && my.partCursor < my.parts.size(); --budget) {
-        const unsigned part = my.parts[my.partCursor];
-        if (my.off == Bytes{}) {
-            switch (_phase) {
-              case Phase::Generate:
-                my.ops.push_back({Op::GenCreate, part, Bytes{}});
-                break;
-              case Phase::Map:
-                my.ops.push_back({Op::MapOpen, part, Bytes{}});
-                break;
-              default:
-                my.ops.push_back({Op::RedCreate, part, Bytes{}});
-                break;
-            }
-        }
-        switch (_phase) {
-          case Phase::Generate:
-            // teragen: synthesize rows in app memory, then write.
-            shardTouchArena(shard, slice, my.off / kPageSize + part,
-                            kChunkBytes, AccessType::Write);
-            my.ops.push_back({Op::GenWrite, part, my.off});
-            break;
-          case Phase::Map:
-            // Shuffle write into a partition-strided buffer region.
-            my.ops.push_back({Op::MapRead, part, my.off});
-            shardTouchArena(shard, slice,
-                            (my.off / kPageSize) * kPartitions + part,
-                            kChunkBytes, AccessType::Write);
-            break;
-          default:
-            shardTouchArena(shard, slice,
-                            (my.off / kPageSize) * kPartitions + part,
-                            kChunkBytes, AccessType::Read);
-            my.ops.push_back({Op::RedWrite, part, my.off});
-            break;
-        }
-        my.off += kChunkBytes;
-        ++slice.done;
-        if (my.off >= _partBytes) {
-            switch (_phase) {
-              case Phase::Generate:
-                my.ops.push_back({Op::GenClose, part, Bytes{}});
-                break;
-              case Phase::Map:
-                my.ops.push_back({Op::MapClose, part, Bytes{}});
-                break;
-              default:
-                my.ops.push_back({Op::RedClose, part, Bytes{}});
-                break;
-            }
-            my.off = Bytes{};
-            ++my.partCursor;
-        }
-    }
-    if (!slice.touches.empty() || !my.ops.empty())
-        postShardApply(shard);
-}
-
-void
-SparkWorkload::applyShardOpsAtBarrier(System &sys, unsigned slice_index)
-{
-    Workload::applyShardOpsAtBarrier(sys, slice_index);
-    SparkShard &my = _shardState[slice_index];
-    using Op = SparkShard::Op;
-    for (const Op &op : my.ops) {
-        int &fd = _partFds[op.part];
-        switch (op.kind) {
-          case Op::GenCreate:
-            fd = sys.fs().create(inName(op.part));
-            KLOC_ASSERT(fd >= 0, "terasort input exists");
-            break;
-          case Op::GenWrite:
-            sys.fs().write(fd, op.off, kChunkBytes);
-            break;
-          case Op::GenClose:
-            sys.fs().fsync(fd);
-            sys.fs().close(fd);
-            fd = -1;
-            _inputs.push_back(inName(op.part));
-            break;
-          case Op::MapOpen:
-            fd = sys.fs().open(inName(op.part));
-            break;
-          case Op::MapRead:
-            if (fd >= 0)
-                sys.fs().read(fd, op.off, kChunkBytes);
-            break;
-          case Op::MapClose:
-            if (fd >= 0)
-                sys.fs().close(fd);
-            fd = -1;
-            break;
-          case Op::RedCreate:
-            fd = sys.fs().create(outName(op.part));
-            break;
-          case Op::RedWrite:
-            if (fd >= 0)
-                sys.fs().write(fd, op.off, kChunkBytes);
-            break;
-          case Op::RedClose:
-            if (fd >= 0) {
-                // HDFS checkpoints (fsync) each sorted part file.
-                sys.fs().fsync(fd);
-                sys.fs().close(fd);
-            }
-            fd = -1;
-            _outputs.push_back(outName(op.part));
-            break;
-        }
-    }
-    my.ops.clear();
-}
-
-void
-SparkWorkload::shardBarrier(System &sys, uint64_t)
-{
-    (void)sys;
-    if (_phase == Phase::Done)
-        return;
-    for (const SparkShard &my : _shardState) {
-        if (my.partCursor < my.parts.size())
-            return;
-    }
-    // Every shard drained its partitions: the phase flips here, and
-    // only here, so bodies never observe it mid-epoch.
-    switch (_phase) {
-      case Phase::Generate: _phase = Phase::Map; break;
-      case Phase::Map: _phase = Phase::Reduce; break;
-      default: _phase = Phase::Done; break;
-    }
-    for (SparkShard &my : _shardState) {
-        my.partCursor = 0;
-        my.off = Bytes{};
-    }
-}
-
-bool
-SparkWorkload::shardsDone() const
-{
-    return _phase == Phase::Done;
-}
-
 WorkloadResult
 SparkWorkload::run(System &sys)
 {

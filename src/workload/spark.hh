@@ -36,60 +36,14 @@ class SparkWorkload : public Workload
     WorkloadResult run(System &sys) override;
     void teardown(System &sys) override;
 
-    // Sharded port: partitions distribute round-robin over shards
-    // (part % shards). The job keeps its serial phase structure —
-    // generate, map, reduce — with the inter-phase shuffle barriers
-    // expressed as epoch barriers: the phase flag flips only in the
-    // barrier hook once every shard has drained its partitions.
-    // Chunk buffer touches price locally; the HDFS-side syscalls
-    // defer in op order, with part-file fds living in shared tables
-    // that only barrier applies touch.
-    bool shardable() const override { return true; }
-    void setupShards(System &sys, unsigned shards) override;
-    void shardEpoch(ShardContext &shard, uint64_t epoch) override;
-    void shardBarrier(System &sys, uint64_t epoch) override;
-    bool shardsDone() const override;
-
-  protected:
-    void applyShardOpsAtBarrier(System &sys, unsigned slice_index) override;
-
   private:
-    enum class Phase : uint8_t { Generate, Map, Reduce, Done };
-
-    /** Per-shard partition walker beyond the common slice. */
-    struct SparkShard
-    {
-        /** One deferred HDFS syscall. */
-        struct Op
-        {
-            enum Kind : uint8_t {
-                GenCreate, GenWrite, GenClose,
-                MapOpen, MapRead, MapClose,
-                RedCreate, RedWrite, RedClose,
-            };
-            Kind kind;
-            unsigned part;
-            Bytes off;
-        };
-        std::vector<unsigned> parts;
-        size_t partCursor = 0;
-        Bytes off{};
-        std::vector<Op> ops;
-    };
-
     uint64_t generate(System &sys);
     uint64_t sort(System &sys);
-    std::string inName(unsigned part) const;
-    std::string outName(unsigned part) const;
 
     Bytes _partBytes{};
     uint64_t _jobId = 0;   ///< distinct file names per run() invocation
     std::vector<std::string> _inputs;
     std::vector<std::string> _outputs;
-    Phase _phase = Phase::Done;
-    std::vector<SparkShard> _shardState;
-    /** Part-file fds for barrier applies (indexed by partition). */
-    std::vector<int> _partFds;
 };
 
 } // namespace kloc

@@ -25,24 +25,17 @@ ThrashWorkload::setup(System &sys)
 }
 
 uint64_t
-ThrashWorkload::waveAt(uint64_t arena_pages, uint64_t op)
+ThrashWorkload::workingSetAt(uint64_t op) const
 {
-    const auto ws_min = static_cast<uint64_t>(
-        static_cast<double>(arena_pages) * kWsMinFraction);
-    const auto ws_max = static_cast<uint64_t>(
-        static_cast<double>(arena_pages) * kWsMaxFraction);
+    const auto arena_pages = static_cast<double>(arenaSize());
+    const auto ws_min = static_cast<uint64_t>(arena_pages * kWsMinFraction);
+    const auto ws_max = static_cast<uint64_t>(arena_pages * kWsMaxFraction);
     // Triangle wave: 0 -> half -> 0 over each period.
     const uint64_t phase = op % kWavePeriod;
     constexpr uint64_t half = kWavePeriod / 2;
     const uint64_t level = phase < half ? phase : kWavePeriod - phase;
     const uint64_t ws = ws_min + (ws_max - ws_min) * level / half;
     return std::max<uint64_t>(ws, 1);
-}
-
-uint64_t
-ThrashWorkload::workingSetAt(uint64_t op) const
-{
-    return waveAt(arenaSize(), op);
 }
 
 WorkloadResult
@@ -76,61 +69,6 @@ ThrashWorkload::run(System &sys)
     }
     result.elapsed = sys.machine().now() - start;
     return result;
-}
-
-void
-ThrashWorkload::setupShards(System &sys, unsigned shards)
-{
-    beginShards(sys, shards, _config.operations);
-    _shardState.assign(shards, ThrashShard{});
-    for (auto &my : _shardState)
-        my.stripePages = std::max<uint64_t>(arenaSize() / shards, 1);
-}
-
-void
-ThrashWorkload::shardEpoch(ShardContext &shard, uint64_t)
-{
-    ShardSlice &slice = _slices[shard.id()];
-    ThrashShard &my = _shardState[shard.id()];
-    const auto shards = static_cast<uint64_t>(_slices.size());
-    // Each shard is a *full* thrasher over its own stripe: the whole
-    // chunk per op, so per-op virtual cost (and thus the migration
-    // daemons' cadence relative to the access stream) matches the
-    // serial driver, and the shards' aligned wave crests still sum to
-    // the arena-scale oscillation the bench is about.
-    const uint64_t chunk = kChunkPages;
-    for (uint64_t n = epochQuota(slice); n > 0; --n) {
-        const uint64_t ws = waveAt(my.stripePages, my.op);
-        const uint64_t base = (my.op * kSlidePages) % my.stripePages;
-        for (uint64_t j = 0; j < chunk; ++j) {
-            const uint64_t pos = (my.cursor + j) % ws;
-            const bool write = pos * kWriteBandDiv < ws;
-            const uint64_t stripe_idx = (base + pos) % my.stripePages;
-            shardTouchArena(shard, slice, stripe_idx * shards + shard.id(),
-                            4 * kKiB,
-                            write ? AccessType::Write : AccessType::Read);
-        }
-        my.cursor = (my.cursor + chunk) % ws;
-        if (my.op % kLogInterval == 0)
-            my.appends.push_back((my.op / kLogInterval) % kLogFiles);
-        ++my.op;
-        ++slice.done;
-    }
-    if (!slice.touches.empty() || !my.appends.empty())
-        postShardApply(shard);
-}
-
-void
-ThrashWorkload::applyShardOpsAtBarrier(System &sys, unsigned slice_index)
-{
-    Workload::applyShardOpsAtBarrier(sys, slice_index);
-    ThrashShard &my = _shardState[slice_index];
-    for (const uint64_t log : my.appends) {
-        const int fd = _fdCache.get(sys, _logs[log]);
-        if (fd >= 0)
-            sys.fs().write(fd, Bytes{0}, kLogBytes);
-    }
-    my.appends.clear();
 }
 
 void

@@ -76,37 +76,9 @@ class ThrashWorkload : public Workload
     /** Working-set size (pages) at operation @p op; deterministic. */
     uint64_t workingSetAt(uint64_t op) const;
 
-    // Sharded port: each shard thrashes an interleaved arena stripe
-    // (indices i*shards + id) with the same triangle wave scaled to
-    // the stripe, so the aggregate working set tracks the serial
-    // shape; log appends are deferred to the barrier replay.
-    bool shardable() const override { return true; }
-    void setupShards(System &sys, unsigned shards) override;
-    void shardEpoch(ShardContext &shard, uint64_t epoch) override;
-
-  protected:
-    void applyShardOpsAtBarrier(System &sys, unsigned slice_index) override;
-
   private:
-    /** Triangle wave over @p arena_pages at operation @p op. */
-    static uint64_t waveAt(uint64_t arena_pages, uint64_t op);
-
-    /** Per-shard thrasher state beyond the common slice. */
-    struct ThrashShard
-    {
-        /** Slice-local op index driving the wave phase. */
-        uint64_t op = 0;
-        /** Sweep cursor within the current working-set window. */
-        uint64_t cursor = 0;
-        /** Arena pages in this shard's stripe. */
-        uint64_t stripePages = 0;
-        /** Deferred log appends: log-file indices, op order. */
-        std::vector<uint64_t> appends;
-    };
-
     FdCache _fdCache;
     std::vector<std::string> _logs;
-    std::vector<ThrashShard> _shardState;
 };
 
 } // namespace kloc

@@ -62,103 +62,6 @@ VarmailWorkload::deleteMail(System &sys)
     }
 }
 
-void
-VarmailWorkload::setupShards(System &sys, unsigned shards)
-{
-    beginShards(sys, shards, _config.operations);
-    _shardState.clear();
-    _shardState.resize(shards);
-    // Partition the seeded spool round-robin; fresh deliveries get
-    // shard-prefixed names, so the sub-spools stay disjoint.
-    for (size_t i = 0; i < _mailbox.size(); ++i)
-        _shardState[i % shards].spool.push_back(_mailbox[i]);
-    _mailbox.clear();
-}
-
-void
-VarmailWorkload::shardEpoch(ShardContext &shard, uint64_t)
-{
-    ShardSlice &slice = _slices[shard.id()];
-    VarmailShard &my = _shardState[shard.id()];
-    auto queueDeliver = [&] {
-        const std::string name = "mail_s" + std::to_string(shard.id()) +
-                                 "_" + std::to_string(my.nextMailId);
-        shardTouchArena(shard, slice, my.nextMailId, kMailBytes,
-                        AccessType::Read);
-        ++my.nextMailId;
-        my.spool.push_back(name);
-        my.ops.push_back({VarmailShard::Op::Deliver, name});
-    };
-    auto queueDelete = [&] {
-        if (my.spool.empty())
-            return;
-        const auto pick = slice.rng.nextBounded(my.spool.size());
-        my.ops.push_back({VarmailShard::Op::Delete, my.spool[pick]});
-        my.spool[pick] = my.spool.back();
-        my.spool.pop_back();
-    };
-    for (uint64_t n = epochQuota(slice); n > 0; --n) {
-        const double action = slice.rng.nextDouble();
-        if (action < 0.3) {
-            queueDeliver();
-        } else if (action < 0.7) {
-            if (!my.spool.empty()) {
-                const auto pick = slice.rng.nextBounded(my.spool.size());
-                shardTouchArena(shard, slice, pick, kMailBytes,
-                                AccessType::Write);
-                my.ops.push_back({VarmailShard::Op::Read, my.spool[pick]});
-            }
-        } else if (action < 0.98) {
-            // Balance deletes against delivery so the spool neither
-            // explodes nor empties.
-            queueDelete();
-            if (slice.rng.nextBool(0.25))
-                queueDeliver();
-        } else {
-            my.ops.push_back({VarmailShard::Op::Scan, {}});
-        }
-        ++slice.done;
-    }
-    if (!slice.touches.empty() || !my.ops.empty())
-        postShardApply(shard);
-}
-
-void
-VarmailWorkload::applyShardOpsAtBarrier(System &sys, unsigned slice_index)
-{
-    Workload::applyShardOpsAtBarrier(sys, slice_index);
-    VarmailShard &my = _shardState[slice_index];
-    for (const VarmailShard::Op &op : my.ops) {
-        switch (op.kind) {
-          case VarmailShard::Op::Deliver: {
-            const int fd = sys.fs().create(op.name);
-            if (fd < 0)
-                break;
-            sys.fs().write(fd, Bytes{0}, kMailBytes);
-            // varmail fsyncs each delivered message.
-            sys.fs().fsync(fd);
-            sys.fs().close(fd);
-            break;
-          }
-          case VarmailShard::Op::Read: {
-            const int fd = sys.fs().open(op.name);
-            if (fd < 0)
-                break;
-            sys.fs().read(fd, Bytes{0}, kMailBytes);
-            sys.fs().close(fd);
-            break;
-          }
-          case VarmailShard::Op::Delete:
-            sys.fs().unlink(op.name);
-            break;
-          case VarmailShard::Op::Scan:
-            sys.fs().readdir();
-            break;
-        }
-    }
-    my.ops.clear();
-}
-
 WorkloadResult
 VarmailWorkload::run(System &sys)
 {
@@ -192,11 +95,6 @@ VarmailWorkload::teardown(System &sys)
     for (const auto &name : _mailbox)
         sys.fs().unlink(name);
     _mailbox.clear();
-    for (auto &my : _shardState) {
-        for (const auto &name : my.spool)
-            sys.fs().unlink(name);
-        my.spool.clear();
-    }
     Workload::teardown(sys);
 }
 

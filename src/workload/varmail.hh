@@ -41,34 +41,7 @@ class VarmailWorkload : public Workload
 
     uint64_t livemails() const { return _mailbox.size(); }
 
-    // Sharded port: the spool partitions into disjoint per-shard
-    // sub-spools (fresh deliveries use shard-prefixed names, so no
-    // two shards ever race on a file). Spool membership mutates
-    // shard-locally at decision time; the create/read/unlink/readdir
-    // syscalls defer to the barrier replay in op order.
-    bool shardable() const override { return true; }
-    void setupShards(System &sys, unsigned shards) override;
-    void shardEpoch(ShardContext &shard, uint64_t epoch) override;
-
-  protected:
-    void applyShardOpsAtBarrier(System &sys, unsigned slice_index) override;
-
   private:
-    /** Per-shard sub-spool beyond the common slice. */
-    struct VarmailShard
-    {
-        /** One deferred mail syscall sequence. */
-        struct Op
-        {
-            enum Kind : uint8_t { Deliver, Read, Delete, Scan };
-            Kind kind;
-            std::string name;
-        };
-        std::vector<std::string> spool;
-        uint64_t nextMailId = 0;
-        std::vector<Op> ops;
-    };
-
     std::string freshName();
     void deliverMail(System &sys);
     void readMail(System &sys);
@@ -76,7 +49,6 @@ class VarmailWorkload : public Workload
 
     uint64_t _nextMailId = 0;
     std::vector<std::string> _mailbox;
-    std::vector<VarmailShard> _shardState;
 };
 
 } // namespace kloc

@@ -46,84 +46,6 @@ WebserverWorkload::serveRequest(System &sys, int sd, uint64_t doc)
     sys.net().send(sd, kDocBytes + Bytes{512});
 }
 
-void
-WebserverWorkload::serveDeferred(System &sys, int sd, uint64_t doc)
-{
-    // The barrier half of serveRequest: the header touch was already
-    // priced on the shard clock.
-    sys.net().deliver(sd, kRequestBytes);
-    if (!sys.net().poll(sd))
-        return;
-    sys.net().recv(sd, kRequestBytes);
-    const int fd = _fdCache.get(sys, _docs[doc]);
-    if (fd >= 0)
-        sys.fs().read(fd, Bytes{0}, kDocBytes);
-    sys.net().send(sd, kDocBytes + Bytes{512});
-}
-
-void
-WebserverWorkload::setupShards(System &sys, unsigned shards)
-{
-    beginShards(sys, shards, _config.operations);
-    _shardState.clear();
-    _shardState.resize(shards);
-    for (unsigned i = 0; i < shards; ++i) {
-        _shardState[i].zipf = std::make_unique<ZipfianGenerator>(
-            _docs.size(), 0.9, shardSeed(i) ^ 0x8080);
-    }
-}
-
-void
-WebserverWorkload::shardEpoch(ShardContext &shard, uint64_t)
-{
-    ShardSlice &slice = _slices[shard.id()];
-    WebShard &my = _shardState[shard.id()];
-    for (uint64_t n = epochQuota(slice); n > 0; --n) {
-        const uint64_t doc = my.zipf->next();
-        WebShard::Op op{doc, -1, false};
-        if (my.poolSize > 0 && slice.rng.nextBool(kKeepAliveRate)) {
-            op.reuseSlot =
-                static_cast<int>(slice.rng.nextBounded(my.poolSize));
-        } else if (my.poolSize < 32 && slice.rng.nextBool(0.3)) {
-            op.keep = true;
-            ++my.poolSize;
-        }
-        shardTouchArena(shard, slice, doc, 2 * kKiB, AccessType::Write);
-        my.ops.push_back(op);
-        ++slice.done;
-    }
-    if (!slice.touches.empty() || !my.ops.empty())
-        postShardApply(shard);
-}
-
-void
-WebserverWorkload::applyShardOpsAtBarrier(System &sys,
-                                          unsigned slice_index)
-{
-    Workload::applyShardOpsAtBarrier(sys, slice_index);
-    WebShard &my = _shardState[slice_index];
-    for (const WebShard::Op &op : my.ops) {
-        if (op.reuseSlot >= 0) {
-            serveDeferred(sys, my.pool[static_cast<size_t>(op.reuseSlot)],
-                          op.doc);
-            continue;
-        }
-        // Fresh connection: a whole socket KLOC is born and,
-        // usually, dies within one request.
-        const int sd = sys.net().socket();
-        serveDeferred(sys, sd, op.doc);
-        if (op.keep) {
-            my.pool.push_back(sd);
-        } else {
-            sys.net().closeSocket(sd);
-        }
-    }
-    my.ops.clear();
-    KLOC_ASSERT(my.pool.size() == my.poolSize,
-                "webserver shard %u keep-alive pool diverged",
-                slice_index);
-}
-
 WorkloadResult
 WebserverWorkload::run(System &sys)
 {
@@ -159,12 +81,6 @@ WebserverWorkload::teardown(System &sys)
     for (const int sd : _keepAlive)
         sys.net().closeSocket(sd);
     _keepAlive.clear();
-    for (auto &my : _shardState) {
-        for (const int sd : my.pool)
-            sys.net().closeSocket(sd);
-        my.pool.clear();
-        my.poolSize = 0;
-    }
     _fdCache.clear(sys);
     for (const auto &name : _docs)
         sys.fs().unlink(name);

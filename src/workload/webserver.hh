@@ -38,47 +38,13 @@ class WebserverWorkload : public Workload
     WorkloadResult run(System &sys) override;
     void teardown(System &sys) override;
 
-    // Sharded port: each shard serves its own request stream with a
-    // private keep-alive pool. The body rolls doc popularity and the
-    // keep-alive decisions (tracking the pool size it will have at
-    // apply time) and prices the header touch locally; socket
-    // create/serve/close defers to the barrier replay.
-    bool shardable() const override { return true; }
-    void setupShards(System &sys, unsigned shards) override;
-    void shardEpoch(ShardContext &shard, uint64_t epoch) override;
-
-  protected:
-    void applyShardOpsAtBarrier(System &sys, unsigned slice_index) override;
-
   private:
-    /** Per-shard server state beyond the common slice. */
-    struct WebShard
-    {
-        /** One deferred request. */
-        struct Op
-        {
-            uint64_t doc;
-            /** Pool slot to reuse; -1 = fresh connection. */
-            int reuseSlot;
-            /** Fresh connection joins the keep-alive pool. */
-            bool keep;
-        };
-        std::unique_ptr<ZipfianGenerator> zipf;
-        /** Kept-alive sds; grows/shrinks only at apply time. */
-        std::vector<int> pool;
-        /** Body-side mirror of pool.size() for this epoch. */
-        uint64_t poolSize = 0;
-        std::vector<Op> ops;
-    };
-
     void serveRequest(System &sys, int sd, uint64_t doc);
-    void serveDeferred(System &sys, int sd, uint64_t doc);
 
     FdCache _fdCache;
     std::vector<std::string> _docs;
     std::vector<int> _keepAlive;
     std::unique_ptr<ZipfianGenerator> _zipf;
-    std::vector<WebShard> _shardState;
 };
 
 } // namespace kloc

@@ -117,89 +117,6 @@ Workload::teardown(System &sys)
     releaseArena(sys);
 }
 
-void
-Workload::beginShards(System &sys, unsigned shards, uint64_t total_ops)
-{
-    KLOC_ASSERT(shards >= 1, "sharded run needs at least one shard");
-    _shardSys = &sys;
-    _slices.assign(shards, ShardSlice{});
-    const uint64_t base = total_ops / shards;
-    const uint64_t extra = total_ops % shards;
-    for (unsigned i = 0; i < shards; ++i) {
-        _slices[i].rng = Rng(shardSeed(i));
-        _slices[i].quota = base + (i < extra ? 1 : 0);
-    }
-}
-
-void
-Workload::setupShards(System &sys, unsigned shards)
-{
-    beginShards(sys, shards, _config.operations);
-}
-
-void
-Workload::shardEpoch(ShardContext &, uint64_t)
-{
-    fatal("workload '%s' has no ShardContext body", name());
-}
-
-void
-Workload::shardBarrier(System &, uint64_t)
-{
-}
-
-bool
-Workload::shardsDone() const
-{
-    for (const ShardSlice &slice : _slices) {
-        if (slice.done < slice.quota)
-            return false;
-    }
-    return true;
-}
-
-uint64_t
-Workload::shardOpsDone() const
-{
-    uint64_t done = 0;
-    for (const ShardSlice &slice : _slices)
-        done += slice.done;
-    return done;
-}
-
-void
-Workload::shardTouchArena(ShardContext &shard, ShardSlice &slice,
-                          uint64_t idx, Bytes bytes, AccessType type)
-{
-    Frame *frame = arenaFrame(idx);
-    if (!frame)
-        return;
-    const RefDomain domain = isKernelClass(frame->objClass)
-        ? RefDomain::Kernel
-        : RefDomain::User;
-    shard.access(frame->tier, bytes, type, domain);
-    slice.touches.push_back({idx, type});
-}
-
-void
-Workload::postShardApply(ShardContext &shard, uint64_t kind)
-{
-    shard.post(ShardMessage{kind, [this, i = shard.id()] {
-        applyShardOpsAtBarrier(*_shardSys, i);
-    }});
-}
-
-void
-Workload::applyShardOpsAtBarrier(System &sys, unsigned slice_index)
-{
-    ShardSlice &slice = _slices.at(slice_index);
-    for (const ShardSlice::Touch &touch : slice.touches) {
-        if (Frame *frame = arenaFrame(touch.idx))
-            sys.mem().markTouched(frame, touch.type);
-    }
-    slice.touches.clear();
-}
-
 int
 FdCache::get(System &sys, const std::string &name)
 {

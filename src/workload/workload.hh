@@ -15,14 +15,15 @@
 #ifndef KLOC_WORKLOAD_WORKLOAD_HH
 #define KLOC_WORKLOAD_WORKLOAD_HH
 
-#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/rng.hh"
+#include "base/units.hh"
 #include "platform/system.hh"
-#include "sim/shard.hh"
 
 namespace kloc {
 
@@ -60,33 +61,6 @@ struct WorkloadConfig
     std::vector<unsigned> cpus;
 };
 
-/**
- * Per-shard slice of a sharded workload run: the common half of the
- * per-run mutable state every driver moves out of its op loop when
- * porting to ShardContext bodies (docs/SHARDING.md). Shard bodies may
- * mutate only their own slice; everything a slice wants done to
- * shared state is logged here and replayed serially at the barrier.
- */
-struct ShardSlice
-{
-    /** One arena touch priced mid-epoch, reference bits pending. */
-    struct Touch
-    {
-        uint64_t idx;
-        AccessType type;
-    };
-
-    Rng rng{0};
-    /** Measured operations this slice owns for the whole run. */
-    uint64_t quota = 0;
-    /** Operations completed across all epochs so far. */
-    uint64_t done = 0;
-    /** Arena touches of the current epoch, replayed at the barrier. */
-    std::vector<Touch> touches;
-
-    uint64_t remaining() const { return quota - done; }
-};
-
 /** A runnable workload driver. */
 class Workload
 {
@@ -116,44 +90,6 @@ class Workload
      */
     void setCpus(std::vector<unsigned> cpus) { _config.cpus = std::move(cpus); }
 
-    // -- sharded execution (ShardContext port; docs/SHARDING.md) ----------
-
-    /** True when the driver implements the ShardContext body. */
-    virtual bool shardable() const { return false; }
-
-    /**
-     * Partition the per-run mutable state into @p shards slices.
-     * Runs serially after setup(); the default builds the common
-     * slices with an even quota split of config().operations.
-     * Drivers override to add their own per-shard state and call
-     * beginShards() first.
-     */
-    virtual void setupShards(System &sys, unsigned shards);
-
-    /**
-     * One shard's epoch body. Runs concurrently with other shards:
-     * it may mutate only its own slice and ShardContext, read shared
-     * driver state built before the epoch, and must route every
-     * shared-state effect through the slice logs posted to the epoch
-     * mailbox (postShardApply).
-     */
-    virtual void shardEpoch(ShardContext &shard, uint64_t epoch);
-
-    /**
-     * Serial barrier step, after all mailbox applies: global phase
-     * machinery (memtable flushes, compaction, checkpoints).
-     */
-    virtual void shardBarrier(System &sys, uint64_t epoch);
-
-    /** All slices have completed their measured work. */
-    virtual bool shardsDone() const;
-
-    /** Operations completed so far across all slices. */
-    uint64_t shardOpsDone() const;
-
-    /** Per-shard ops per epoch; sized by the runner. */
-    void setShardEpochOps(uint64_t ops) { _shardEpochOps = ops; }
-
   protected:
     /** Move the thread of control to the next worker CPU. */
     void rotateCpu(System &sys);
@@ -180,69 +116,8 @@ class Workload
 
     void releaseArena(System &sys);
 
-    // -- sharded-port building blocks -------------------------------------
-
-    /** Message kind for the per-slice deferred-effect replay. */
-    static constexpr uint64_t kMsgShardOps = 0x51;
-
-    /** Build the common slices: even quotas, decorrelated seeds. */
-    void beginShards(System &sys, unsigned shards, uint64_t total_ops);
-
-    /** Slice seed: decorrelated per shard, stable per config. */
-    uint64_t
-    shardSeed(unsigned shard) const
-    {
-        return _config.seed + 0x9e3779b97f4a7c15ULL * (shard + 1);
-    }
-
-    /** Ops this slice should run in the current epoch. */
-    uint64_t
-    epochQuota(const ShardSlice &slice) const
-    {
-        return std::min(slice.remaining(), _shardEpochOps);
-    }
-
-    /**
-     * Arena frame for shard bodies. Frames have stable identity and
-     * their tier mutates only at barriers, so reading @c frame->tier
-     * mid-epoch is race-free; reference bits are deferred.
-     */
-    Frame *
-    arenaFrame(uint64_t idx) const
-    {
-        return _arena.empty() ? nullptr : _arena[idx % _arena.size()];
-    }
-
-    /**
-     * Price an arena touch against the shard-local clock (the shared
-     * MemoryModel is const mid-epoch) and log the touch so the
-     * barrier replay applies its reference-bit/dirty side effects.
-     */
-    void shardTouchArena(ShardContext &shard, ShardSlice &slice,
-                         uint64_t idx, Bytes bytes, AccessType type);
-
-    /**
-     * Post this slice's deferred effects to the epoch mailbox. The
-     * barrier drains mailboxes in (shard, posting) order and runs
-     * applyShardOpsAtBarrier serially against the global platform.
-     */
-    void postShardApply(ShardContext &shard, uint64_t kind = kMsgShardOps);
-
-    /**
-     * Apply one slice's deferred effects at the barrier. The default
-     * replays the arena-touch log; overrides run the driver's own
-     * deferred kernel ops (fs/net) and call the base.
-     */
-    virtual void applyShardOpsAtBarrier(System &sys, unsigned slice_index);
-
     WorkloadConfig _config;
     Rng _rng;
-    /** Common per-shard slices of the current sharded run. */
-    std::vector<ShardSlice> _slices;
-    /** Platform of the current sharded run (for mailbox applies). */
-    System *_shardSys = nullptr;
-    /** Per-shard ops per epoch (runner-sized). */
-    uint64_t _shardEpochOps = 256;
 
   private:
     std::vector<Frame *> _arena;

@@ -352,8 +352,8 @@ TEST(ChaosSoak, AllPoliciesCleanAndByteIdenticalAcrossWorkerCounts)
     }
 }
 
-/** One poison-stormed sharded workload run on a fresh platform. */
-struct ShardedStormRun
+/** One poison-stormed workload run, reported back to the main thread. */
+struct StormRun
 {
     std::string trace;
     PoisonStats poison;
@@ -362,9 +362,10 @@ struct ShardedStormRun
     std::string report;
 };
 
-ShardedStormRun
-runShardedStorm(const char *workload_name, unsigned workers)
+StormRun
+runStorm(const std::string &workload_name)
 {
+    StormRun run;
     TwoTierPlatform::Config platform_config;
     platform_config.scale = 256;
     TwoTierPlatform platform(platform_config);
@@ -372,10 +373,7 @@ runShardedStorm(const char *workload_name, unsigned workers)
     platform.applyStrategy(StrategyKind::Kloc);
 
     // Poison chaos only: per-access/scan/copy poisoning plus storm
-    // bursts on both tiers, timed to land while the epoch engine is
-    // mid-run. All fault consultation happens in serial barrier
-    // context (daemons, migrations, and barrier-applied op replays),
-    // so the chaos must stay worker-count-invariant.
+    // bursts on both tiers, timed to land while the workload runs.
     FaultSpec fspec;
     std::string err;
     if (!FaultSpec::parse(
@@ -387,8 +385,8 @@ runShardedStorm(const char *workload_name, unsigned workers)
             " every 10000000\n"
             "poison_storm at 20000000 tier 1 frames 2\n",
             fspec, &err)) {
-        ADD_FAILURE() << "FaultSpec::parse failed: " << err;
-        return {};
+        run.report = "FaultSpec::parse failed: " + err;
+        return run;
     }
     sys.machine().faults().configure(fspec);
     sys.migrator().scheduleTierEvents();
@@ -401,14 +399,10 @@ runShardedStorm(const char *workload_name, unsigned workers)
     wl_config.operations = 1200;
     wl_config.seed = 7;
     auto workload = makeWorkload(workload_name, wl_config);
-    ShardPlan plan;
-    plan.workers = workers;
-    ShardedWorkloadRunner runner(sys, plan);
-    runner.run(*workload);
+    runMeasured(sys, *workload);
     sys.machine().faults().clear();
     workload->teardown(sys);
 
-    ShardedStormRun run;
     run.trace = sys.machine().tracer().serialize();
     run.poison = sys.migrator().poisonStats();
     run.quarantined = sys.tiers().quarantinedPages();
@@ -417,29 +411,43 @@ runShardedStorm(const char *workload_name, unsigned workers)
     return run;
 }
 
-/**
- * Poison storms against sharded scenarios: ShardContext-ported
- * workloads ride the epoch engine while storm bursts and seeded
- * frame poisoning fire. Containment must hold (strict invariants,
- * non-vacuous poisoning) and the whole chaotic run must remain
- * byte-identical between 1 and 4 workers.
- */
-TEST(ChaosSoakSharded, PoisonStormsByteIdenticalAcrossWorkerCounts)
-{
-    for (const char *workload_name : {"thrash", "rocksdb"}) {
-        SCOPED_TRACE(workload_name);
-        const ShardedStormRun serial = runShardedStorm(workload_name, 1);
-        EXPECT_TRUE(serial.clean) << serial.report;
-        EXPECT_GT(serial.poison.poisonedFrames, 0u)
-            << "storms never reached the sharded run";
-        EXPECT_GT(serial.poison.stormFrames, 0u);
+const std::vector<std::string> kStormWorkloads = {"thrash", "rocksdb"};
 
-        const ShardedStormRun wide = runShardedStorm(workload_name, 4);
-        EXPECT_TRUE(wide.clean) << wide.report;
-        EXPECT_EQ(serial.trace, wide.trace)
-            << "poison-stormed sharded trace diverged across workers";
-        EXPECT_EQ(serial.poison.poisonedFrames, wide.poison.poisonedFrames);
-        EXPECT_EQ(serial.quarantined, wide.quarantined);
+std::vector<StormRun>
+runStormGrid(unsigned workers)
+{
+    RunPool pool(workers);
+    return runIndexed<StormRun>(pool, kStormWorkloads.size(), [](size_t i) {
+        return runStorm(kStormWorkloads[i]);
+    });
+}
+
+/**
+ * Poison storms against real workload drivers: thrash and rocksdb run
+ * through runMeasured while storm bursts and seeded frame poisoning
+ * fire. Containment must hold (strict invariants, non-vacuous
+ * poisoning) and each chaotic run must be byte-identical whether the
+ * cells run on 1 or 4 pool workers.
+ */
+TEST(ChaosSoakWorkloads, PoisonStormsByteIdenticalAcrossWorkerCounts)
+{
+    const std::vector<StormRun> serial = runStormGrid(1);
+    const std::vector<StormRun> pooled = runStormGrid(4);
+    ASSERT_EQ(serial.size(), kStormWorkloads.size());
+    ASSERT_EQ(pooled.size(), serial.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+        SCOPED_TRACE(kStormWorkloads[i]);
+        EXPECT_TRUE(serial[i].clean) << serial[i].report;
+        EXPECT_GT(serial[i].poison.poisonedFrames, 0u)
+            << "storms never reached the workload run";
+        EXPECT_GT(serial[i].poison.stormFrames, 0u);
+
+        EXPECT_TRUE(pooled[i].clean) << pooled[i].report;
+        EXPECT_EQ(serial[i].trace, pooled[i].trace)
+            << "poison-stormed trace diverged across workers";
+        EXPECT_EQ(serial[i].poison.poisonedFrames,
+                  pooled[i].poison.poisonedFrames);
+        EXPECT_EQ(serial[i].quarantined, pooled[i].quarantined);
     }
 }
 

@@ -70,7 +70,6 @@ INSTANTIATE_TEST_SUITE_P(AllRules, KlintRuleFixtures,
                                            "determinism-taint",
                                            "reentrancy-hazard",
                                            "iterator-invalidation",
-                                           "shard-confinement",
                                            "suppression-format"),
                          [](const auto &info) {
                              std::string name = info.param;
@@ -118,30 +117,6 @@ TEST(Klint, DeterminismTaintFlagsAllThreeSinkKinds)
     const auto findings =
         runRule("determinism-taint", "determinism-taint_bad");
     EXPECT_GE(countOf(findings, "determinism-taint"), 3);
-}
-
-TEST(Klint, ShardConfinementFlagsDirectAndTransitiveWrites)
-{
-    // The bad fixture seeds a direct barrier-method call, a write
-    // reached through a helper, and a workload epoch body flushing
-    // shared state — all from shard-scoped functions.
-    const auto findings =
-        runRule("shard-confinement", "shard-confinement_bad");
-    EXPECT_GE(countOf(findings, "shard-confinement"), 3);
-    bool namesHelperChain = false, namesBodyFlush = false;
-    for (const Finding &f : findings) {
-        if (f.message.find("bumpPhase") != std::string::npos &&
-            f.message.find("_phase") != std::string::npos)
-            namesHelperChain = true;
-        if (f.message.find("shardEpoch") != std::string::npos &&
-            f.message.find("flushMemtable") != std::string::npos)
-            namesBodyFlush = true;
-    }
-    EXPECT_TRUE(namesHelperChain)
-        << "witness should name the helper chain and the core member";
-    EXPECT_TRUE(namesBodyFlush)
-        << "the workload-body pattern (epoch body flushing shared "
-           "state) should be flagged by name";
 }
 
 TEST(Klint, IteratorInvalidationFlagsRangeForAndGangWalk)

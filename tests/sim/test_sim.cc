@@ -23,8 +23,6 @@ TEST(VirtualClock, AdvancesMonotonically)
     clock.advance(Tick{100});
     clock.advance(Tick{0});
     EXPECT_EQ(clock.now(), 100);
-    clock.advanceTo(Tick{250});
-    EXPECT_EQ(clock.now(), 250);
     clock.reset();
     EXPECT_EQ(clock.now(), 0);
 }
@@ -36,14 +34,12 @@ TEST(EventQueue, RunsInDeadlineOrder)
     events.schedule(Tick{30}, [&] { order.push_back(3); });
     events.schedule(Tick{10}, [&] { order.push_back(1); });
     events.schedule(Tick{20}, [&] { order.push_back(2); });
-    ASSERT_TRUE(events.nextDeadline().has_value());
-    EXPECT_EQ(*events.nextDeadline(), 10);
+    EXPECT_EQ(events.size(), 3u);
     EXPECT_EQ(events.runDue(Tick{25}), 2u);
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
     EXPECT_EQ(events.runDue(Tick{100}), 1u);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_TRUE(events.empty());
-    EXPECT_EQ(events.nextDeadline(), std::nullopt);
 }
 
 TEST(EventQueue, TiesBreakByInsertionOrder)

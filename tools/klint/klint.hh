@@ -19,10 +19,6 @@
  *   iterator-invalidation — no mutation of a container reachable
  *                       from inside a range-for or gang-lookup
  *                       scratch walk over it.
- *   shard-confinement — shard-scoped code (ShardContext methods,
- *                       functions taking a ShardContext&) must not
- *                       reach a write of MachineCore-shared state
- *                       outside a *AtBarrier barrier-drain method.
  *   checker-coverage  — every TraceEventType enumerator is handled
  *                       by the InvariantChecker.
  *   fault-site-coverage — every FaultSite enumerator is consulted at

@@ -1113,7 +1113,6 @@ void ruleReentrancyHazardEntry(const Context &, std::vector<Finding> &);
 void ruleIteratorInvalidationEntry(const Context &,
                                    std::vector<Finding> &);
 void ruleDeterminismTaintEntry(const Context &, std::vector<Finding> &);
-void ruleShardConfinementEntry(const Context &, std::vector<Finding> &);
 
 const std::vector<Rule> &
 ruleCatalogue()
@@ -1135,10 +1134,6 @@ ruleCatalogue()
          "no mutation of a container during a range-for or gang "
          "walk over it",
          ruleIteratorInvalidationEntry},
-        {"shard-confinement",
-         "shard-scoped code never writes MachineCore-shared state "
-         "outside *AtBarrier methods",
-         ruleShardConfinementEntry},
         {"checker-coverage",
          "every TraceEventType is handled by the InvariantChecker",
          ruleCheckerCoverage},

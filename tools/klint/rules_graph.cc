@@ -18,12 +18,6 @@
  *                         container iteration order flows into trace
  *                         emission, a policy decision, or a BENCH
  *                         metric without passing sortedSnapshot().
- *   shard-confinement     shard-scoped code (ShardContext methods and
- *                         functions taking a ShardContext&) reaches a
- *                         write of MachineCore-shared state outside a
- *                         barrier-drain (*AtBarrier) method — the
- *                         sharded core's epoch/barrier phase split
- *                         (docs/SHARDING.md).
  *
  * Known token-level blind spots, accepted deliberately: a conditional
  * `return` in a braceless `if` reads as an unconditional exit in the
@@ -700,287 +694,6 @@ ruleDeterminismTaint(const Context &ctx, std::vector<Finding> &findings)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Rule: shard-confinement
-
-/** Matching '(' for the ')' at @p i, scanning backwards; -1 if none. */
-int
-matchBack2(const Tokens &toks, int i, const char *open, const char *close)
-{
-    int depth = 0;
-    for (; i >= 0; --i) {
-        if (toks[i].is(close))
-            ++depth;
-        else if (toks[i].is(open) && --depth == 0)
-            return i;
-    }
-    return -1;
-}
-
-/** One class/struct body token range. */
-struct ClassRange
-{
-    std::string name;
-    int open = 0;   ///< '{'
-    int close = 0;  ///< matching '}'
-};
-
-std::vector<ClassRange>
-classRanges(const Tokens &toks)
-{
-    std::vector<ClassRange> ranges;
-    const int n = static_cast<int>(toks.size());
-    for (int i = 0; i + 2 < n; ++i) {
-        if (!toks[i].ident() ||
-            (toks[i].text != "class" && toks[i].text != "struct") ||
-            !toks[i + 1].ident())
-            continue;
-        // Skip an optional base clause; a ';' first means a forward
-        // declaration.
-        int j = i + 2;
-        while (j < n && !toks[j].is("{") && !toks[j].is(";"))
-            ++j;
-        if (j >= n || toks[j].is(";"))
-            continue;
-        ranges.push_back(
-            {toks[i + 1].text, j, matchFwd(toks, j, "{", "}")});
-    }
-    return ranges;
-}
-
-/** Innermost class body containing token @p tok, or "". */
-std::string
-enclosingClass(const std::vector<ClassRange> &ranges, int tok)
-{
-    std::string best;
-    int bestSpan = 1 << 30;
-    for (const ClassRange &r : ranges) {
-        if (tok > r.open && tok < r.close && r.close - r.open < bestSpan) {
-            best = r.name;
-            bestSpan = r.close - r.open;
-        }
-    }
-    return best;
-}
-
-/**
- * Does the member path headed by token @p i get written here — plain
- * or compound assignment, increment/decrement, or any method call on
- * the path? (Inside MachineCore a method call on a `_member` is
- * treated as a write: the class has no const-method laundering worth
- * modelling, and reads of members never parenthesize.)
- */
-bool
-isMemberWrite(const Tokens &toks, int i, int end)
-{
-    if (i >= 2 && ((toks[i - 1].is("+") && toks[i - 2].is("+")) ||
-                   (toks[i - 1].is("-") && toks[i - 2].is("-"))))
-        return true;
-    int j = i + 1;
-    while (j + 1 < end && (toks[j].is(".") || toks[j].is("->")) &&
-           toks[j + 1].ident())
-        j += 2;
-    if (j >= end)
-        return false;
-    if (toks[j].is("("))
-        return true;
-    if (toks[j].is("=") && !(j + 1 < end && toks[j + 1].is("=")))
-        return true;
-    if (j + 1 < end && toks[j + 1].is("=") &&
-        (toks[j].is("+") || toks[j].is("-") || toks[j].is("*") ||
-         toks[j].is("/") || toks[j].is("%") || toks[j].is("&") ||
-         toks[j].is("|") || toks[j].is("^")))
-        return true;
-    if (j + 1 < end && ((toks[j].is("+") && toks[j + 1].is("+")) ||
-                        (toks[j].is("-") && toks[j + 1].is("-"))))
-        return true;
-    return false;
-}
-
-/** Is @p name exempt as a barrier-drain coordinator method? */
-bool
-barrierExempt(const std::string &name)
-{
-    if (name == "barrier")
-        return true;
-    if (name.size() >= 9 &&
-        name.compare(name.size() - 9, 9, "AtBarrier") == 0)
-        return true;
-    return name.compare(0, 5, "drain") == 0;
-}
-
-/**
- * Roots ("%k") of @p fn's parameters whose declared type mentions
- * ShardContext. Walks the parameter list backwards from the body;
- * bails (empty) when the head is obscured by a ctor init-list.
- */
-std::set<std::string>
-shardParamRoots(const Tokens &toks, const FunctionDef &fn)
-{
-    std::set<std::string> roots;
-    int j = fn.bodyBegin - 1;
-    while (j > 0 && (toks[j].ident() || toks[j].is("->") ||
-                     toks[j].is("&") || toks[j].is("*") ||
-                     toks[j].is("::") || toks[j].is("<") ||
-                     toks[j].is(">")))
-        --j;
-    if (j <= 0 || !toks[j].is(")"))
-        return roots;
-    const int open = matchBack2(toks, j, "(", ")");
-    if (open < 0)
-        return roots;
-    int depth = 0;
-    int param = 0;
-    bool mentions = false;
-    for (int k = open + 1; k <= j; ++k) {
-        if (toks[k].is("(") || toks[k].is("[") || toks[k].is("{") ||
-            toks[k].is("<"))
-            ++depth;
-        else if (toks[k].is(")") || toks[k].is("]") || toks[k].is("}") ||
-                 toks[k].is(">"))
-            --depth;
-        if ((k == j) || (toks[k].is(",") && depth == 0)) {
-            if (mentions)
-                roots.insert("%" + std::to_string(param));
-            ++param;
-            mentions = false;
-            continue;
-        }
-        if (toks[k].ident() && toks[k].text == "ShardContext")
-            mentions = true;
-    }
-    if (static_cast<size_t>(param) != fn.params.size())
-        return {};  // head mis-parse (init list); be conservative
-    return roots;
-}
-
-void
-ruleShardConfinement(const Context &ctx, std::vector<Finding> &findings)
-{
-    const auto &nodes = ctx.graph.nodes();
-    const int n = static_cast<int>(nodes.size());
-
-    // Per-file class ranges, and the MachineCore member-name set
-    // (every `_name` token inside a `class MachineCore { ... }`).
-    std::map<std::string, std::vector<ClassRange>> rangesByFile;
-    std::set<std::string> coreMembers;
-    bool haveCore = false;
-    for (const SourceFile &file : ctx.files) {
-        auto ranges = classRanges(file.tokens);
-        for (const ClassRange &r : ranges) {
-            if (r.name != "MachineCore")
-                continue;
-            haveCore = true;
-            for (int k = r.open + 1; k < r.close; ++k)
-                if (file.tokens[k].ident() &&
-                    file.tokens[k].text[0] == '_')
-                    coreMembers.insert(file.tokens[k].text);
-        }
-        rangesByFile[file.path] = std::move(ranges);
-    }
-    if (!haveCore)
-        return;
-
-    // Per-node context: enclosing class, ShardContext-typed parameter
-    // roots, and nested (lambda) token ranges.
-    std::vector<std::string> klass(n);
-    std::vector<std::set<std::string>> shardRoots(n);
-    std::vector<std::vector<std::pair<int, int>>> nested(n);
-    for (int i = 0; i < n; ++i) {
-        const SourceFile *file = ctx.find(nodes[i].file);
-        const FileIndex *index = ctx.findIndex(nodes[i].file);
-        if (!file || !index)
-            continue;
-        const FunctionDef &fn = *nodes[i].def;
-        klass[i] = !fn.qualifier.empty()
-            ? fn.qualifier
-            : enclosingClass(rangesByFile[nodes[i].file], fn.bodyBegin);
-        shardRoots[i] = shardParamRoots(file->tokens, fn);
-        nested[i] = nestedRanges(*index, fn);
-    }
-
-    // reach[i]: node i can write MachineCore state — directly (a
-    // member write inside class MachineCore) or transitively through
-    // a call chain. ShardContext's own methods are exempt carriers:
-    // they hold the core by const reference, so a call received on a
-    // ShardContext never reaches a core write.
-    std::vector<char> reach(n, 0);
-    std::vector<std::string> via(n);
-    for (int i = 0; i < n; ++i) {
-        if (klass[i] != "MachineCore")
-            continue;
-        const SourceFile *file = ctx.find(nodes[i].file);
-        const FunctionDef &fn = *nodes[i].def;
-        for (int k = fn.bodyBegin + 1; k < fn.bodyEnd; ++k) {
-            const Token &t = file->tokens[k];
-            if (t.ident() && coreMembers.count(t.text) &&
-                isMemberWrite(file->tokens, k, fn.bodyEnd)) {
-                reach[i] = 1;
-                via[i] = nodes[i].def->displayName() + " writes '" +
-                         t.text + "'";
-                break;
-            }
-        }
-    }
-    for (bool changed = true; changed;) {
-        changed = false;
-        for (int i = 0; i < n; ++i) {
-            if (reach[i] || klass[i] == "ShardContext")
-                continue;
-            for (const CallSite &call : nodes[i].def->calls) {
-                if (inAnyRange(nested[i], call.tok) ||
-                    shardRoots[i].count(call.recvRoot))
-                    continue;
-                for (int t : ctx.graph.byName(call.callee)) {
-                    if (!reach[t] || klass[t] == "ShardContext")
-                        continue;
-                    reach[i] = 1;
-                    via[i] = call.callee + " -> " + via[t];
-                    changed = true;
-                    break;
-                }
-                if (reach[i])
-                    break;
-            }
-        }
-    }
-
-    // Flag: shard-scoped, non-barrier functions making a call that
-    // reaches a core write. Calls received on the shard context are
-    // its public (shard-local) API and never flagged.
-    for (int i = 0; i < n; ++i) {
-        const FunctionDef &fn = *nodes[i].def;
-        const bool shardScoped =
-            klass[i] == "ShardContext" || !shardRoots[i].empty();
-        if (!shardScoped || barrierExempt(fn.name))
-            continue;
-        const SourceFile *file = ctx.find(nodes[i].file);
-        if (!file)
-            continue;
-        for (const CallSite &call : fn.calls) {
-            if (inAnyRange(nested[i], call.tok) ||
-                shardRoots[i].count(call.recvRoot))
-                continue;
-            if (klass[i] == "ShardContext" && call.recvRoot.empty())
-                continue;  // own shard-local API
-            for (int t : ctx.graph.byName(call.callee)) {
-                if (!reach[t] || klass[t] == "ShardContext")
-                    continue;
-                findings.push_back(
-                    {"shard-confinement", file->path, call.line,
-                     fn.displayName() + " runs in shard context but '" +
-                         call.callee +
-                         "' can write MachineCore-shared state (" +
-                         via[t] +
-                         "); shared state mutates only in *AtBarrier "
-                         "methods — post the effect to the epoch "
-                         "mailbox instead"});
-                break;
-            }
-        }
-    }
-}
-
 } // namespace
 
 // The catalogue in rules.cc references these by name.
@@ -1003,13 +716,6 @@ ruleDeterminismTaintEntry(const Context &ctx,
                           std::vector<Finding> &findings)
 {
     ruleDeterminismTaint(ctx, findings);
-}
-
-void
-ruleShardConfinementEntry(const Context &ctx,
-                          std::vector<Finding> &findings)
-{
-    ruleShardConfinement(ctx, findings);
 }
 
 } // namespace klint

@@ -4,16 +4,11 @@
  *
  *   klocsim list
  *   klocsim run [--workload W] [--strategy S] [--ops N] [--scale K]
- *               [--ratio R] [--fast-gb G] [--huge-pages] [--shards N]
+ *               [--ratio R] [--fast-gb G] [--huge-pages] [--stats]
  *   klocsim optane [--workload W] [--mode M] [--ops N] [--scale K]
- *   klocsim characterize [--workload W] [--scale K]
+ *   klocsim characterize [--workload W] [--ops N] [--scale K]
  *
- * --shards runs the workload on the epoch engine's fixed 4-shard
- * decomposition with N worker threads (N=0 or "auto" takes the
- * KLOC_SHARDS environment default). Traces and metrics are
- * byte-identical at every N; only wall-clock changes. Workloads
- * without a ShardContext port are rejected with a diagnostic —
- * drop the flag to run them serially.
+ * --stats appends the full system snapshot to a run's summary.
  *
  * Policies (--strategy): every name in policyNames() — all_fast
  *             all_slow naive autonuma nimble nimble++
@@ -57,8 +52,6 @@ struct Args
     uint64_t fastGb = 8;
     bool hugePages = false;
     bool fullStats = false;
-    /** -1 = serial; 0 = auto (KLOC_SHARDS); >0 = worker threads. */
-    int shards = -1;
     std::string tracePath;
     bool check = false;
     std::string faultSpecPath;
@@ -94,14 +87,6 @@ parseArgs(int argc, char **argv, int first)
             args.fastGb = std::strtoull(value(), nullptr, 10);
         else if (flag == "--huge-pages")
             args.hugePages = true;
-        else if (flag == "--shards") {
-            const std::string v = value();
-            args.shards = v == "auto"
-                ? 0
-                : static_cast<int>(std::strtol(v.c_str(), nullptr, 10));
-            if (args.shards < 0)
-                fatal("--shards wants a worker count or 'auto'");
-        }
         else if (flag == "--stats")
             args.fullStats = true;
         else if (flag == "--trace")
@@ -339,43 +324,13 @@ cmdRun(const Args &args)
     wl_config.hugePages = args.hugePages;
     auto workload = makeWorkload(args.workload, wl_config);
 
-    WorkloadResult result;
-    ShardRunStats shard_stats{};
-    if (args.shards >= 0) {
-        if (!workload->shardable()) {
-            fatal("workload '%s' has no ShardContext port and cannot "
-                  "run under --shards; drop the flag to run it "
-                  "serially, or port it (see docs/SHARDING.md)",
-                  args.workload.c_str());
-        }
-        ShardPlan plan;
-        plan.workers = static_cast<unsigned>(args.shards);
-        const unsigned resolved = plan.workers
-            ? plan.workers
-            : ShardedEngine::defaultWorkers();
-        std::printf("sharded: %u logical shards, %u worker thread%s "
-                    "(traces are worker-count-invariant)\n",
-                    plan.shards, resolved, resolved == 1 ? "" : "s");
-        ShardedWorkloadRunner runner(sys, plan);
-        result = runner.run(*workload);
-        shard_stats = runner.stats();
-    } else {
-        result = runMeasured(sys, *workload);
-    }
+    const WorkloadResult result = runMeasured(sys, *workload);
 
     std::printf("%s under %s: %.0f ops/s (%llu ops, %.1f ms virtual)\n",
                 args.workload.c_str(), args.strategy.c_str(),
                 result.throughput(),
                 (unsigned long long)result.operations,
                 static_cast<double>(result.elapsed) / kMillisecond);
-    if (args.shards >= 0) {
-        std::printf("  shard overhead  %llu epochs, %llu msgs, "
-                    "%.2f ms barrier (%.2f ms merge) wall\n",
-                    (unsigned long long)shard_stats.epochs,
-                    (unsigned long long)shard_stats.messages,
-                    static_cast<double>(shard_stats.barrierWallNs) / 1e6,
-                    static_cast<double>(shard_stats.mergeWallNs) / 1e6);
-    }
     printCommonStats(sys);
     printFaultStats(sys);
     if (args.fullStats)

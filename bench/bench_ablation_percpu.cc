@@ -34,7 +34,7 @@ driveLookups(const BenchConfig &config, bool use_per_cpu)
 {
     TwoTierPlatform platform(twoTierConfig(config));
     System &sys = platform.sys();
-    platform.applyStrategy(StrategyKind::Kloc);
+    platform.applyPolicyByName("klocs");
     KlocManager &kloc = sys.kloc();
     kloc.setUsePerCpuLists(use_per_cpu);
 
@@ -77,7 +77,7 @@ driveTreeShape(const BenchConfig &config, bool split)
 {
     TwoTierPlatform platform(twoTierConfig(config));
     System &sys = platform.sys();
-    platform.applyStrategy(StrategyKind::Kloc);
+    platform.applyPolicyByName("klocs");
     KlocManager &kloc = sys.kloc();
     kloc.setSplitTrees(split);
 

@@ -19,7 +19,7 @@ namespace {
 
 double
 run(const BenchConfig &config, const std::string &workload_name,
-    StrategyKind kind, bool readahead)
+    const std::string &policy, bool readahead)
 {
     // Memory-scarce configuration: total memory below the dataset so
     // cold reads exist and prefetching has something to hide.
@@ -27,14 +27,9 @@ run(const BenchConfig &config, const std::string &workload_name,
     platform_config.fastCapacity = 4 * kGiB;
     platform_config.slowCapacity = 16 * kGiB;
     platform_config.system.fs.readaheadEnabled = readahead;
-    TwoTierPlatform platform(platform_config);
-    System &sys = platform.sys();
-    platform.applyStrategy(kind);
-    sys.fs().startDaemons();
-    auto workload = makeWorkload(workload_name, workloadConfig(config));
-    const WorkloadResult result = runMeasured(sys, *workload);
-    workload->teardown(sys);
-    return result.throughput();
+    return runTwoTierPolicy(workload_name, policy, platform_config,
+                            workloadConfig(config))
+        .throughput;
 }
 
 } // namespace
@@ -44,9 +39,8 @@ main()
 {
     const BenchConfig config = BenchConfig::fromEnv();
     const std::vector<std::string> workloads = {"rocksdb", "filebench"};
-    const std::vector<StrategyKind> strategies = {
-        StrategyKind::Naive, StrategyKind::NimblePlusPlus,
-        StrategyKind::Kloc};
+    const std::vector<std::string> strategies = {"naive", "nimble++",
+                                                 "klocs"};
 
     // (workload, strategy, readahead) grid in print order; readahead
     // off is the even slot of each pair.
@@ -54,9 +48,9 @@ main()
     const auto throughputs = sweep<double>(config, runs, [&](size_t i) {
         const std::string &workload =
             workloads[i / (strategies.size() * 2)];
-        const StrategyKind kind =
+        const std::string &policy =
             strategies[(i / 2) % strategies.size()];
-        return run(config, workload, kind, i % 2 == 1);
+        return run(config, workload, policy, i % 2 == 1);
     });
 
     JsonReport report("ablation_prefetch", config.outdir);
@@ -67,15 +61,14 @@ main()
         std::printf("%-18s %14s %14s %10s\n", "strategy", "no prefetch",
                     "prefetch", "gain");
         for (size_t s = 0; s < strategies.size(); ++s) {
-            const StrategyKind kind = strategies[s];
+            const std::string &policy = strategies[s];
             const size_t base = (w * strategies.size() + s) * 2;
             const double off = throughputs[base];
             const double on = throughputs[base + 1];
             std::printf("%-18s %14.0f %14.0f %9.2fx\n",
-                        strategyName(kind), off, on,
+                        policy.c_str(), off, on,
                         off > 0 ? on / off : 1.0);
-            report.add(workload + "." + strategyName(kind) +
-                           ".readahead_gain",
+            report.add(workload + "." + policy + ".readahead_gain",
                        off > 0 ? on / off : 1.0, "x", "higher", true);
         }
     }

@@ -18,18 +18,13 @@ namespace {
 
 double
 run(const BenchConfig &bench_config, const std::string &workload_name,
-    StrategyKind kind, bool huge)
+    const std::string &policy, bool huge)
 {
-    TwoTierPlatform platform(twoTierConfig(bench_config));
-    System &sys = platform.sys();
-    platform.applyStrategy(kind);
-    sys.fs().startDaemons();
     WorkloadConfig config = workloadConfig(bench_config);
     config.hugePages = huge;
-    auto workload = makeWorkload(workload_name, config);
-    const WorkloadResult result = runMeasured(sys, *workload);
-    workload->teardown(sys);
-    return result.throughput();
+    return runTwoTierPolicy(workload_name, policy,
+                            twoTierConfig(bench_config), config)
+        .throughput;
 }
 
 } // namespace
@@ -39,8 +34,7 @@ main()
 {
     const BenchConfig config = BenchConfig::fromEnv();
     const std::vector<std::string> workloads = {"redis", "cassandra"};
-    const std::vector<StrategyKind> strategies = {
-        StrategyKind::NimblePlusPlus, StrategyKind::Kloc};
+    const std::vector<std::string> strategies = {"nimble++", "klocs"};
 
     // (workload, strategy, page size) grid in print order; huge pages
     // are the odd slot of each pair.
@@ -48,9 +42,9 @@ main()
     const auto throughputs = sweep<double>(config, runs, [&](size_t i) {
         const std::string &workload =
             workloads[i / (strategies.size() * 2)];
-        const StrategyKind kind =
+        const std::string &policy =
             strategies[(i / 2) % strategies.size()];
-        return run(config, workload, kind, i % 2 == 1);
+        return run(config, workload, policy, i % 2 == 1);
     });
 
     section("Extension: transparent huge pages for the app arena (§5)");
@@ -59,15 +53,14 @@ main()
     JsonReport report("ablation_thp", config.outdir);
     for (size_t w = 0; w < workloads.size(); ++w) {
         for (size_t s = 0; s < strategies.size(); ++s) {
-            const StrategyKind kind = strategies[s];
+            const std::string &policy = strategies[s];
             const size_t slot = (w * strategies.size() + s) * 2;
             const double base = throughputs[slot];
             const double huge = throughputs[slot + 1];
             std::printf("%-11s %-18s %12.0f %12.0f %7.2fx\n",
-                        workloads[w].c_str(), strategyName(kind), base,
+                        workloads[w].c_str(), policy.c_str(), base,
                         huge, base > 0 ? huge / base : 1.0);
-            report.add(workloads[w] + "." + strategyName(kind) +
-                           ".thp_gain",
+            report.add(workloads[w] + "." + policy + ".thp_gain",
                        base > 0 ? huge / base : 1.0, "x", "higher",
                        true);
         }

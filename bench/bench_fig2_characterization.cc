@@ -50,7 +50,7 @@ characterize(const BenchConfig &bench_config,
 {
     TwoTierPlatform platform(twoTierConfig(bench_config));
     System &sys = platform.sys();
-    platform.applyStrategy(StrategyKind::Naive);
+    platform.applyPolicyByName("naive");
     sys.fs().startDaemons();
 
     WorkloadConfig config = workloadConfig(bench_config);
@@ -98,7 +98,7 @@ lifetimeDetail(const BenchConfig &bench_config)
 {
     TwoTierPlatform platform(twoTierConfig(bench_config));
     System &sys = platform.sys();
-    platform.applyStrategy(StrategyKind::Naive);
+    platform.applyPolicyByName("naive");
     sys.fs().startDaemons();
     auto workload = makeWorkload("rocksdb", workloadConfig(bench_config));
     runMeasured(sys, *workload);

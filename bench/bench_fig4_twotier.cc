@@ -39,8 +39,8 @@ cpuMs(const BenchConfig &config, const std::string &workload, bool trace)
 {
     timespec start{};
     clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &start);
-    runTwoTier(workload, StrategyKind::Kloc, twoTierConfig(config),
-               workloadConfig(config), trace);
+    runTwoTierPolicy(workload, "klocs", twoTierConfig(config),
+                     workloadConfig(config), trace);
     timespec end{};
     clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &end);
     return 1e3 * (static_cast<double>(end.tv_sec - start.tv_sec)) +
@@ -54,11 +54,9 @@ main()
 {
     const BenchConfig config = BenchConfig::fromEnv();
     JsonReport report("fig4_twotier", config.outdir);
-    const std::vector<StrategyKind> strategies = {
-        StrategyKind::AllSlow,         StrategyKind::Naive,
-        StrategyKind::Nimble,          StrategyKind::NimblePlusPlus,
-        StrategyKind::KlocNoMigration, StrategyKind::Kloc,
-        StrategyKind::AllFast,
+    const std::vector<std::string> strategies = {
+        "all_slow", "naive", "nimble", "nimble++", "klocs_nomigration",
+        "klocs",    "all_fast",
     };
     const std::vector<std::string> workloads = workloadNames();
 
@@ -67,9 +65,9 @@ main()
     const auto outcomes = sweep<RunOutcome>(
         config, runs, [&](size_t i) {
             const std::string &workload = workloads[i / strategies.size()];
-            const StrategyKind kind = strategies[i % strategies.size()];
-            return runTwoTier(workload, kind, twoTierConfig(config),
-                              workloadConfig(config), config.trace);
+            const std::string &policy = strategies[i % strategies.size()];
+            return runTwoTierPolicy(workload, policy, twoTierConfig(config),
+                                    workloadConfig(config), config.trace);
         });
 
     section("Figure 4: two-tier speedup vs All Slow Mem");
@@ -83,8 +81,8 @@ main()
                 config.scale);
 
     std::printf("\n%-11s", "workload");
-    for (const StrategyKind kind : strategies)
-        std::printf(" %17s", strategyName(kind));
+    for (const std::string &policy : strategies)
+        std::printf(" %17s", policy.c_str());
     std::printf("\n");
 
     for (size_t w = 0; w < workloads.size(); ++w) {
@@ -92,20 +90,19 @@ main()
         std::printf("%-11s", workload.c_str());
         double all_slow = 0.0;
         for (size_t s = 0; s < strategies.size(); ++s) {
-            const StrategyKind kind = strategies[s];
+            const std::string &policy = strategies[s];
             const RunOutcome &outcome =
                 outcomes[w * strategies.size() + s];
-            if (kind == StrategyKind::AllSlow)
+            if (policy == "all_slow")
                 all_slow = outcome.throughput;
             std::printf(" %9.0f (%4.2fx)", outcome.throughput,
                         all_slow > 0 ? outcome.throughput / all_slow
                                      : 1.0);
             // Simulated-time throughput is machine-independent, so
             // it gates regressions; so do migration rates.
-            report.add(workload + "." + strategyName(kind) +
-                           ".ops_per_s",
+            report.add(workload + "." + policy + ".ops_per_s",
                        outcome.throughput, "ops/s", "higher", true);
-            if (kind == StrategyKind::Kloc && all_slow > 0) {
+            if (policy == "klocs" && all_slow > 0) {
                 report.add(workload + ".klocs.speedup_vs_all_slow",
                            outcome.throughput / all_slow, "x", "higher",
                            true);

@@ -2,11 +2,12 @@
  * @file
  * Figure 5a: the Optane Memory-Mode platform.
  *
- * Protocol (§6.2): a streaming interferer loads socket 0; the
- * workload sets up while scheduled there; the scheduler then moves
- * the task to socket 1 and each policy decides what follows it:
+ * Protocol (§6.2, runOptaneMeasured): a streaming interferer loads
+ * socket 0; the workload sets up while scheduled there; the scheduler
+ * then moves the task to socket 1 and each policy decides what
+ * follows it:
  *
- *   all-remote  — Static: nothing migrates (baseline, speedup 1.0)
+ *   all-remote  — static: nothing migrates (baseline, speedup 1.0)
  *   autonuma    — stock AutoNUMA: application pages follow
  *   nimble      — AutoNUMA with parallel page copy
  *   klocs       — AutoNUMA + kernel objects via knodes
@@ -26,7 +27,7 @@ namespace {
 
 double
 runOptane(const BenchConfig &bench_config,
-          const std::string &workload_name, AutoNumaPolicy::Mode mode,
+          const std::string &workload_name, const std::string &policy,
           bool ideal_local)
 {
     OptanePlatform::Config config;
@@ -34,29 +35,13 @@ runOptane(const BenchConfig &bench_config,
     OptanePlatform platform(config);
     System &sys = platform.sys();
     platform.setInterference(true);
-    platform.applyPolicy(mode);
+    platform.applyPolicyByName(policy);
     sys.fs().startDaemons();
 
-    WorkloadConfig wl_config = workloadConfig(bench_config);
-    wl_config.cpus = platform.taskCpus();
-
-    // Setup runs on the interfered socket (or directly on the quiet
-    // one for the ideal-local bound).
-    platform.moveTaskToSocket(ideal_local ? 1 : 0);
-    wl_config.cpus = platform.taskCpus();
-    auto workload = makeWorkload(workload_name, wl_config);
-    workload->setup(sys);
-    sys.fs().syncAll();
-
-    // The scheduler migrates the task away from the interference.
-    platform.moveTaskToSocket(1);
-    workload->setCpus(platform.taskCpus());
-    sys.machine().charge(kQuiesceWindow);
-
-    // Warm-up pass: the paper measures long-running steady state, so
-    // give each policy its convergence window before measuring.
-    workload->run(sys);
-    const WorkloadResult result = workload->run(sys);
+    auto workload =
+        makeWorkload(workload_name, workloadConfig(bench_config));
+    const WorkloadResult result =
+        runOptaneMeasured(platform, *workload, ideal_local);
     workload->teardown(sys);
     return result.throughput();
 }
@@ -67,18 +52,20 @@ int
 main()
 {
     const BenchConfig config = BenchConfig::fromEnv();
+    // The two bounds run the static policy; their labels are the
+    // figure's (and the metric keys').
     struct Row
     {
         const char *label;
-        AutoNumaPolicy::Mode mode;
+        const char *policy;  ///< optanePolicyNames() entry
         bool idealLocal;
     };
     const std::vector<Row> rows = {
-        {"all-remote", AutoNumaPolicy::Mode::Static, false},
-        {"autonuma", AutoNumaPolicy::Mode::AutoNuma, false},
-        {"nimble", AutoNumaPolicy::Mode::NimbleApp, false},
-        {"klocs", AutoNumaPolicy::Mode::Kloc, false},
-        {"ideal-local", AutoNumaPolicy::Mode::Static, true},
+        {"all-remote", "static", false},
+        {"autonuma", "autonuma", false},
+        {"nimble", "nimble", false},
+        {"klocs", "klocs", false},
+        {"ideal-local", "static", true},
     };
     const std::vector<std::string> workloads = workloadNames();
 
@@ -87,7 +74,7 @@ main()
     const auto throughputs = sweep<double>(config, runs, [&](size_t i) {
         const std::string &workload = workloads[i / rows.size()];
         const Row &row = rows[i % rows.size()];
-        return runOptane(config, workload, row.mode, row.idealLocal);
+        return runOptane(config, workload, row.policy, row.idealLocal);
     });
 
     section("Figure 5a: Optane Memory Mode, speedup vs all-remote");

@@ -20,19 +20,15 @@ int
 main()
 {
     const BenchConfig config = BenchConfig::fromEnv();
-    const std::vector<StrategyKind> strategies = {
-        StrategyKind::Naive,
-        StrategyKind::Nimble,
-        StrategyKind::NimblePlusPlus,
-        StrategyKind::KlocNoMigration,
-        StrategyKind::Kloc,
+    const std::vector<std::string> strategies = {
+        "naive", "nimble", "nimble++", "klocs_nomigration", "klocs",
     };
 
     const auto outcomes = sweep<RunOutcome>(
         config, strategies.size(), [&](size_t i) {
-            return runTwoTier("rocksdb", strategies[i],
-                              twoTierConfig(config),
-                              workloadConfig(config));
+            return runTwoTierPolicy("rocksdb", strategies[i],
+                                    twoTierConfig(config),
+                                    workloadConfig(config));
         });
 
     section("Figure 5b: RocksDB slow-memory allocations and migrations");
@@ -41,12 +37,12 @@ main()
                 "demote%");
     JsonReport report("fig5b_breakdown", config.outdir);
     for (size_t s = 0; s < strategies.size(); ++s) {
-        const StrategyKind kind = strategies[s];
+        const std::string &policy = strategies[s];
         const RunOutcome &outcome = outcomes[s];
         const uint64_t total = outcome.migration.demotedPages +
                                outcome.migration.promotedPages;
         std::printf("%-18s %14llu %12llu %10llu %10llu %8.1f%%\n",
-                    strategyName(kind),
+                    policy.c_str(),
                     (unsigned long long)outcome.slowPageCacheAllocPages,
                     (unsigned long long)outcome.slowSlabAllocPages,
                     (unsigned long long)outcome.migration.demotedPages,
@@ -56,8 +52,7 @@ main()
                                 outcome.migration.demotedPages) /
                             static_cast<double>(total)
                           : 0.0);
-        const std::string prefix =
-            std::string("rocksdb.") + strategyName(kind);
+        const std::string prefix = "rocksdb." + policy;
         report.add(prefix + ".slow_pagecache_pages",
                    static_cast<double>(outcome.slowPageCacheAllocPages),
                    "pages", "lower", true);

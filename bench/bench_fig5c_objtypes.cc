@@ -26,7 +26,7 @@ runWithMask(const BenchConfig &config, const std::string &workload_name,
 {
     TwoTierPlatform platform(twoTierConfig(config));
     System &sys = platform.sys();
-    platform.applyStrategy(StrategyKind::Kloc);
+    platform.applyPolicyByName("klocs");
     sys.kloc().setManagedClasses(mask);
     sys.fs().startDaemons();
     auto workload = makeWorkload(workload_name, workloadConfig(config));

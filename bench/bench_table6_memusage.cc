@@ -30,8 +30,9 @@ main()
     const size_t runs = sizeof(paper) / sizeof(paper[0]);
 
     const auto outcomes = sweep<RunOutcome>(config, runs, [&](size_t i) {
-        return runTwoTier(paper[i].name, StrategyKind::Kloc,
-                          twoTierConfig(config), workloadConfig(config));
+        return runTwoTierPolicy(paper[i].name, "klocs",
+                                twoTierConfig(config),
+                                workloadConfig(config));
     });
 
     section("Table 6: KLOC metadata memory increase");

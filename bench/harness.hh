@@ -89,12 +89,29 @@ struct RunOutcome
     uint64_t rateAdaptations = 0;
 };
 
-/** Harvest the shared RunOutcome fields after a measured run. */
+/**
+ * Build a two-tier platform, apply the registry policy @p policy_name,
+ * run @p workload_name once, and harvest the outcome before teardown.
+ * Shared-nothing: every call builds its own platform and trace sink
+ * from the explicit configs, so calls may run concurrently on RunPool
+ * workers.
+ */
 inline RunOutcome
-collectTwoTierOutcome(TwoTierPlatform &platform,
-                      const WorkloadResult &result)
+runTwoTierPolicy(const std::string &workload_name,
+                 const std::string &policy_name,
+                 const TwoTierPlatform::Config &platform_config,
+                 const WorkloadConfig &workload_config, bool trace = false)
 {
+    TwoTierPlatform platform(platform_config.forPolicy(policy_name));
     System &sys = platform.sys();
+    if (trace)
+        sys.machine().tracer().setEnabled(true);
+    platform.applyPolicyByName(policy_name);
+    sys.fs().startDaemons();
+
+    auto workload = makeWorkload(workload_name, workload_config);
+    const WorkloadResult result = runMeasured(sys, *workload);
+
     RunOutcome outcome;
     outcome.throughput = result.throughput();
     outcome.result = result;
@@ -115,48 +132,8 @@ collectTwoTierOutcome(TwoTierPlatform &platform,
         outcome.finalPromoteBatch = jenga->promoteBatch().value();
         outcome.rateAdaptations = jenga->adaptations();
     }
-    return outcome;
-}
-
-/**
- * Build a two-tier platform, apply the registry policy @p policy_name,
- * run @p workload_name once, and collect the outcome. Shared-nothing:
- * every call builds its own platform and trace sink from the explicit
- * configs, so calls may run concurrently on RunPool workers.
- */
-inline RunOutcome
-runTwoTierPolicy(const std::string &workload_name,
-                 const std::string &policy_name,
-                 TwoTierPlatform::Config platform_config,
-                 WorkloadConfig workload_config, bool trace = false)
-{
-    // The AllFast bound needs a fast tier that holds everything.
-    if (policy_name == "all_fast") {
-        platform_config.fastCapacity += platform_config.slowCapacity;
-    }
-    TwoTierPlatform platform(platform_config);
-    System &sys = platform.sys();
-    if (trace)
-        sys.machine().tracer().setEnabled(true);
-    platform.applyPolicyByName(policy_name);
-    sys.fs().startDaemons();
-
-    auto workload = makeWorkload(workload_name, workload_config);
-    const WorkloadResult result = runMeasured(sys, *workload);
-
-    RunOutcome outcome = collectTwoTierOutcome(platform, result);
     workload->teardown(sys);
     return outcome;
-}
-
-/** runTwoTierPolicy with a StrategyKind (the classic benches). */
-inline RunOutcome
-runTwoTier(const std::string &workload_name, StrategyKind kind,
-           TwoTierPlatform::Config platform_config,
-           WorkloadConfig workload_config, bool trace = false)
-{
-    return runTwoTierPolicy(workload_name, strategyName(kind),
-                            platform_config, workload_config, trace);
 }
 
 /** Default two-tier platform config at @p config's bench scale. */

@@ -35,14 +35,13 @@ main(int argc, char **argv)
                 "speedup", "early-demux", "skb pages");
 
     double baseline = 0;
-    for (const StrategyKind kind :
-         {StrategyKind::AllSlow, StrategyKind::Naive, StrategyKind::Nimble,
-          StrategyKind::NimblePlusPlus, StrategyKind::Kloc}) {
+    for (const char *policy :
+         {"all_slow", "naive", "nimble", "nimble++", "klocs"}) {
         TwoTierPlatform::Config config;
         config.scale = scale;
-        TwoTierPlatform platform(config);
+        TwoTierPlatform platform(config.forPolicy(policy));
         System &sys = platform.sys();
-        platform.applyStrategy(kind);
+        platform.applyPolicyByName(policy);
         sys.fs().startDaemons();
 
         WorkloadConfig wl_config;
@@ -54,7 +53,7 @@ main(int argc, char **argv)
         if (baseline == 0)
             baseline = result.throughput();
         std::printf("%-18s %12.0f %9.2fx %12llu %12llu\n",
-                    strategyName(kind), result.throughput(),
+                    policy, result.throughput(),
                     result.throughput() / baseline,
                     static_cast<unsigned long long>(
                         sys.net().stats().earlyDemuxPackets),

@@ -3,10 +3,10 @@
  * Quickstart: build the two-tier platform, enable KLOCs, run a small
  * filesystem workload, and inspect what the abstraction did.
  *
- *   $ ./quickstart [strategy]
+ *   $ ./quickstart [policy] [workload]
  *
- * where strategy is one of: all_fast, all_slow, naive, nimble,
- * nimble++, klocs_nomigration, klocs (default).
+ * where policy is any two-tier name `klocsim list` prints (default
+ * klocs) and workload any workload it lists (default rocksdb).
  */
 
 #include <cstdio>
@@ -19,36 +19,17 @@
 
 using namespace kloc;
 
-namespace {
-
-StrategyKind
-parseStrategy(const std::string &name)
-{
-    for (const StrategyKind kind :
-         {StrategyKind::AllFast, StrategyKind::AllSlow,
-          StrategyKind::Naive, StrategyKind::Nimble,
-          StrategyKind::NimblePlusPlus, StrategyKind::KlocNoMigration,
-          StrategyKind::Kloc}) {
-        if (name == strategyName(kind))
-            return kind;
-    }
-    fatal("unknown strategy '%s'", name.c_str());
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    const StrategyKind kind =
-        argc > 1 ? parseStrategy(argv[1]) : StrategyKind::Kloc;
+    const std::string policy = argc > 1 ? argv[1] : "klocs";
     const std::string workload_name = argc > 2 ? argv[2] : "rocksdb";
 
     // A scaled-down two-tier machine: the paper's 8 GB fast tier at
     // 1:64 scale, slow tier at a quarter of fast bandwidth.
     TwoTierPlatform::Config config;
     config.scale = 64;
-    TwoTierPlatform platform(config);
+    TwoTierPlatform platform(config.forPolicy(policy));
     System &sys = platform.sys();
 
     std::printf("two-tier platform: fast %llu MiB / slow %llu MiB\n",
@@ -59,9 +40,9 @@ main(int argc, char **argv)
                     sys.tiers().tier(platform.slowTier()).spec().capacity /
                     kMiB));
 
-    platform.applyStrategy(kind);
+    platform.applyPolicyByName(policy);
     sys.fs().startDaemons();
-    std::printf("strategy: %s\n", strategyName(kind));
+    std::printf("strategy: %s\n", policy.c_str());
 
     // Run a small RocksDB-like workload.
     WorkloadConfig wl_config;

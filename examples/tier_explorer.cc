@@ -4,7 +4,9 @@
  * bandwidth ratio for one workload and strategy — a CLI version of
  * the Fig. 6 sensitivity study.
  *
- *   $ ./tier_explorer [workload] [strategy] [ops]
+ *   $ ./tier_explorer [workload] [policy] [ops]
+ *
+ * where policy is any two-tier registry name (`klocsim list`).
  *
  * e.g.  ./tier_explorer rocksdb klocs 40000
  */
@@ -21,31 +23,17 @@ using namespace kloc;
 
 namespace {
 
-StrategyKind
-parseStrategy(const std::string &name)
-{
-    for (const StrategyKind kind :
-         {StrategyKind::AllFast, StrategyKind::AllSlow,
-          StrategyKind::Naive, StrategyKind::Nimble,
-          StrategyKind::NimblePlusPlus, StrategyKind::KlocNoMigration,
-          StrategyKind::Kloc}) {
-        if (name == strategyName(kind))
-            return kind;
-    }
-    fatal("unknown strategy '%s'", name.c_str());
-}
-
 double
-run(const std::string &workload_name, StrategyKind kind, Bytes capacity,
-    unsigned ratio, uint64_t ops)
+run(const std::string &workload_name, const std::string &policy,
+    Bytes capacity, unsigned ratio, uint64_t ops)
 {
     TwoTierPlatform::Config config;
     config.scale = 64;
     config.fastCapacity = capacity;
     config.bandwidthRatio = ratio;
-    TwoTierPlatform platform(config);
+    TwoTierPlatform platform(config.forPolicy(policy));
     System &sys = platform.sys();
-    platform.applyStrategy(kind);
+    platform.applyPolicyByName(policy);
     sys.fs().startDaemons();
 
     WorkloadConfig wl_config;
@@ -63,14 +51,13 @@ int
 main(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "rocksdb";
-    const StrategyKind kind =
-        parseStrategy(argc > 2 ? argv[2] : "klocs");
+    const std::string policy = argc > 2 ? argv[2] : "klocs";
     const uint64_t ops =
         argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 40000;
 
     std::printf("tier_explorer: %s under %s, %llu ops "
                 "(speedup vs all_slow at each point)\n\n",
-                workload.c_str(), strategyName(kind),
+                workload.c_str(), policy.c_str(),
                 static_cast<unsigned long long>(ops));
 
     std::printf("%-12s", "fast \\ bw");
@@ -83,9 +70,9 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(capacity / kGiB));
         for (const unsigned ratio : {8u, 4u, 2u}) {
             const double slow =
-                run(workload, StrategyKind::AllSlow, capacity, ratio,
-                    ops);
-            const double fast = run(workload, kind, capacity, ratio, ops);
+                run(workload, "all_slow", capacity, ratio, ops);
+            const double fast =
+                run(workload, policy, capacity, ratio, ops);
             std::printf("   %5.2fx", slow > 0 ? fast / slow : 1.0);
             std::fflush(stdout);
         }

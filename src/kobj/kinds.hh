@@ -4,6 +4,9 @@
  * networking object the paper tracks, with realistic per-object
  * sizes, the allocator each uses in a stock kernel, and the coarse
  * accounting class used in the evaluation figures.
+ *
+ * Table 1 lives in one place, kKobjTable: one constexpr row per
+ * KobjKind, in enum order. The accessors below are lookups into it.
  */
 
 #ifndef KLOC_KOBJ_KINDS_HH
@@ -42,17 +45,73 @@ enum class KobjKind : uint8_t {
 inline constexpr unsigned kNumKobjKinds =
     static_cast<unsigned>(KobjKind::NumKinds);
 
+/** One Table 1 row. A kind's slab cache is named "<name>_cache". */
+struct KobjDescriptor
+{
+    KobjKind kind;
+    const char *name;  ///< diagnostic name
+    Bytes size;        ///< bytes per object
+    ObjClass cls;      ///< coarse accounting class
+    bool slab;         ///< slab-allocated in a stock kernel, else paged
+};
+
+/**
+ * Table 1. Sizes mirror the corresponding Linux structures (ext4,
+ * jbd2, block, net) rounded to their slab size classes: inode is
+ * ext4_inode_info, journal_record is journal_head, extent is
+ * extent_status, radix_node is radix_tree_node, sock is the
+ * tcp_sock class and skbuff is sk_buff.
+ */
+inline constexpr KobjDescriptor kKobjTable[] = {
+    {KobjKind::Inode,         "inode",           Bytes{1024}, ObjClass::FsSlab,    true},
+    {KobjKind::Dentry,        "dentry",          Bytes{192},  ObjClass::FsSlab,    true},
+    {KobjKind::JournalRecord, "journal_record",  Bytes{120},  ObjClass::Journal,   true},
+    {KobjKind::Extent,        "extent",          Bytes{64},   ObjClass::FsSlab,    true},
+    {KobjKind::Bio,           "bio",             Bytes{200},  ObjClass::BlockIo,   true},
+    {KobjKind::BlkMqCtx,      "blk_mq_ctx",      Bytes{384},  ObjClass::BlockIo,   true},
+    {KobjKind::RadixNode,     "radix_node",      Bytes{576},  ObjClass::FsSlab,    true},
+    {KobjKind::Sock,          "sock",            Bytes{1088}, ObjClass::SockBuf,   true},
+    {KobjKind::SkbuffHead,    "skbuff",          Bytes{232},  ObjClass::SockBuf,   true},
+    {KobjKind::DirBuffer,     "dir_buffer",      Bytes{1024}, ObjClass::FsSlab,    true},
+    {KobjKind::PageCachePage, "page_cache_page", kPageSize,   ObjClass::PageCache, false},
+    {KobjKind::JournalPage,   "journal_page",    kPageSize,   ObjClass::Journal,   false},
+    {KobjKind::SkbuffData,    "skbuff_data",     kPageSize,   ObjClass::SockBuf,   false},
+    {KobjKind::RxBuf,         "rx_buf",          kPageSize,   ObjClass::SockBuf,   false},
+};
+
+/** True when kKobjTable holds one row per kind, in enum order. */
+constexpr bool
+kobjTableInEnumOrder()
+{
+    unsigned k = 0;
+    for (const KobjDescriptor &row : kKobjTable) {
+        if (row.kind != static_cast<KobjKind>(k++))
+            return false;
+    }
+    return k == kNumKobjKinds;
+}
+
+static_assert(kobjTableInEnumOrder(),
+              "kKobjTable needs one row per KobjKind, in enum order");
+
+/** The Table 1 row of @p kind. */
+constexpr const KobjDescriptor &
+kobjDescriptor(KobjKind kind)
+{
+    return kKobjTable[static_cast<unsigned>(kind)];
+}
+
 /** Bytes per object of @p kind. */
-Bytes kobjSize(KobjKind kind);
+constexpr Bytes kobjSize(KobjKind kind) { return kobjDescriptor(kind).size; }
 
 /** Coarse accounting class for @p kind. */
-ObjClass kobjClass(KobjKind kind);
+constexpr ObjClass kobjClass(KobjKind kind) { return kobjDescriptor(kind).cls; }
 
 /** True when a stock kernel would slab-allocate @p kind. */
-bool kobjIsSlab(KobjKind kind);
+constexpr bool kobjIsSlab(KobjKind kind) { return kobjDescriptor(kind).slab; }
 
-/** Diagnostic name. */
-const char *kobjKindName(KobjKind kind);
+/** Diagnostic name of @p kind. */
+constexpr const char *kobjKindName(KobjKind kind) { return kobjDescriptor(kind).name; }
 
 } // namespace kloc
 

@@ -43,19 +43,6 @@ OptanePlatform::OptanePlatform(const Config &config) : _config(config)
     }
 
     _system->buildSubsystems();
-    TierPreference socket_pref;
-    for (const TierId tier : _socketTiers)
-        socket_pref.push_back(tier);
-    _teardownPlacement = std::make_unique<StaticPlacement>(
-        socket_pref, socket_pref);
-    _system->heap().setPolicy(_teardownPlacement.get());
-}
-
-OptanePlatform::~OptanePlatform()
-{
-    if (_policy)
-        _policy->stop();
-    _system->heap().setPolicy(_teardownPlacement.get());
 }
 
 void
@@ -92,27 +79,6 @@ OptanePlatform::setInterference(bool enabled)
     } else {
         _system->machine().memModel().clearInterference();
     }
-}
-
-AutoNumaPolicy &
-OptanePlatform::applyPolicy(AutoNumaPolicy::Mode mode,
-                            AutoNumaPolicy::Config config)
-{
-    if (_policy)
-        _policy->stop();
-    _policy = std::make_unique<AutoNumaPolicy>(
-        mode, _system->heap(), _system->lru(), _system->migrator(),
-        &_system->kloc(), _socketTiers, config);
-    _policy->install();
-    _system->net().setEarlyDemux(mode == AutoNumaPolicy::Mode::Kloc);
-    _policy->start();
-    return *_policy;
-}
-
-AutoNumaPolicy &
-OptanePlatform::applyPolicy(AutoNumaPolicy::Mode mode)
-{
-    return applyPolicy(mode, AutoNumaPolicy::Config{});
 }
 
 } // namespace kloc

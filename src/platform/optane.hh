@@ -16,10 +16,10 @@
 #define KLOC_PLATFORM_OPTANE_HH
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "platform/system.hh"
-#include "policy/autonuma.hh"
 
 namespace kloc {
 
@@ -46,8 +46,6 @@ class OptanePlatform
 
     OptanePlatform() : OptanePlatform(Config{}) {}
 
-    ~OptanePlatform();
-
     System &sys() { return *_system; }
 
     /** Tier hosting each socket's memory. */
@@ -67,23 +65,21 @@ class OptanePlatform
     /** Turn the streaming interferer on/off. */
     void setInterference(bool enabled);
 
-    /** Install and start an AutoNUMA-family policy. */
-    AutoNumaPolicy &applyPolicy(AutoNumaPolicy::Mode mode,
-                                AutoNumaPolicy::Config config);
-
-    AutoNumaPolicy &applyPolicy(AutoNumaPolicy::Mode mode);
-
-    AutoNumaPolicy *policy() { return _policy.get(); }
+    /** Apply the optanePolicyNames() entry @p name (see System). */
+    Policy &
+    applyPolicyByName(const std::string &name)
+    {
+        return _system->applyPolicyByName(name, PolicyPlatform::Optane,
+                                          _socketTiers.front(),
+                                          _socketTiers.back());
+    }
 
     const Config &config() const { return _config; }
 
   private:
     Config _config;
-    /** Outlives _system; see TwoTierPlatform::_teardownPlacement. */
-    std::unique_ptr<StaticPlacement> _teardownPlacement;
     std::unique_ptr<System> _system;
     std::vector<TierId> _socketTiers;
-    std::unique_ptr<AutoNumaPolicy> _policy;
     int _taskSocket = 0;
 };
 

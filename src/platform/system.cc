@@ -1,6 +1,49 @@
 #include "platform/system.hh"
 
+#include "base/logging.hh"
+#include "policy/strategy.hh"
+
 namespace kloc {
+
+System::~System()
+{
+    if (_policy)
+        _policy->stop();
+    _heap.setPolicy(_staticPlacement.get());
+    _policy.reset();
+}
+
+Policy &
+System::applyPolicy(std::unique_ptr<Policy> policy)
+{
+    KLOC_ASSERT(policy != nullptr, "applyPolicy(nullptr)");
+    if (_policy)
+        _policy->stop();
+    _policy = std::move(policy);
+    _policy->install();
+    const bool kloc_on = _policy->usesKloc();
+    if (!kloc_on) {
+        // A prior KLOC policy may have left the runtime enabled;
+        // install() of a KLOC-blind policy (e.g. Jenga) can't know.
+        setKlocMode(_heap, &_kloc, false, {});
+    }
+    // The KLOC policies also use the early-demux driver extension.
+    _net->setEarlyDemux(kloc_on);
+    _policy->start();
+    return *_policy;
+}
+
+Policy &
+System::applyPolicyByName(const std::string &name, PolicyPlatform platform,
+                          TierId fast, TierId slow)
+{
+    std::unique_ptr<Policy> policy = makePolicy(
+        name, PolicyContext{_heap, _lru, _migrator, &_kloc, fast, slow},
+        platform);
+    if (policy == nullptr)
+        fatal("unknown policy '%s'", name.c_str());
+    return applyPolicy(std::move(policy));
+}
 
 StatSet
 System::snapshot() const

@@ -3,7 +3,10 @@
  * System: the fully composed simulated machine — memory tiers,
  * allocators, KLOC, filesystem, and network stack — in dependency
  * order. Platforms (two-tier, Optane) build one of these with their
- * tier layout, then strategies and workloads run against it.
+ * tier layout, then policies and workloads run against it.
+ *
+ * The System also hosts the installed Policy, so both platforms share
+ * one policy lifecycle (applyPolicy) and one teardown placement.
  */
 
 #ifndef KLOC_PLATFORM_SYSTEM_HH
@@ -19,6 +22,7 @@
 #include "mem/migration.hh"
 #include "mem/tier_manager.hh"
 #include "net/net_stack.hh"
+#include "policy/registry.hh"
 #include "sim/machine.hh"
 
 namespace kloc {
@@ -49,10 +53,27 @@ class System
         _machine.memModel().setLlcHitFraction(config.llcHitFraction);
     }
 
-    /** Create the FS and network stacks (after tiers are added). */
+    /**
+     * Stops the policy, then falls back to the static placement for
+     * teardown: the FS and KLOC destructors still allocate (journal
+     * records for unlink metadata) after the policy is gone.
+     */
+    ~System();
+
+    /**
+     * Create the FS and network stacks (after tiers are added) and
+     * install the static placement: every tier in id order, used
+     * before the first policy and during teardown.
+     */
     void
     buildSubsystems()
     {
+        TierPreference all_tiers;
+        for (size_t t = 0; t < _tiers.tierCount(); ++t)
+            all_tiers.push_back(static_cast<TierId>(t));
+        _staticPlacement =
+            std::make_unique<StaticPlacement>(all_tiers, all_tiers);
+        _heap.setPolicy(_staticPlacement.get());
         _fs = std::make_unique<FileSystem>(_heap, &_kloc, _config.fs);
         _net = std::make_unique<NetworkStack>(_heap, &_kloc, _config.net);
         // hwpoison containment recovers clean page-cache pages by
@@ -81,6 +102,26 @@ class System
     const Config &config() const { return _config; }
 
     /**
+     * Install and start @p policy, replacing (stopping) any previous
+     * one. The one policy lifecycle: a non-KLOC policy gets the KLOC
+     * runtime and the early-demux driver extension switched off, so a
+     * previously applied KLOC policy leaves no residue.
+     */
+    Policy &applyPolicy(std::unique_ptr<Policy> policy);
+
+    /**
+     * Build the registry policy @p name of @p platform over tiers
+     * @p fast and @p slow (see PolicyContext) and apply it. Exits with
+     * an error on unknown names.
+     */
+    Policy &applyPolicyByName(const std::string &name,
+                              PolicyPlatform platform, TierId fast,
+                              TierId slow);
+
+    /** The applied policy, or nullptr before the first apply. */
+    Policy *policy() { return _policy.get(); }
+
+    /**
      * Snapshot every interesting counter into a StatSet — the
      * single reporting surface examples, the CLI, and experiment
      * logs share.
@@ -88,6 +129,8 @@ class System
     StatSet snapshot() const;
 
   private:
+    /** Declared first so it outlives every subsystem destructor. */
+    std::unique_ptr<StaticPlacement> _staticPlacement;
     Machine _machine;
     TierManager _tiers;
     LruEngine _lru;
@@ -96,6 +139,7 @@ class System
     KernelHeap _heap;
     KlocManager _kloc;
     Config _config;
+    std::unique_ptr<Policy> _policy;
     std::unique_ptr<FileSystem> _fs;
     std::unique_ptr<NetworkStack> _net;
 };

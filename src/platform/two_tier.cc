@@ -32,69 +32,15 @@ TwoTierPlatform::TwoTierPlatform(const Config &config) : _config(config)
     _slow = _system->tiers().addTier(slow);
 
     _system->buildSubsystems();
-    _teardownPlacement = std::make_unique<StaticPlacement>(
-        TierPreference{_fast, _slow},
-        TierPreference{_fast, _slow});
-    _system->heap().setPolicy(_teardownPlacement.get());
 }
 
-TwoTierPlatform::~TwoTierPlatform()
+TwoTierPlatform::Config
+TwoTierPlatform::Config::forPolicy(const std::string &policy) const
 {
-    if (_policy)
-        _policy->stop();
-    // The policy dies before the System; teardown allocations
-    // (unlink journalling) fall back to the static placement.
-    _system->heap().setPolicy(_teardownPlacement.get());
-}
-
-Policy &
-TwoTierPlatform::applyPolicy(std::unique_ptr<Policy> policy)
-{
-    KLOC_ASSERT(policy != nullptr, "applyPolicy(nullptr)");
-    if (_policy)
-        _policy->stop();
-    _policy = std::move(policy);
-    _policy->install();
-    const bool kloc_on = _policy->usesKloc();
-    if (!kloc_on) {
-        // A prior KLOC policy may have left the runtime enabled;
-        // install() of a KLOC-blind policy (e.g. Jenga) can't know.
-        _system->kloc().setEnabled(false);
-        _system->heap().setKlocInterface(false);
-    }
-    // The KLOC policies also use the early-demux driver extension.
-    _system->net().setEarlyDemux(kloc_on);
-    _policy->start();
-    return *_policy;
-}
-
-Policy &
-TwoTierPlatform::applyPolicyByName(const std::string &name)
-{
-    PolicyContext ctx{_system->heap(), _system->lru(),
-                      _system->migrator(), &_system->kloc(),
-                      _fast, _slow};
-    std::unique_ptr<Policy> policy = makePolicy(name, ctx);
-    KLOC_ASSERT(policy != nullptr, "unknown policy '%s'", name.c_str());
-    return applyPolicy(std::move(policy));
-}
-
-TieringStrategy &
-TwoTierPlatform::applyStrategy(StrategyKind kind,
-                               TieringStrategy::Config config)
-{
-    auto strategy = std::make_unique<TieringStrategy>(
-        kind, _system->heap(), _system->lru(), _system->migrator(),
-        &_system->kloc(), _fast, _slow, config);
-    TieringStrategy &ref = *strategy;
-    applyPolicy(std::move(strategy));
-    return ref;
-}
-
-TieringStrategy &
-TwoTierPlatform::applyStrategy(StrategyKind kind)
-{
-    return applyStrategy(kind, TieringStrategy::Config{});
+    Config sized = *this;
+    if (policy == "all_fast")
+        sized.fastCapacity += slowCapacity;
+    return sized;
 }
 
 } // namespace kloc

@@ -17,8 +17,6 @@
 #include <string>
 
 #include "platform/system.hh"
-#include "policy/registry.hh"
-#include "policy/strategy.hh"
 
 namespace kloc {
 
@@ -40,6 +38,14 @@ class TwoTierPlatform
         unsigned bandwidthRatio = 8;
         Tick dramLatency{80};
         System::Config system;
+
+        /**
+         * This config sized for @p policy: the all_fast bound gets a
+         * fast tier that holds everything (fast + slow capacity).
+         * Every run that takes a policy name builds its platform
+         * from this.
+         */
+        Config forPolicy(const std::string &policy) const;
     };
 
     explicit TwoTierPlatform(const Config &config);
@@ -47,62 +53,29 @@ class TwoTierPlatform
     /** Convenience: default configuration. */
     TwoTierPlatform() : TwoTierPlatform(Config{}) {}
 
-    ~TwoTierPlatform();
-
     System &sys() { return *_system; }
 
     TierId fastTier() const { return _fast; }
     TierId slowTier() const { return _slow; }
 
-    /**
-     * Install and start @p policy, replacing (stopping) any previous
-     * one. Centralises the policy lifecycle: non-KLOC policies get
-     * the KLOC runtime and the early-demux driver extension switched
-     * off so a previously applied KLOC policy leaves no residue.
-     */
-    Policy &applyPolicy(std::unique_ptr<Policy> policy);
-
-    /**
-     * Build @p name through the policy registry and apply it.
-     * Asserts on unknown names (see policyNames()).
-     */
-    Policy &applyPolicyByName(const std::string &name);
-
-    /**
-     * Install and start @p kind with the given strategy config.
-     * Replaces any previously applied policy.
-     */
-    TieringStrategy &applyStrategy(StrategyKind kind,
-                                   TieringStrategy::Config config);
-
-    TieringStrategy &applyStrategy(StrategyKind kind);
+    /** Apply the policyNames() entry @p name (see System). */
+    Policy &
+    applyPolicyByName(const std::string &name)
+    {
+        return _system->applyPolicyByName(name, PolicyPlatform::TwoTier,
+                                          _fast, _slow);
+    }
 
     /** The applied policy, or nullptr before the first apply. */
-    Policy *policy() { return _policy.get(); }
-
-    /**
-     * The applied policy as a TieringStrategy, or nullptr when none
-     * is applied or the policy is not a plain strategy.
-     */
-    TieringStrategy *strategy()
-    {
-        return dynamic_cast<TieringStrategy *>(_policy.get());
-    }
+    Policy *policy() { return _system->policy(); }
 
     const Config &config() const { return _config; }
 
   private:
     Config _config;
-    /**
-     * Placement used during teardown; declared before _system so it
-     * outlives the FS/KLOC destructors that still allocate (journal
-     * records for unlink metadata).
-     */
-    std::unique_ptr<StaticPlacement> _teardownPlacement;
     std::unique_ptr<System> _system;
     TierId _fast = kInvalidTier;
     TierId _slow = kInvalidTier;
-    std::unique_ptr<Policy> _policy;
 };
 
 } // namespace kloc

@@ -1,36 +1,32 @@
 #include "policy/autonuma.hh"
 
 #include "base/logging.hh"
+#include "policy/registry.hh"
+#include "policy/strategy.hh"
 
 namespace kloc {
 
-AutoNumaPolicy::AutoNumaPolicy(Mode mode, KernelHeap &heap, LruEngine &lru,
-                               MigrationEngine &migrator, KlocManager *kloc,
-                               std::vector<TierId> socket_tiers,
+AutoNumaPolicy::AutoNumaPolicy(Mode mode, const PolicyContext &ctx,
                                Config config)
-    : _mode(mode),
-      _heap(heap),
-      _lru(lru),
-      _migrator(migrator),
-      _kloc(kloc),
-      _socketTiers(std::move(socket_tiers)),
-      _config(config)
+    : Policy(ctx), _mode(mode), _row(policyRow(mode)), _config(config)
 {
+    for (size_t t = 0; t < ctx.tiers().tierCount(); ++t)
+        _socketTiers.push_back(static_cast<TierId>(t));
     KLOC_ASSERT(_socketTiers.size() >= 2, "AutoNUMA needs >= 2 sockets");
-    KLOC_ASSERT(_mode != Mode::Kloc || _kloc != nullptr,
+    KLOC_ASSERT(!_row.kloc || _kloc != nullptr,
                 "KLOC mode requires a KlocManager");
 }
 
 const char *
 AutoNumaPolicy::name() const
 {
-    switch (_mode) {
-      case Mode::Static:    return "numa_static";
-      case Mode::AutoNuma:  return "numa_autonuma";
-      case Mode::NimbleApp: return "numa_nimble";
-      case Mode::Kloc:      return "numa_kloc";
-    }
-    return "numa_unknown";
+    return _row.name;
+}
+
+bool
+AutoNumaPolicy::usesKloc() const
+{
+    return _row.kloc;
 }
 
 TierId
@@ -74,17 +70,8 @@ void
 AutoNumaPolicy::install()
 {
     _heap.setPolicy(this);
-    const bool kloc_on = _mode == Mode::Kloc;
-    if (_kloc) {
-        _kloc->setEnabled(kloc_on);
-        if (kloc_on) {
-            // Tier order is task-relative; re-pointed every tick.
-            _kloc->setTierOrder(localFirst());
-            _heap.setKlocInterface(true);
-        } else {
-            _heap.setKlocInterface(false);
-        }
-    }
+    // Tier order is task-relative; re-pointed every tick.
+    setKlocMode(_heap, _kloc, _row.kloc, localFirst());
     _migrator.setParallelism(
         _mode == Mode::NimbleApp || _mode == Mode::Kloc
             ? _config.nimbleParallelism
@@ -97,7 +84,6 @@ AutoNumaPolicy::balanceTick()
     if (!_running)
         return;
     ++_ticks;
-    Machine &machine = _heap.mem().machine();
     const TierId local = localTier();
 
     // NUMA-balancing pass: pages the task touched on remote sockets
@@ -125,12 +111,7 @@ AutoNumaPolicy::balanceTick()
         }
     }
 
-    machine.events().schedule(
-        machine.now() + _config.scanPeriod,
-        [this, weak = std::weak_ptr<int>(_alive)] {
-            if (!weak.expired())
-                balanceTick();
-        });
+    scheduleTick(_config.scanPeriod, &AutoNumaPolicy::balanceTick);
 }
 
 void
@@ -139,13 +120,7 @@ AutoNumaPolicy::start()
     if (_running || _mode == Mode::Static)
         return;
     _running = true;
-    Machine &machine = _heap.mem().machine();
-    machine.events().schedule(
-        machine.now() + _config.scanPeriod,
-        [this, weak = std::weak_ptr<int>(_alive)] {
-            if (!weak.expired())
-                balanceTick();
-        });
+    scheduleTick(_config.scanPeriod, &AutoNumaPolicy::balanceTick);
 }
 
 void

@@ -18,7 +18,6 @@
 #ifndef KLOC_POLICY_AUTONUMA_HH
 #define KLOC_POLICY_AUTONUMA_HH
 
-#include <memory>
 #include <vector>
 
 #include "core/kloc_manager.hh"
@@ -27,6 +26,8 @@
 #include "policy/policy.hh"
 
 namespace kloc {
+
+struct PolicyRow;
 
 /** NUMA balancing policy variants compared in Fig. 5a. */
 class AutoNumaPolicy : public Policy
@@ -41,24 +42,11 @@ class AutoNumaPolicy : public Policy
         unsigned nimbleParallelism = 8;
     };
 
-    /**
-     * @param socket_tiers tier id hosting each socket's memory,
-     *                     indexed by socket number.
-     */
-    AutoNumaPolicy(Mode mode, KernelHeap &heap, LruEngine &lru,
-                   MigrationEngine &migrator, KlocManager *kloc,
-                   std::vector<TierId> socket_tiers, Config config);
+    /** Balances over every tier of @p ctx: one per socket, in socket
+     *  order (@p ctx.fast and @p ctx.slow are unused). */
+    AutoNumaPolicy(Mode mode, const PolicyContext &ctx, Config config);
 
-    /** Convenience overload using the default Config. */
-    AutoNumaPolicy(Mode mode, KernelHeap &heap, LruEngine &lru,
-                   MigrationEngine &migrator, KlocManager *kloc,
-                   std::vector<TierId> socket_tiers)
-        : AutoNumaPolicy(mode, heap, lru, migrator, kloc,
-                         std::move(socket_tiers), Config{})
-    {}
-
-    Mode mode() const { return _mode; }
-
+    /** The registry name of this mode (an optanePolicyNames() entry). */
     const char *name() const override;
 
     /** Install as the heap's policy; configure KLOC and parallelism. */
@@ -67,7 +55,7 @@ class AutoNumaPolicy : public Policy
     void start() override;
     void stop() override;
 
-    bool usesKloc() const override { return _mode == Mode::Kloc; }
+    bool usesKloc() const override;
 
     /** Tier local to the task's current socket. */
     TierId localTier() const;
@@ -83,14 +71,10 @@ class AutoNumaPolicy : public Policy
     void balanceTick();
     TierPreference localFirst() const;
 
-    /** Liveness token for scheduled tick lambdas (see strategy.hh). */
-    std::shared_ptr<int> _alive = std::make_shared<int>(0);
-
     Mode _mode;
-    KernelHeap &_heap;
-    LruEngine &_lru;
-    MigrationEngine &_migrator;
-    KlocManager *_kloc;
+    /** This mode's registry row: its name and whether it is KLOC. */
+    const PolicyRow &_row;
+    /** Tier hosting each socket's memory, indexed by socket. */
     std::vector<TierId> _socketTiers;
     Config _config;
     bool _running = false;

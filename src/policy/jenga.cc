@@ -6,16 +6,8 @@
 
 namespace kloc {
 
-JengaStrategy::JengaStrategy(KernelHeap &heap, LruEngine &lru,
-                             MigrationEngine &migrator, TierId fast,
-                             TierId slow, Config config)
-    : _heap(heap),
-      _lru(lru),
-      _migrator(migrator),
-      _fast(fast),
-      _slow(slow),
-      _config(config),
-      _promoteBatch(config.promoteBatchStart)
+JengaStrategy::JengaStrategy(const PolicyContext &ctx, Config config)
+    : Policy(ctx), _config(config), _promoteBatch(config.promoteBatchStart)
 {
     KLOC_ASSERT(_config.promoteBatchMin.value() > 0,
                 "promotion floor must be positive");
@@ -146,12 +138,7 @@ JengaStrategy::scanTick()
         _promoteBatch.value() == _config.promoteBatchMin.value()
             ? 2 * _config.scanPeriod
             : _config.scanPeriod;
-    machine.events().schedule(
-        machine.now() + period,
-        [this, weak = std::weak_ptr<int>(_alive)] {
-            if (!weak.expired())
-                scanTick();
-        });
+    scheduleTick(period, &JengaStrategy::scanTick);
 }
 
 void
@@ -160,13 +147,7 @@ JengaStrategy::start()
     if (_running)
         return;
     _running = true;
-    Machine &machine = _heap.mem().machine();
-    machine.events().schedule(
-        machine.now() + _config.scanPeriod,
-        [this, weak = std::weak_ptr<int>(_alive)] {
-            if (!weak.expired())
-                scanTick();
-        });
+    scheduleTick(_config.scanPeriod, &JengaStrategy::scanTick);
 }
 
 void

@@ -20,7 +20,6 @@
 #ifndef KLOC_POLICY_JENGA_HH
 #define KLOC_POLICY_JENGA_HH
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -57,14 +56,7 @@ class JengaStrategy : public Policy
         size_t reuseSampleCap = 512;
     };
 
-    JengaStrategy(KernelHeap &heap, LruEngine &lru,
-                  MigrationEngine &migrator, TierId fast, TierId slow,
-                  Config config);
-
-    JengaStrategy(KernelHeap &heap, LruEngine &lru,
-                  MigrationEngine &migrator, TierId fast, TierId slow)
-        : JengaStrategy(heap, lru, migrator, fast, slow, Config{})
-    {}
+    JengaStrategy(const PolicyContext &ctx, Config config);
 
     const char *name() const override { return "jenga"; }
 
@@ -94,14 +86,6 @@ class JengaStrategy : public Policy
     void scanTick();
     void evaluateReuseWindow();
 
-    /** Liveness token for scheduled tick lambdas (see strategy.hh). */
-    std::shared_ptr<int> _alive = std::make_shared<int>(0);
-
-    KernelHeap &_heap;
-    LruEngine &_lru;
-    MigrationEngine &_migrator;
-    TierId _fast;
-    TierId _slow;
     Config _config;
     bool _running = false;
     uint64_t _scanTicks = 0;

@@ -1,21 +1,14 @@
 #include "policy/nomad.hh"
 
 #include "base/logging.hh"
+#include "policy/strategy.hh"
 
 namespace kloc {
 
-NomadStrategy::NomadStrategy(KernelHeap &heap, LruEngine &lru,
-                             MigrationEngine &migrator, KlocManager *kloc,
-                             TierId fast, TierId slow, Config config)
-    : _heap(heap),
-      _lru(lru),
-      _migrator(migrator),
-      _kloc(kloc),
-      _fast(fast),
-      _slow(slow),
-      _config(config)
+NomadStrategy::NomadStrategy(const PolicyContext &ctx, Config config)
+    : Policy(ctx), _config(config)
 {
-    KLOC_ASSERT(!_config.composeKloc || kloc != nullptr,
+    KLOC_ASSERT(!_config.composeKloc || _kloc != nullptr,
                 "kloc_nomad requires a KlocManager");
 }
 
@@ -23,15 +16,7 @@ void
 NomadStrategy::install()
 {
     _heap.setPolicy(this);
-    if (_kloc) {
-        _kloc->setEnabled(_config.composeKloc);
-        if (_config.composeKloc) {
-            _kloc->setTierOrder({_fast, _slow});
-            _heap.setKlocInterface(true);
-        } else {
-            _heap.setKlocInterface(false);
-        }
-    }
+    setKlocMode(_heap, _kloc, _config.composeKloc, {_fast, _slow});
     _migrator.setParallelism(_config.migrationParallelism);
     const double budget =
         _config.shadowBudgetFraction *
@@ -49,17 +34,8 @@ NomadStrategy::kernelPreference(ObjClass cls, bool knode_active)
 TierPreference
 NomadStrategy::kernelPlacement(ObjClass cls, bool knode_active)
 {
-    if (_config.composeKloc) {
-        // KLOC placement (§4.2.2), identical to StrategyKind::Kloc.
-        if (cls == ObjClass::KlocMeta)
-            return {_fast, _slow};
-        if (_kloc && !_kloc->classManaged(cls))
-            return {_fast, _slow};
-        if (_kloc && _kloc->overMemLimit(_fast))
-            return {_slow, _fast};
-        return knode_active ? TierPreference{_fast, _slow}
-                            : TierPreference{_slow, _fast};
-    }
+    if (_config.composeKloc)
+        return klocKernelPlacement(_kloc, cls, knode_active, _fast, _slow);
     // Plain Nomad is application tiering; kernel objects go slow
     // like other prior-art two-tier policies (§3.2).
     return {_slow, _fast};
@@ -77,7 +53,6 @@ NomadStrategy::scanTick()
     if (!_running)
         return;
     ++_scanTicks;
-    Machine &machine = _heap.mem().machine();
     TierManager &tiers = _heap.tiers();
 
     // Demotions drain through shadows when possible: a clean page
@@ -104,12 +79,7 @@ NomadStrategy::scanTick()
                                        _config.writeRecencyWindow);
     }
 
-    machine.events().schedule(
-        machine.now() + _config.scanPeriod,
-        [this, weak = std::weak_ptr<int>(_alive)] {
-            if (!weak.expired())
-                scanTick();
-        });
+    scheduleTick(_config.scanPeriod, &NomadStrategy::scanTick);
 }
 
 void
@@ -118,13 +88,7 @@ NomadStrategy::start()
     if (_running)
         return;
     _running = true;
-    Machine &machine = _heap.mem().machine();
-    machine.events().schedule(
-        machine.now() + _config.scanPeriod,
-        [this, weak = std::weak_ptr<int>(_alive)] {
-            if (!weak.expired())
-                scanTick();
-        });
+    scheduleTick(_config.scanPeriod, &NomadStrategy::scanTick);
     if (_config.composeKloc && _kloc)
         _kloc->startDaemon(_config.klocDaemonPeriod);
 }

@@ -20,8 +20,6 @@
 #ifndef KLOC_POLICY_NOMAD_HH
 #define KLOC_POLICY_NOMAD_HH
 
-#include <memory>
-
 #include "core/kloc_manager.hh"
 #include "mem/lru.hh"
 #include "mem/migration.hh"
@@ -50,16 +48,8 @@ class NomadStrategy : public Policy
         Tick klocDaemonPeriod = 2 * kMillisecond;
     };
 
-    /** @param kloc required non-null when config.composeKloc. */
-    NomadStrategy(KernelHeap &heap, LruEngine &lru,
-                  MigrationEngine &migrator, KlocManager *kloc,
-                  TierId fast, TierId slow, Config config);
-
-    NomadStrategy(KernelHeap &heap, LruEngine &lru,
-                  MigrationEngine &migrator, KlocManager *kloc,
-                  TierId fast, TierId slow)
-        : NomadStrategy(heap, lru, migrator, kloc, fast, slow, Config{})
-    {}
+    /** @p ctx.kloc is required non-null when config.composeKloc. */
+    NomadStrategy(const PolicyContext &ctx, Config config);
 
     const char *
     name() const override
@@ -88,15 +78,6 @@ class NomadStrategy : public Policy
      *  with TierManager::preferHealthy. */
     TierPreference kernelPlacement(ObjClass cls, bool knode_active);
 
-    /** Liveness token for scheduled tick lambdas (see strategy.hh). */
-    std::shared_ptr<int> _alive = std::make_shared<int>(0);
-
-    KernelHeap &_heap;
-    LruEngine &_lru;
-    MigrationEngine &_migrator;
-    KlocManager *_kloc;
-    TierId _fast;
-    TierId _slow;
     Config _config;
     bool _running = false;
     uint64_t _scanTicks = 0;

@@ -8,6 +8,9 @@
  * time; the registry (policy/registry.hh) constructs policies by
  * name so tests and benches pick up new ones automatically.
  *
+ * Every policy is built from a PolicyContext: the subsystems it drives
+ * and the tiers it places onto, held by the base for the subclass.
+ *
  * Lifecycle contract:
  *  - install(): make this the heap's placement policy and configure
  *    machinery (KLOC interface, migration parallelism, budgets).
@@ -21,9 +24,37 @@
 #ifndef KLOC_POLICY_POLICY_HH
 #define KLOC_POLICY_POLICY_HH
 
+#include <memory>
+
+#include "kobj/kernel_heap.hh"
 #include "mem/placement.hh"
 
 namespace kloc {
+
+class KlocManager;
+class LruEngine;
+class MigrationEngine;
+
+/** Everything a policy constructor may need. */
+struct PolicyContext
+{
+    KernelHeap &heap;
+    LruEngine &lru;
+    MigrationEngine &migrator;
+    KlocManager *kloc;  ///< may be null; KLOC policies then fail
+    /** Two-tier: the fast and slow tier. AutoNUMA balances over every
+     *  tier instead, one per socket in socket order. */
+    TierId fast;
+    TierId slow;
+
+    /**
+     * The tier manager behind @p heap. Policies consult its health
+     * state (TierManager::preferHealthy) so degraded tiers fall
+     * behind healthy ones in every TierPreference; see
+     * docs/POLICIES.md for the health callback contract.
+     */
+    TierManager &tiers() const { return heap.tiers(); }
+};
 
 /** One installable tiering policy (placement + migration driver). */
 class Policy : public PlacementPolicy
@@ -44,6 +75,46 @@ class Policy : public PlacementPolicy
     /** Whether the platform should enable KLOC-side plumbing
      *  (early demux etc.) while this policy is installed. */
     virtual bool usesKloc() const { return false; }
+
+  protected:
+    explicit Policy(const PolicyContext &ctx)
+        : _heap(ctx.heap),
+          _lru(ctx.lru),
+          _migrator(ctx.migrator),
+          _kloc(ctx.kloc),
+          _fast(ctx.fast),
+          _slow(ctx.slow)
+    {}
+
+    /**
+     * Run this policy's @p tick after @p period of virtual time. The
+     * simulator cannot unschedule events, so a tick that fires after
+     * this policy was destroyed (replaced) is a no-op.
+     */
+    template <typename Self>
+    void
+    scheduleTick(Tick period, void (Self::*tick)())
+    {
+        Machine &machine = _heap.mem().machine();
+        machine.events().schedule(
+            machine.now() + period,
+            [self = static_cast<Self *>(this), tick,
+             weak = std::weak_ptr<int>(_alive)] {
+                if (!weak.expired())
+                    (self->*tick)();
+            });
+    }
+
+    KernelHeap &_heap;
+    LruEngine &_lru;
+    MigrationEngine &_migrator;
+    KlocManager *_kloc;
+    TierId _fast;
+    TierId _slow;
+
+  private:
+    /** Liveness token checked by every scheduled tick. */
+    std::shared_ptr<int> _alive = std::make_shared<int>(0);
 };
 
 } // namespace kloc

@@ -1,66 +1,70 @@
 /**
  * @file
- * Policy registry: construct two-tier policies by stable name.
- *
- * Tests, benches, and the fault fuzz build policies through this one
- * factory, so a newly registered policy is automatically swept by
- * the conformance suite and the policy benches. Registering a policy
- * means: add its name to policyNames() (and conformancePolicyNames()
- * if it should pass the shared fixture — it should), and teach
- * makePolicy() to build it. See docs/POLICIES.md.
- *
- * The registry is platform-free: it takes the subsystem references a
- * policy needs directly, so a raw test stack (no TwoTierPlatform)
- * can build policies too.
+ * Policy registry: one PolicyRow per named policy, on both platforms
+ * (registry.cc). The name lists below derive from the rows and a
+ * policy's name() is its row's name, so registering a policy is
+ * adding one row (docs/POLICIES.md). The platforms share names
+ * ("autonuma", "nimble", "klocs"), so a lookup names the platform.
+ * The registry is platform-free: a raw test stack can build policies.
  */
 
 #ifndef KLOC_POLICY_REGISTRY_HH
 #define KLOC_POLICY_REGISTRY_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "policy/autonuma.hh"
 #include "policy/policy.hh"
+#include "policy/strategy.hh"
 
 namespace kloc {
 
-class KernelHeap;
-class LruEngine;
-class MigrationEngine;
-class KlocManager;
+/** The platform a registered policy runs on. */
+enum class PolicyPlatform : uint8_t { TwoTier, Optane };
 
-class TierManager;
+/** How a registry row builds its policy. */
+enum class PolicyFamily : uint8_t { Tiering, Nomad, Jenga, AutoNuma };
 
-/** Everything a two-tier policy constructor may need. */
-struct PolicyContext
+/** One registered policy. */
+struct PolicyRow
 {
-    KernelHeap &heap;
-    LruEngine &lru;
-    MigrationEngine &migrator;
-    KlocManager *kloc;  ///< may be null; KLOC policies then fail
-    TierId fast;
-    TierId slow;
+    const char *name;
+    PolicyFamily family;
+    /** PolicyFamily::Tiering: the Table 5 strategy. */
+    StrategyKind kind = StrategyKind::Naive;
+    /** PolicyFamily::AutoNuma: the Fig. 5a variant. */
+    AutoNumaPolicy::Mode mode = AutoNumaPolicy::Mode::Static;
+    /** Composes KLOC: needs a KlocManager, keeps early demux on. */
+    bool kloc = false;
+    /** Swept by the conformance suite (conformancePolicyNames()). */
+    bool swept = false;
 
-    /**
-     * The tier manager behind @p heap. Policies consult its health
-     * state (TierManager::preferHealthy) so degraded tiers fall
-     * behind healthy ones in every TierPreference; see
-     * docs/POLICIES.md for the health callback contract.
-     */
-    TierManager &tiers() const;
+    bool optane() const { return family == PolicyFamily::AutoNuma; }
 };
 
+/** The row that builds TieringStrategy @p kind. */
+const PolicyRow &policyRow(StrategyKind kind);
+
+/** The row that builds AutoNumaPolicy @p mode. */
+const PolicyRow &policyRow(AutoNumaPolicy::Mode mode);
+
 /**
- * Build the policy registered under @p name.
+ * Build the policy registered under @p name on @p platform.
  * @return nullptr for an unknown name, or for a KLOC-composed policy
  *         when @p ctx.kloc is null.
  */
-std::unique_ptr<Policy> makePolicy(const std::string &name,
-                                   const PolicyContext &ctx);
+std::unique_ptr<Policy>
+makePolicy(const std::string &name, const PolicyContext &ctx,
+           PolicyPlatform platform = PolicyPlatform::TwoTier);
 
 /** Every registered two-tier policy name. */
 const std::vector<std::string> &policyNames();
+
+/** Every registered Optane policy name (Fig. 5a). */
+const std::vector<std::string> &optanePolicyNames();
 
 /**
  * The dynamic policies every conformance test runs against (the

@@ -1,59 +1,61 @@
 #include "policy/strategy.hh"
 
 #include "base/logging.hh"
+#include "policy/registry.hh"
 
 namespace kloc {
 
-const char *
-strategyName(StrategyKind kind)
+void
+setKlocMode(KernelHeap &heap, KlocManager *kloc, bool on,
+            const TierPreference &order)
 {
-    switch (kind) {
-      case StrategyKind::AllFast:         return "all_fast";
-      case StrategyKind::AllSlow:         return "all_slow";
-      case StrategyKind::Naive:           return "naive";
-      case StrategyKind::AutoNuma:        return "autonuma";
-      case StrategyKind::Nimble:          return "nimble";
-      case StrategyKind::NimblePlusPlus:  return "nimble++";
-      case StrategyKind::KlocNoMigration: return "klocs_nomigration";
-      case StrategyKind::Kloc:            return "klocs";
-    }
-    return "unknown";
+    if (kloc == nullptr)
+        return;
+    kloc->setEnabled(on);
+    if (on)
+        kloc->setTierOrder(order);
+    heap.setKlocInterface(on);
 }
 
-TieringStrategy::TieringStrategy(StrategyKind kind, KernelHeap &heap,
-                                 LruEngine &lru, MigrationEngine &migrator,
-                                 KlocManager *kloc, TierId fast, TierId slow,
-                                 Config config)
-    : _kind(kind),
-      _heap(heap),
-      _lru(lru),
-      _migrator(migrator),
-      _kloc(kloc),
-      _fast(fast),
-      _slow(slow),
-      _config(config)
+TierPreference
+klocKernelPlacement(const KlocManager *kloc, ObjClass cls, bool knode_active,
+                    TierId fast, TierId slow)
 {
-    const bool needs_kloc = kind == StrategyKind::KlocNoMigration ||
-                            kind == StrategyKind::Kloc;
-    KLOC_ASSERT(!needs_kloc || kloc != nullptr,
-                "strategy %s requires a KlocManager", strategyName(kind));
+    if (cls == ObjClass::KlocMeta)
+        return {fast, slow};
+    if (kloc && !kloc->classManaged(cls))
+        return {fast, slow};
+    if (kloc && kloc->overMemLimit(fast))
+        return {slow, fast};
+    return knode_active ? TierPreference{fast, slow}
+                        : TierPreference{slow, fast};
+}
+
+TieringStrategy::TieringStrategy(StrategyKind kind, const PolicyContext &ctx,
+                                 Config config)
+    : Policy(ctx), _kind(kind), _row(policyRow(kind)), _config(config)
+{
+    KLOC_ASSERT(!_row.kloc || _kloc != nullptr,
+                "strategy %s requires a KlocManager", _row.name);
+}
+
+const char *
+TieringStrategy::name() const
+{
+    return _row.name;
+}
+
+bool
+TieringStrategy::usesKloc() const
+{
+    return _row.kloc;
 }
 
 void
 TieringStrategy::install()
 {
     _heap.setPolicy(this);
-    const bool kloc_on = _kind == StrategyKind::KlocNoMigration ||
-                         _kind == StrategyKind::Kloc;
-    if (_kloc) {
-        _kloc->setEnabled(kloc_on);
-        if (kloc_on) {
-            _kloc->setTierOrder({_fast, _slow});
-            _heap.setKlocInterface(true);
-        } else {
-            _heap.setKlocInterface(false);
-        }
-    }
+    setKlocMode(_heap, _kloc, _row.kloc, {_fast, _slow});
     _migrator.setParallelism(
         _kind == StrategyKind::Nimble ||
         _kind == StrategyKind::NimblePlusPlus ||
@@ -113,18 +115,7 @@ TieringStrategy::kernelPlacement(ObjClass cls, bool knode_active)
         return {_slow, _fast};
       case StrategyKind::KlocNoMigration:
       case StrategyKind::Kloc:
-        // KLOC metadata and unmanaged classes are pinned fast; the
-        // managed classes follow knode hotness (§4.2.2). A
-        // sys_kloc_memsize cap diverts kernel objects once their
-        // fast-tier residency reaches it.
-        if (cls == ObjClass::KlocMeta)
-            return {_fast, _slow};
-        if (_kloc && !_kloc->classManaged(cls))
-            return {_fast, _slow};
-        if (_kloc && _kloc->overMemLimit(_fast))
-            return {_slow, _fast};
-        return knode_active ? TierPreference{_fast, _slow}
-                            : TierPreference{_slow, _fast};
+        return klocKernelPlacement(_kloc, cls, knode_active, _fast, _slow);
     }
     return {_fast, _slow};
 }
@@ -156,7 +147,6 @@ TieringStrategy::scanTick()
     if (!_running)
         return;
     ++_scanTicks;
-    Machine &machine = _heap.mem().machine();
     TierManager &tiers = _heap.tiers();
 
     const bool kernel_scope = usesKernelScanMigration();
@@ -197,12 +187,7 @@ TieringStrategy::scanTick()
         _migrator.migrate(_victims, _fast);
     }
 
-    machine.events().schedule(
-        machine.now() + _config.scanPeriod,
-        [this, weak = std::weak_ptr<int>(_alive)] {
-            if (!weak.expired())
-                scanTick();
-        });
+    scheduleTick(_config.scanPeriod, &TieringStrategy::scanTick);
 }
 
 void
@@ -210,15 +195,9 @@ TieringStrategy::start()
 {
     if (_running)
         return;
-    Machine &machine = _heap.mem().machine();
     if (usesAppMigration()) {
         _running = true;
-        machine.events().schedule(
-            machine.now() + _config.scanPeriod,
-            [this, weak = std::weak_ptr<int>(_alive)] {
-                if (!weak.expired())
-                    scanTick();
-            });
+        scheduleTick(_config.scanPeriod, &TieringStrategy::scanTick);
     }
     if (_kind == StrategyKind::Kloc && _kloc)
         _kloc->startDaemon(_config.klocDaemonPeriod);

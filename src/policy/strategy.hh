@@ -25,9 +25,6 @@
 #ifndef KLOC_POLICY_STRATEGY_HH
 #define KLOC_POLICY_STRATEGY_HH
 
-#include <memory>
-#include <string>
-
 #include "core/kloc_manager.hh"
 #include "mem/lru.hh"
 #include "mem/migration.hh"
@@ -50,7 +47,26 @@ enum class StrategyKind {
     Kloc,
 };
 
-const char *strategyName(StrategyKind kind);
+struct PolicyRow;
+
+/**
+ * Switch the KLOC runtime and the heap's KLOC interface on (with
+ * tier order @p order) or off. A no-op without a KlocManager. The
+ * KLOC-capable policies' install() and the platform lifecycle use it.
+ */
+void setKlocMode(KernelHeap &heap, KlocManager *kloc, bool on,
+                 const TierPreference &order);
+
+/**
+ * KLOC kernel-object placement (§4.2.2), health-blind: KLOC metadata
+ * and classes KLOC does not manage are pinned fast; managed classes
+ * follow knode hotness, unless a sys_kloc_memsize cap diverts them
+ * once their fast-tier residency reaches it. Shared by the KLOC
+ * strategies and the KLOC-composed Nomad.
+ */
+TierPreference klocKernelPlacement(const KlocManager *kloc, ObjClass cls,
+                                   bool knode_active, TierId fast,
+                                   TierId slow);
 
 /** One configured tiering strategy. */
 class TieringStrategy : public Policy
@@ -71,24 +87,12 @@ class TieringStrategy : public Policy
         Tick klocDaemonPeriod = 2 * kMillisecond;
     };
 
-    /**
-     * @param kloc May be null for strategies that don't use KLOC
-     *             (required non-null for the KLOC strategies).
-     */
-    TieringStrategy(StrategyKind kind, KernelHeap &heap, LruEngine &lru,
-                    MigrationEngine &migrator, KlocManager *kloc,
-                    TierId fast, TierId slow, Config config);
+    /** @p ctx.kloc may be null except for the KLOC strategies. */
+    TieringStrategy(StrategyKind kind, const PolicyContext &ctx,
+                    Config config);
 
-    /** Convenience overload using the default Config. */
-    TieringStrategy(StrategyKind kind, KernelHeap &heap, LruEngine &lru,
-                    MigrationEngine &migrator, KlocManager *kloc,
-                    TierId fast, TierId slow)
-        : TieringStrategy(kind, heap, lru, migrator, kloc, fast, slow,
-                          Config{})
-    {}
-
-    StrategyKind kind() const { return _kind; }
-    const char *name() const override { return strategyName(_kind); }
+    /** The registry name of this strategy's kind. */
+    const char *name() const override;
 
     /**
      * Apply the strategy: installs itself as the heap's placement
@@ -103,12 +107,7 @@ class TieringStrategy : public Policy
     /** Stop periodic work. */
     void stop() override;
 
-    bool
-    usesKloc() const override
-    {
-        return _kind == StrategyKind::KlocNoMigration ||
-               _kind == StrategyKind::Kloc;
-    }
+    bool usesKloc() const override;
 
     // -- PlacementPolicy ----------------------------------------------------
     TierPreference kernelPreference(ObjClass cls,
@@ -128,20 +127,9 @@ class TieringStrategy : public Policy
     TierPreference kernelPlacement(ObjClass cls, bool knode_active);
     TierPreference appPlacement();
 
-    /**
-     * Liveness token for scheduled tick lambdas: events capture a
-     * weak_ptr so a tick scheduled before this strategy was replaced
-     * cannot touch the freed object.
-     */
-    std::shared_ptr<int> _alive = std::make_shared<int>(0);
-
     StrategyKind _kind;
-    KernelHeap &_heap;
-    LruEngine &_lru;
-    MigrationEngine &_migrator;
-    KlocManager *_kloc;
-    TierId _fast;
-    TierId _slow;
+    /** This kind's registry row: its name and whether it is KLOC. */
+    const PolicyRow &_row;
     Config _config;
     bool _running = false;
     uint64_t _scanTicks = 0;

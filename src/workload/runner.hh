@@ -1,6 +1,8 @@
 /**
  * @file
- * Shared run protocol for experiments: setup, quiesce, measure.
+ * Shared run protocols for experiments: setup, quiesce, measure, on
+ * the two-tier platform (runMeasured) and on the Optane platform
+ * (runOptaneMeasured).
  *
  * Between the load phase and the measured phase every configuration
  * gets the same treatment: dirty state is flushed and the virtual
@@ -14,6 +16,7 @@
 #ifndef KLOC_WORKLOAD_RUNNER_HH
 #define KLOC_WORKLOAD_RUNNER_HH
 
+#include "platform/optane.hh"
 #include "trace/trace.hh"
 #include "workload/workload.hh"
 
@@ -40,6 +43,30 @@ runMeasured(System &sys, Workload &workload)
     workload.setup(sys);
     sys.fs().syncAll();
     sys.machine().charge(kQuiesceWindow);
+    return workload.run(sys);
+}
+
+/**
+ * The Fig. 5a protocol (§6.2) under @p platform's installed policy:
+ * set up on the interfered socket 0 (socket 1 with @p ideal_local,
+ * the figure's upper bound), move the task to socket 1, quiesce, run
+ * one warm-up pass (the paper measures steady state), then measure.
+ * The caller tears down afterwards.
+ */
+inline WorkloadResult
+runOptaneMeasured(OptanePlatform &platform, Workload &workload,
+                  bool ideal_local = false)
+{
+    System &sys = platform.sys();
+    TraceBatch batch(sys.machine().tracer());
+    platform.moveTaskToSocket(ideal_local ? 1 : 0);
+    workload.setCpus(platform.taskCpus());
+    workload.setup(sys);
+    sys.fs().syncAll();
+    platform.moveTaskToSocket(1);
+    workload.setCpus(platform.taskCpus());
+    sys.machine().charge(kQuiesceWindow);
+    workload.run(sys);
     return workload.run(sys);
 }
 

@@ -14,32 +14,53 @@
 
 namespace kloc {
 
+namespace {
+
+template <typename Driver>
+std::unique_ptr<Workload>
+make(const WorkloadConfig &config)
+{
+    return std::make_unique<Driver>(config);
+}
+
+constexpr WorkloadEntry kWorkloads[] = {
+    {"rocksdb", true, &make<RocksDbWorkload>},
+    {"redis", true, &make<RedisWorkload>},
+    {"filebench", true, &make<FilebenchWorkload>},
+    {"cassandra", true, &make<CassandraWorkload>},
+    {"spark", true, &make<SparkWorkload>},
+    {"varmail", false, &make<VarmailWorkload>},
+    {"webserver", false, &make<WebserverWorkload>},
+    {"thrash", false, &make<ThrashWorkload>},
+};
+
+} // namespace
+
+std::span<const WorkloadEntry>
+workloadTable()
+{
+    return kWorkloads;
+}
+
 std::unique_ptr<Workload>
 makeWorkload(const std::string &name, const WorkloadConfig &config)
 {
-    if (name == "rocksdb")
-        return std::make_unique<RocksDbWorkload>(config);
-    if (name == "redis")
-        return std::make_unique<RedisWorkload>(config);
-    if (name == "filebench")
-        return std::make_unique<FilebenchWorkload>(config);
-    if (name == "cassandra")
-        return std::make_unique<CassandraWorkload>(config);
-    if (name == "spark")
-        return std::make_unique<SparkWorkload>(config);
-    if (name == "varmail")
-        return std::make_unique<VarmailWorkload>(config);  // extension
-    if (name == "webserver")
-        return std::make_unique<WebserverWorkload>(config);  // extension
-    if (name == "thrash")
-        return std::make_unique<ThrashWorkload>(config);  // extension
+    for (const WorkloadEntry &entry : kWorkloads) {
+        if (name == entry.name)
+            return entry.make(config);
+    }
     fatal("unknown workload '%s'", name.c_str());
 }
 
 std::vector<std::string>
 workloadNames()
 {
-    return {"rocksdb", "redis", "filebench", "cassandra", "spark"};
+    std::vector<std::string> names;
+    for (const WorkloadEntry &entry : kWorkloads) {
+        if (entry.paper)
+            names.emplace_back(entry.name);
+    }
+    return names;
 }
 
 void

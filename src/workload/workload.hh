@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -151,11 +152,30 @@ class FdCache
     std::vector<std::pair<std::string, int>> _entries;
 };
 
+/** One registered workload driver. */
+struct WorkloadEntry
+{
+    const char *name;
+    /** A Table 3 workload of the paper; false for an extension. */
+    bool paper;
+    std::unique_ptr<Workload> (*make)(const WorkloadConfig &config);
+};
+
+/**
+ * Every registered driver: the paper's workloads in Table 3 order,
+ * then the extensions (varmail, webserver, thrash).
+ */
+std::span<const WorkloadEntry> workloadTable();
+
 /** Construct a driver by name ("rocksdb", "redis", ...). */
 std::unique_ptr<Workload> makeWorkload(const std::string &name,
                                        const WorkloadConfig &config);
 
-/** All registered workload names, in Table 3 order. */
+/**
+ * The paper's workload names, in Table 3 order. The figure benches
+ * key their metrics on these; workloadTable() lists the extensions
+ * too.
+ */
 std::vector<std::string> workloadNames();
 
 } // namespace kloc

@@ -370,7 +370,7 @@ runStorm(const std::string &workload_name)
     platform_config.scale = 256;
     TwoTierPlatform platform(platform_config);
     System &sys = platform.sys();
-    platform.applyStrategy(StrategyKind::Kloc);
+    platform.applyPolicyByName("klocs");
 
     // Poison chaos only: per-access/scan/copy poisoning plus storm
     // bursts on both tiers, timed to land while the workload runs.

@@ -15,12 +15,12 @@ namespace kloc {
 namespace {
 
 std::unique_ptr<TwoTierPlatform>
-makePlatform(StrategyKind kind = StrategyKind::Kloc)
+makePlatform()
 {
     TwoTierPlatform::Config config;
     config.scale = 256;
     auto platform = std::make_unique<TwoTierPlatform>(config);
-    platform->applyStrategy(kind);
+    platform->applyPolicyByName("klocs");
     return platform;
 }
 
@@ -108,7 +108,7 @@ TEST(VfsExtended, DentryCacheEvictsClosedFilesOnly)
     config.scale = 256;
     config.system.fs.dentryCacheCap = 8;
     TwoTierPlatform platform(config);
-    platform.applyStrategy(StrategyKind::Kloc);
+    platform.applyPolicyByName("klocs");
     System &sys = platform.sys();
     std::vector<int> fds;
     for (int i = 0; i < 20; ++i) {

@@ -34,7 +34,7 @@ TEST_P(VfsPropertyTest, MatchesReferenceModel)
     config.scale = 256;
     config.system.fs.dataBacked = true;
     TwoTierPlatform platform(config);
-    platform.applyStrategy(StrategyKind::Kloc);
+    platform.applyPolicyByName("klocs");
     System &sys = platform.sys();
     sys.fs().startDaemons();
     FileSystem &fs = sys.fs();

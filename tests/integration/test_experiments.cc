@@ -42,16 +42,13 @@ midPlatform()
 }
 
 double
-runStrategy(const std::string &workload_name, StrategyKind kind,
+runStrategy(const std::string &workload_name, const std::string &policy,
             MigrationStats *migration = nullptr,
             uint64_t *slow_cache_allocs = nullptr)
 {
-    TwoTierPlatform::Config platform_config = midPlatform();
-    if (kind == StrategyKind::AllFast)
-        platform_config.fastCapacity += platform_config.slowCapacity;
-    TwoTierPlatform platform(platform_config);
+    TwoTierPlatform platform(midPlatform().forPolicy(policy));
     System &sys = platform.sys();
-    platform.applyStrategy(kind);
+    platform.applyPolicyByName(policy);
     sys.fs().startDaemons();
     auto workload = makeWorkload(workload_name, midConfig());
     const WorkloadResult result = runMeasured(sys, *workload);
@@ -70,7 +67,7 @@ TEST(Fig2Shape, KernelObjectsDominateFootprint)
 {
     TwoTierPlatform platform(midPlatform());
     System &sys = platform.sys();
-    platform.applyStrategy(StrategyKind::Naive);
+    platform.applyPolicyByName("naive");
     sys.fs().startDaemons();
     auto workload = makeWorkload("rocksdb", midConfig());
     runMeasured(sys, *workload);
@@ -91,7 +88,7 @@ TEST(Fig2Shape, KernelReferencesAreMajor)
 {
     TwoTierPlatform platform(midPlatform());
     System &sys = platform.sys();
-    platform.applyStrategy(StrategyKind::Naive);
+    platform.applyPolicyByName("naive");
     sys.fs().startDaemons();
     auto workload = makeWorkload("filebench", midConfig());
     runMeasured(sys, *workload);
@@ -108,7 +105,7 @@ TEST(Fig2Shape, LifetimeOrderingSlabCacheApp)
 {
     TwoTierPlatform platform(midPlatform());
     System &sys = platform.sys();
-    platform.applyStrategy(StrategyKind::Naive);
+    platform.applyPolicyByName("naive");
     sys.fs().startDaemons();
     auto workload = makeWorkload("redis", midConfig());
     runMeasured(sys, *workload);
@@ -134,12 +131,10 @@ TEST(Fig2Shape, LifetimeOrderingSlabCacheApp)
 
 TEST(Fig4Shape, KlocsBeatsBaselinesOnRocksDb)
 {
-    const double all_slow =
-        runStrategy("rocksdb", StrategyKind::AllSlow);
-    const double nimble = runStrategy("rocksdb", StrategyKind::Nimble);
-    const double klocs = runStrategy("rocksdb", StrategyKind::Kloc);
-    const double all_fast =
-        runStrategy("rocksdb", StrategyKind::AllFast);
+    const double all_slow = runStrategy("rocksdb", "all_slow");
+    const double nimble = runStrategy("rocksdb", "nimble");
+    const double klocs = runStrategy("rocksdb", "klocs");
+    const double all_fast = runStrategy("rocksdb", "all_fast");
     EXPECT_GT(klocs, all_slow * 1.2)
         << "KLOCs must clearly beat the all-slow bound";
     EXPECT_GT(klocs, nimble)
@@ -151,10 +146,8 @@ TEST(Fig5bShape, KlocsAvoidsSlowAllocationsAndDemotes)
 {
     MigrationStats naive_migration, klocs_migration;
     uint64_t naive_slow = 0, klocs_slow = 0;
-    runStrategy("rocksdb", StrategyKind::Naive, &naive_migration,
-                &naive_slow);
-    runStrategy("rocksdb", StrategyKind::Kloc, &klocs_migration,
-                &klocs_slow);
+    runStrategy("rocksdb", "naive", &naive_migration, &naive_slow);
+    runStrategy("rocksdb", "klocs", &klocs_migration, &klocs_slow);
     EXPECT_LT(klocs_slow, naive_slow)
         << "KLOCs allocates page-cache pages in slow memory less often";
     EXPECT_EQ(naive_migration.migratedPages, 0u);
@@ -168,30 +161,22 @@ TEST(Fig5bShape, KlocsAvoidsSlowAllocationsAndDemotes)
 
 TEST(Fig5aShape, KlocsFollowsTheTaskAcrossSockets)
 {
-    auto run_optane = [](AutoNumaPolicy::Mode mode) {
+    auto run_optane = [](const char *policy) {
         OptanePlatform::Config config;
         config.scale = 256;
         OptanePlatform platform(config);
         System &sys = platform.sys();
         platform.setInterference(true);
-        platform.applyPolicy(mode);
+        platform.applyPolicyByName(policy);
         sys.fs().startDaemons();
-        WorkloadConfig wl_config = midConfig();
-        platform.moveTaskToSocket(0);
-        wl_config.cpus = platform.taskCpus();
-        auto workload = makeWorkload("filebench", wl_config);
-        workload->setup(sys);
-        sys.fs().syncAll();
-        platform.moveTaskToSocket(1);
-        workload->setCpus(platform.taskCpus());
-        sys.machine().charge(kQuiesceWindow);
-        workload->run(sys);  // warm-up / convergence window
-        const WorkloadResult result = workload->run(sys);
+        auto workload = makeWorkload("filebench", midConfig());
+        const WorkloadResult result =
+            runOptaneMeasured(platform, *workload);
         workload->teardown(sys);
         return result.throughput();
     };
-    const double remote = run_optane(AutoNumaPolicy::Mode::Static);
-    const double klocs = run_optane(AutoNumaPolicy::Mode::Kloc);
+    const double remote = run_optane("static");
+    const double klocs = run_optane("klocs");
     EXPECT_GT(klocs, remote * 1.1)
         << "KLOCs must pull kernel objects to the task's socket";
 }
@@ -200,7 +185,7 @@ TEST(Table6Shape, MetadataBelowOnePercent)
 {
     TwoTierPlatform platform(midPlatform());
     System &sys = platform.sys();
-    platform.applyStrategy(StrategyKind::Kloc);
+    platform.applyPolicyByName("klocs");
     sys.fs().startDaemons();
     auto workload = makeWorkload("rocksdb", midConfig());
     runMeasured(sys, *workload);
@@ -218,7 +203,7 @@ TEST(AblationShape, PerCpuListsCutTreeAccesses)
     auto drive = [](bool lists) {
         TwoTierPlatform platform(midPlatform());
         System &sys = platform.sys();
-        platform.applyStrategy(StrategyKind::Kloc);
+        platform.applyPolicyByName("klocs");
         sys.kloc().setUsePerCpuLists(lists);
         std::vector<Knode *> knodes;
         for (unsigned i = 0; i < 64; ++i)

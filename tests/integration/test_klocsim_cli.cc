@@ -1,0 +1,99 @@
+/**
+ * @file
+ * klocsim CLI smoke tests: `list` prints the whole registry vocabulary
+ * (both platforms' policy names and every workload), both run commands
+ * accept a registry name through --strategy, and both reject an unknown
+ * one with a nonzero exit.
+ */
+
+#include <gtest/gtest.h>
+
+#include <sys/wait.h>
+
+#include <array>
+#include <cstdio>
+#include <string>
+
+#include "policy/registry.hh"
+#include "workload/workload.hh"
+
+namespace kloc {
+namespace {
+
+struct CliResult
+{
+    int code = -1;
+    std::string out;  ///< stdout and stderr, interleaved
+};
+
+/** Run `klocsim @p args` and collect its exit code and output. */
+CliResult
+klocsim(const std::string &args)
+{
+    const std::string command =
+        std::string(KLOCSIM_PATH) + " " + args + " 2>&1";
+    CliResult result;
+    FILE *pipe = popen(command.c_str(), "r");
+    if (pipe == nullptr)
+        return result;
+    std::array<char, 4096> buffer{};
+    size_t n = 0;
+    while ((n = std::fread(buffer.data(), 1, buffer.size(), pipe)) > 0)
+        result.out.append(buffer.data(), n);
+    const int status = pclose(pipe);
+    result.code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    return result;
+}
+
+bool
+listed(const std::string &out, const std::string &name)
+{
+    return out.find("  " + name + "\n") != std::string::npos ||
+           out.find("  " + name + " ") != std::string::npos;
+}
+
+TEST(KlocsimCli, ListPrintsEveryPolicyAndWorkload)
+{
+    const CliResult r = klocsim("list");
+    ASSERT_EQ(r.code, 0) << r.out;
+    for (const std::string &name : policyNames())
+        EXPECT_TRUE(listed(r.out, name)) << name << " missing:\n" << r.out;
+    for (const std::string &name : optanePolicyNames())
+        EXPECT_TRUE(listed(r.out, name)) << name << " missing:\n" << r.out;
+    ASSERT_EQ(workloadTable().size(), 8u);
+    for (const WorkloadEntry &entry : workloadTable()) {
+        EXPECT_TRUE(listed(r.out, entry.name))
+            << entry.name << " missing:\n" << r.out;
+    }
+}
+
+TEST(KlocsimCli, RunTakesAnyTwoTierRegistryName)
+{
+    const CliResult r =
+        klocsim("run --strategy nomad --ops 200 --scale 256");
+    EXPECT_EQ(r.code, 0) << r.out;
+    EXPECT_NE(r.out.find("under nomad:"), std::string::npos) << r.out;
+}
+
+TEST(KlocsimCli, OptaneTakesAnOptaneRegistryName)
+{
+    const CliResult r =
+        klocsim("optane --strategy klocs --ops 200 --scale 256");
+    EXPECT_EQ(r.code, 0) << r.out;
+    EXPECT_NE(r.out.find("on optane (klocs):"), std::string::npos)
+        << r.out;
+}
+
+TEST(KlocsimCli, UnknownStrategyExitsNonzero)
+{
+    for (const char *command : {"run", "optane"}) {
+        const CliResult r = klocsim(std::string(command) +
+                                    " --strategy bogus --ops 200 "
+                                    "--scale 256");
+        EXPECT_NE(r.code, 0) << command << ":\n" << r.out;
+        EXPECT_NE(r.out.find("bogus"), std::string::npos) << r.out;
+    }
+}
+
+} // namespace
+} // namespace kloc

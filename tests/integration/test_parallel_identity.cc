@@ -36,7 +36,7 @@ struct CellOutput
 struct Cell
 {
     std::string workload;
-    StrategyKind kind;
+    std::string policy;
 };
 
 /** Small but non-trivial grid: two workloads x two strategies. */
@@ -44,10 +44,10 @@ std::vector<Cell>
 identityGrid()
 {
     return {
-        {"rocksdb", StrategyKind::Naive},
-        {"rocksdb", StrategyKind::Kloc},
-        {"redis", StrategyKind::Naive},
-        {"redis", StrategyKind::Kloc},
+        {"rocksdb", "naive"},
+        {"rocksdb", "klocs"},
+        {"redis", "naive"},
+        {"redis", "klocs"},
     };
 }
 
@@ -64,7 +64,7 @@ runCell(const Cell &cell)
     TwoTierPlatform platform(platform_config);
     System &sys = platform.sys();
     sys.machine().tracer().setEnabled(true);
-    platform.applyStrategy(cell.kind);
+    platform.applyPolicyByName(cell.policy);
     sys.fs().startDaemons();
 
     WorkloadConfig workload_config;
@@ -78,7 +78,7 @@ runCell(const Cell &cell)
     char row[160];
     const auto add = [&](const char *name, double value) {
         std::snprintf(row, sizeof(row), "%s.%s.%s=%.17g\n",
-                      cell.workload.c_str(), strategyName(cell.kind),
+                      cell.workload.c_str(), cell.policy.c_str(),
                       name, value);
         out.rows += row;
     };

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "platform/two_tier.hh"
+#include "policy/strategy.hh"
 #include "workload/runner.hh"
 #include "workload/workload.hh"
 
@@ -28,7 +29,11 @@ TEST(Stress, DaemonStormStaysConsistent)
     TieringStrategy::Config strat_config;
     strat_config.scanPeriod = 2 * kMillisecond;
     strat_config.klocDaemonPeriod = kMillisecond;
-    platform.applyStrategy(StrategyKind::Kloc, strat_config);
+    sys.applyPolicy(std::make_unique<TieringStrategy>(
+        StrategyKind::Kloc,
+        PolicyContext{sys.heap(), sys.lru(), sys.migrator(), &sys.kloc(),
+                      platform.fastTier(), platform.slowTier()},
+        strat_config));
     sys.fs().startDaemons();
 
     WorkloadConfig wl_config;
@@ -54,7 +59,7 @@ TEST(Stress, RxPathSurvivesMemoryExhaustion)
     config.slowCapacity = 4 * kMiB;
     TwoTierPlatform platform(config);
     System &sys = platform.sys();
-    platform.applyStrategy(StrategyKind::Naive);
+    platform.applyPolicyByName("naive");
 
     const int sd = sys.net().socket();
     // Flood far beyond memory; drops must be counted, not crashed.
@@ -78,7 +83,7 @@ TEST(Stress, FsWriteUnderTotalExhaustionBypassesCache)
     config.slowCapacity = 4 * kMiB;
     TwoTierPlatform platform(config);
     System &sys = platform.sys();
-    platform.applyStrategy(StrategyKind::Naive);
+    platform.applyPolicyByName("naive");
     const int fd = sys.fs().create("big");
     // Write 4x the total memory; the FS must keep going through
     // reclaim + cache bypass.
@@ -111,7 +116,7 @@ TEST(StressDeath, DoubleCloseIsTolerated)
     config.scale = 1024;
     TwoTierPlatform platform(config);
     System &sys = platform.sys();
-    platform.applyStrategy(StrategyKind::Naive);
+    platform.applyPolicyByName("naive");
     const int fd = sys.fs().create("f");
     sys.fs().close(fd);
     sys.fs().close(fd);  // stale fd: must be a no-op, not a crash
@@ -124,7 +129,7 @@ TEST(StressDeath, FreeingUntrackedObjectDies)
     config.scale = 1024;
     TwoTierPlatform platform(config);
     System &sys = platform.sys();
-    platform.applyStrategy(StrategyKind::Kloc);
+    platform.applyPolicyByName("klocs");
     EXPECT_DEATH(
         {
             KernelObject obj(KobjKind::Inode);
@@ -139,7 +144,7 @@ TEST(StressDeath, UnmapWithLiveObjectsDies)
     config.scale = 1024;
     TwoTierPlatform platform(config);
     System &sys = platform.sys();
-    platform.applyStrategy(StrategyKind::Kloc);
+    platform.applyPolicyByName("klocs");
     EXPECT_DEATH(
         {
             Knode *knode = sys.kloc().mapKnode(424242);
@@ -163,10 +168,9 @@ TEST(Stress, RepeatedStrategySwitching)
     WorkloadConfig wl_config;
     wl_config.scale = 1024;
     wl_config.operations = 500;
-    for (const StrategyKind kind :
-         {StrategyKind::Naive, StrategyKind::Kloc, StrategyKind::Nimble,
-          StrategyKind::Kloc, StrategyKind::NimblePlusPlus}) {
-        platform.applyStrategy(kind);
+    for (const char *policy :
+         {"naive", "klocs", "nimble", "klocs", "nimble++"}) {
+        platform.applyPolicyByName(policy);
         auto workload = makeWorkload("filebench", wl_config);
         workload->setup(sys);
         workload->run(sys);

@@ -283,7 +283,8 @@ runThrashNomad()
     machine.tracer().setEnabled(true);
     InvariantChecker checker(machine.tracer(), /*strict=*/true);
 
-    NomadStrategy policy(heap, lru, migrator, &kloc, fast, slow);
+    NomadStrategy policy(PolicyContext{heap, lru, migrator, &kloc, fast, slow},
+                         NomadStrategy::Config{});
     policy.install();
     kloc.setEnabled(false);
     heap.setKlocInterface(false);

@@ -10,7 +10,6 @@
 #include "platform/optane.hh"
 #include "platform/two_tier.hh"
 #include "policy/autonuma.hh"
-#include "policy/strategy.hh"
 
 namespace kloc {
 namespace {
@@ -26,10 +25,10 @@ class StrategyTest : public ::testing::Test
     }
 
     TierPreference
-    kernelPref(StrategyKind kind, ObjClass cls, bool active)
+    kernelPref(const std::string &policy, ObjClass cls, bool active)
     {
-        TieringStrategy &strategy = platform->applyStrategy(kind);
-        return strategy.kernelPreference(cls, active);
+        return platform->applyPolicyByName(policy).kernelPreference(
+            cls, active);
     }
 
     std::unique_ptr<TwoTierPlatform> platform;
@@ -39,16 +38,16 @@ TEST_F(StrategyTest, AllFastAllSlowAreStatic)
 {
     const TierId fast = platform->fastTier();
     const TierId slow = platform->slowTier();
-    EXPECT_EQ(kernelPref(StrategyKind::AllFast, ObjClass::PageCache, true),
+    EXPECT_EQ(kernelPref("all_fast", ObjClass::PageCache, true),
               TierPreference{fast});
-    EXPECT_EQ(kernelPref(StrategyKind::AllSlow, ObjClass::PageCache, true),
+    EXPECT_EQ(kernelPref("all_slow", ObjClass::PageCache, true),
               TierPreference{slow});
 }
 
 TEST_F(StrategyTest, NaiveIsGreedyFastFirst)
 {
     const auto pref =
-        kernelPref(StrategyKind::Naive, ObjClass::SockBuf, false);
+        kernelPref("naive", ObjClass::SockBuf, false);
     ASSERT_EQ(pref.size(), 2u);
     EXPECT_EQ(pref[0], platform->fastTier());
 }
@@ -56,37 +55,36 @@ TEST_F(StrategyTest, NaiveIsGreedyFastFirst)
 TEST_F(StrategyTest, NimblePutsKernelObjectsInSlow)
 {
     const auto pref =
-        kernelPref(StrategyKind::Nimble, ObjClass::PageCache, true);
+        kernelPref("nimble", ObjClass::PageCache, true);
     EXPECT_EQ(pref[0], platform->slowTier())
         << "prior art places kernel objects in slow memory (§3.2)";
     // ...but application pages go fast-first.
-    TieringStrategy &strategy =
-        platform->applyStrategy(StrategyKind::Nimble);
-    EXPECT_EQ(strategy.appPreference()[0], platform->fastTier());
+    Policy &nimble = platform->applyPolicyByName("nimble");
+    EXPECT_EQ(nimble.appPreference()[0], platform->fastTier());
 }
 
 TEST_F(StrategyTest, KlocFollowsKnodeHotness)
 {
     const auto hot =
-        kernelPref(StrategyKind::Kloc, ObjClass::PageCache, true);
+        kernelPref("klocs", ObjClass::PageCache, true);
     const auto cold =
-        kernelPref(StrategyKind::Kloc, ObjClass::PageCache, false);
+        kernelPref("klocs", ObjClass::PageCache, false);
     EXPECT_EQ(hot[0], platform->fastTier());
     EXPECT_EQ(cold[0], platform->slowTier());
     // KLOC metadata is pinned fast regardless.
     const auto meta =
-        kernelPref(StrategyKind::Kloc, ObjClass::KlocMeta, false);
+        kernelPref("klocs", ObjClass::KlocMeta, false);
     EXPECT_EQ(meta[0], platform->fastTier());
 }
 
 TEST_F(StrategyTest, InstallTogglesKlocMachinery)
 {
-    platform->applyStrategy(StrategyKind::Kloc);
+    platform->applyPolicyByName("klocs");
     EXPECT_TRUE(platform->sys().kloc().enabled());
     EXPECT_TRUE(platform->sys().heap().klocInterface());
     EXPECT_TRUE(platform->sys().net().earlyDemux());
 
-    platform->applyStrategy(StrategyKind::Nimble);
+    platform->applyPolicyByName("nimble");
     EXPECT_FALSE(platform->sys().kloc().enabled());
     EXPECT_FALSE(platform->sys().heap().klocInterface());
     EXPECT_FALSE(platform->sys().net().earlyDemux());
@@ -94,12 +92,11 @@ TEST_F(StrategyTest, InstallTogglesKlocMachinery)
 
 TEST_F(StrategyTest, UnmanagedClassPinnedFastUnderKloc)
 {
-    platform->applyStrategy(StrategyKind::Kloc);
+    platform->applyPolicyByName("klocs");
     platform->sys().kloc().setManagedClasses(
         ~(1u << static_cast<unsigned>(ObjClass::Journal)));
-    TieringStrategy &strategy = *platform->strategy();
-    const auto pref =
-        strategy.kernelPreference(ObjClass::Journal, /*active=*/false);
+    const auto pref = platform->policy()->kernelPreference(
+        ObjClass::Journal, /*active=*/false);
     EXPECT_EQ(pref[0], platform->fastTier())
         << "excluded classes are always placed in fast memory (§7.3)";
     platform->sys().kloc().setManagedClasses(~0u);
@@ -108,7 +105,7 @@ TEST_F(StrategyTest, UnmanagedClassPinnedFastUnderKloc)
 TEST_F(StrategyTest, ScanTickDemotesUnderPressure)
 {
     System &sys = platform->sys();
-    platform->applyStrategy(StrategyKind::Nimble);
+    platform->applyPolicyByName("nimble");
     // Fill the fast tier with cold app pages beyond the watermark.
     std::vector<Frame *> pages;
     Tier &fast = sys.tiers().tier(platform->fastTier());
@@ -132,8 +129,8 @@ TEST_F(StrategyTest, ScanTickDemotesUnderPressure)
 TEST(AutoNumaTest, LocalFirstPreferences)
 {
     OptanePlatform platform;
-    AutoNumaPolicy &policy =
-        platform.applyPolicy(AutoNumaPolicy::Mode::AutoNuma);
+    auto &policy = dynamic_cast<AutoNumaPolicy &>(
+        platform.applyPolicyByName("autonuma"));
     platform.moveTaskToSocket(0);
     EXPECT_EQ(policy.localTier(), platform.socketTiers()[0]);
     EXPECT_EQ(policy.appPreference()[0], platform.socketTiers()[0]);
@@ -147,7 +144,7 @@ TEST(AutoNumaTest, BalanceTickMigratesHotAppPagesToTaskSocket)
 {
     OptanePlatform platform;
     System &sys = platform.sys();
-    platform.applyPolicy(AutoNumaPolicy::Mode::AutoNuma);
+    platform.applyPolicyByName("autonuma");
     platform.moveTaskToSocket(0);
 
     // Allocate app pages locally on socket 0 and make them hot.
@@ -181,7 +178,7 @@ TEST(AutoNumaTest, StaticModeNeverMigrates)
 {
     OptanePlatform platform;
     System &sys = platform.sys();
-    platform.applyPolicy(AutoNumaPolicy::Mode::Static);
+    platform.applyPolicyByName("static");
     std::vector<Frame *> pages;
     platform.moveTaskToSocket(0);
     for (int i = 0; i < 16; ++i)

@@ -1,10 +1,10 @@
 /**
  * @file
- * Unit coverage for the policy dispatch layer: strategyName() for
- * every StrategyKind (including the AutoNuma mapping), registry
- * construction of every registered policy name, and AutoNumaPolicy
- * edge cases (empty remote tier, a single-frame KLOC following the
- * task across sockets, all tiers cold).
+ * Unit coverage for the policy dispatch layer: registry construction
+ * and the name round trip of every registered policy name on both
+ * platforms, and AutoNumaPolicy edge cases (empty remote tier, a
+ * single-frame KLOC following the task across sockets, all tiers
+ * cold).
  */
 
 #include <gtest/gtest.h>
@@ -25,19 +25,6 @@
 
 namespace kloc {
 namespace {
-
-TEST(StrategyName, CoversEveryKind)
-{
-    EXPECT_STREQ(strategyName(StrategyKind::AllFast), "all_fast");
-    EXPECT_STREQ(strategyName(StrategyKind::AllSlow), "all_slow");
-    EXPECT_STREQ(strategyName(StrategyKind::Naive), "naive");
-    EXPECT_STREQ(strategyName(StrategyKind::AutoNuma), "autonuma");
-    EXPECT_STREQ(strategyName(StrategyKind::Nimble), "nimble");
-    EXPECT_STREQ(strategyName(StrategyKind::NimblePlusPlus), "nimble++");
-    EXPECT_STREQ(strategyName(StrategyKind::KlocNoMigration),
-                 "klocs_nomigration");
-    EXPECT_STREQ(strategyName(StrategyKind::Kloc), "klocs");
-}
 
 /** Minimal two-tier stack for registry construction tests. */
 struct RegistryStack
@@ -85,6 +72,16 @@ TEST(PolicyRegistry, BuildsEveryRegisteredName)
         auto policy = makePolicy(name, s.context());
         ASSERT_NE(policy, nullptr) << "registry failed for " << name;
         EXPECT_EQ(policy->name(), name);
+    }
+    const std::vector<std::string> optane = {"static", "autonuma",
+                                             "nimble", "klocs"};
+    EXPECT_EQ(optanePolicyNames(), optane);
+    for (const std::string &name : optanePolicyNames()) {
+        auto policy =
+            makePolicy(name, s.context(), PolicyPlatform::Optane);
+        ASSERT_NE(policy, nullptr) << "registry failed for " << name;
+        EXPECT_EQ(policy->name(), name);
+        EXPECT_NE(dynamic_cast<AutoNumaPolicy *>(policy.get()), nullptr);
     }
 }
 
@@ -149,8 +146,8 @@ struct NumaStack
         AutoNumaPolicy::Config config;
         config.scanPeriod = 10 * kMillisecond;
         policy = std::make_unique<AutoNumaPolicy>(
-            mode, heap, lru, migrator, &kloc,
-            std::vector<TierId>{tier0, tier1}, config);
+            mode, PolicyContext{heap, lru, migrator, &kloc, tier0, tier1},
+            config);
         policy->install();
     }
 

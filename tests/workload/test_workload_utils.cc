@@ -19,7 +19,7 @@ makePlatform()
     TwoTierPlatform::Config config;
     config.scale = 256;
     auto platform = std::make_unique<TwoTierPlatform>(config);
-    platform->applyStrategy(StrategyKind::Kloc);
+    platform->applyPolicyByName("klocs");
     return platform;
 }
 

@@ -56,7 +56,7 @@ makePlatform()
     TwoTierPlatform::Config config;
     config.scale = 256;
     auto platform = std::make_unique<TwoTierPlatform>(config);
-    platform->applyStrategy(StrategyKind::Kloc);
+    platform->applyPolicyByName("klocs");
     platform->sys().fs().startDaemons();
     return platform;
 }

@@ -5,15 +5,15 @@
  *   klocsim list
  *   klocsim run [--workload W] [--strategy S] [--ops N] [--scale K]
  *               [--ratio R] [--fast-gb G] [--huge-pages] [--stats]
- *   klocsim optane [--workload W] [--mode M] [--ops N] [--scale K]
+ *   klocsim optane [--workload W] [--strategy S] [--ops N] [--scale K]
  *   klocsim characterize [--workload W] [--ops N] [--scale K]
  *
  * --stats appends the full system snapshot to a run's summary.
  *
- * Policies (--strategy): every name in policyNames() — all_fast
- *             all_slow naive autonuma nimble nimble++
- *             klocs_nomigration klocs nomad jenga kloc_nomad
- * Optane modes: static autonuma nimble klocs
+ * --strategy takes a registry name (`klocsim list` prints them all):
+ *   run:    policyNames() — all_fast all_slow naive autonuma nimble
+ *           nimble++ klocs_nomigration klocs nomad jenga kloc_nomad
+ *   optane: optanePolicyNames() — static autonuma nimble klocs
  *
  * All run commands also accept --trace FILE (dump the event trace),
  * --check (enforce cross-subsystem invariants; exit 2 on violation),
@@ -21,18 +21,17 @@
  * docs/FAULTS.md) and --fault-seed N (override the spec's seed).
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
-#include <map>
 #include <memory>
 #include <string>
 
 #include "platform/optane.hh"
 #include "platform/two_tier.hh"
+#include "policy/registry.hh"
 #include "trace/invariants.hh"
 #include "workload/runner.hh"
 #include "workload/workload.hh"
@@ -45,7 +44,6 @@ struct Args
 {
     std::string workload = "rocksdb";
     std::string strategy = "klocs";
-    std::string mode = "klocs";
     uint64_t ops = 60000;
     unsigned scale = 64;
     unsigned ratio = 8;
@@ -73,8 +71,6 @@ parseArgs(int argc, char **argv, int first)
             args.workload = value();
         else if (flag == "--strategy")
             args.strategy = value();
-        else if (flag == "--mode")
-            args.mode = value();
         else if (flag == "--ops")
             args.ops = std::strtoull(value(), nullptr, 10);
         else if (flag == "--scale")
@@ -103,32 +99,20 @@ parseArgs(int argc, char **argv, int first)
     return args;
 }
 
-AutoNumaPolicy::Mode
-parseMode(const std::string &name)
-{
-    static const std::map<std::string, AutoNumaPolicy::Mode> modes = {
-        {"static", AutoNumaPolicy::Mode::Static},
-        {"autonuma", AutoNumaPolicy::Mode::AutoNuma},
-        {"nimble", AutoNumaPolicy::Mode::NimbleApp},
-        {"klocs", AutoNumaPolicy::Mode::Kloc},
-    };
-    auto it = modes.find(name);
-    if (it == modes.end())
-        fatal("unknown optane mode '%s'", name.c_str());
-    return it->second;
-}
-
 int
 cmdList()
 {
     std::printf("workloads:\n");
-    for (const auto &name : workloadNames())
-        std::printf("  %s\n", name.c_str());
+    for (const WorkloadEntry &entry : workloadTable()) {
+        std::printf("  %s%s\n", entry.name,
+                    entry.paper ? "" : " (extension)");
+    }
     std::printf("policies (two-tier):\n");
     for (const auto &name : policyNames())
         std::printf("  %s\n", name.c_str());
-    std::printf("optane modes:\n  static\n  autonuma\n  nimble\n"
-                "  klocs\n");
+    std::printf("policies (optane):\n");
+    for (const auto &name : optanePolicyNames())
+        std::printf("  %s\n", name.c_str());
     return 0;
 }
 
@@ -224,13 +208,17 @@ printFaultStats(System &sys)
 }
 
 /**
- * Turn on tracing (and the invariant checker) per --trace/--check.
- * Called after platform construction, so the checker runs in its
- * adopting mode for frames that predate the attach.
+ * The run commands' shared start, after the policy is applied: fault
+ * injection, the FS daemons, then tracing (and the invariant checker)
+ * per --trace/--check. Called after platform construction, so the
+ * checker runs in its adopting mode for frames that predate the
+ * attach.
  */
 std::unique_ptr<InvariantChecker>
-startTracing(System &sys, const Args &args)
+startRun(System &sys, const Args &args)
 {
+    applyFaults(sys, args);
+    sys.fs().startDaemons();
     if (args.tracePath.empty() && !args.check)
         return nullptr;
     sys.machine().tracer().setEnabled(true);
@@ -268,6 +256,16 @@ finishTracing(System &sys, const Args &args,
     return checker->clean() ? 0 : 2;
 }
 
+/** The --workload driver's config at --scale and --ops. */
+WorkloadConfig
+workloadConfig(const Args &args)
+{
+    WorkloadConfig config;
+    config.scale = args.scale;
+    config.operations = args.ops;
+    return config;
+}
+
 void
 printCommonStats(System &sys)
 {
@@ -303,27 +301,14 @@ cmdRun(const Args &args)
     config.scale = args.scale;
     config.fastCapacity = args.fastGb * kGiB;
     config.bandwidthRatio = args.ratio;
-    const auto &known = policyNames();
-    if (std::find(known.begin(), known.end(), args.strategy) ==
-        known.end()) {
-        fatal("unknown policy '%s' (see klocsim list)",
-              args.strategy.c_str());
-    }
-    if (args.strategy == strategyName(StrategyKind::AllFast))
-        config.fastCapacity += config.slowCapacity;
-    TwoTierPlatform platform(config);
+    TwoTierPlatform platform(config.forPolicy(args.strategy));
     System &sys = platform.sys();
     platform.applyPolicyByName(args.strategy);
-    applyFaults(sys, args);
-    sys.fs().startDaemons();
-    auto checker = startTracing(sys, args);
+    auto checker = startRun(sys, args);
 
-    WorkloadConfig wl_config;
-    wl_config.scale = args.scale;
-    wl_config.operations = args.ops;
+    WorkloadConfig wl_config = workloadConfig(args);
     wl_config.hugePages = args.hugePages;
     auto workload = makeWorkload(args.workload, wl_config);
-
     const WorkloadResult result = runMeasured(sys, *workload);
 
     std::printf("%s under %s: %.0f ops/s (%llu ops, %.1f ms virtual)\n",
@@ -348,27 +333,14 @@ cmdOptane(const Args &args)
     OptanePlatform platform(config);
     System &sys = platform.sys();
     platform.setInterference(true);
-    platform.applyPolicy(parseMode(args.mode));
-    applyFaults(sys, args);
-    sys.fs().startDaemons();
-    auto checker = startTracing(sys, args);
+    platform.applyPolicyByName(args.strategy);
+    auto checker = startRun(sys, args);
 
-    WorkloadConfig wl_config;
-    wl_config.scale = args.scale;
-    wl_config.operations = args.ops;
-    platform.moveTaskToSocket(0);
-    wl_config.cpus = platform.taskCpus();
-    auto workload = makeWorkload(args.workload, wl_config);
-    workload->setup(sys);
-    sys.fs().syncAll();
-    platform.moveTaskToSocket(1);
-    workload->setCpus(platform.taskCpus());
-    sys.machine().charge(kQuiesceWindow);
-    workload->run(sys);  // convergence warm-up
-    const WorkloadResult result = workload->run(sys);
+    auto workload = makeWorkload(args.workload, workloadConfig(args));
+    const WorkloadResult result = runOptaneMeasured(platform, *workload);
 
     std::printf("%s on optane (%s): %.0f ops/s\n",
-                args.workload.c_str(), args.mode.c_str(),
+                args.workload.c_str(), args.strategy.c_str(),
                 result.throughput());
     printCommonStats(sys);
     printFaultStats(sys);
@@ -384,14 +356,9 @@ cmdCharacterize(const Args &args)
     config.scale = args.scale;
     TwoTierPlatform platform(config);
     System &sys = platform.sys();
-    platform.applyStrategy(StrategyKind::Naive);
-    applyFaults(sys, args);
-    sys.fs().startDaemons();
-    auto checker = startTracing(sys, args);
-    WorkloadConfig wl_config;
-    wl_config.scale = args.scale;
-    wl_config.operations = args.ops;
-    auto workload = makeWorkload(args.workload, wl_config);
+    platform.applyPolicyByName("naive");
+    auto checker = startRun(sys, args);
+    auto workload = makeWorkload(args.workload, workloadConfig(args));
     runMeasured(sys, *workload);
     const int trace_rc = finishTracing(sys, args, std::move(checker));
     workload->teardown(sys);

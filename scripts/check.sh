@@ -75,16 +75,32 @@ run_traced() {
     "$BUILD_DIR"/tools/klocsim run --workload rocksdb --ops 2000 \
         --scale 16 --trace "$1" --check > "$1.out"
 }
-run_traced "$tracedir/a.trace" &
-run_traced "$tracedir/b.trace" &
-wait
+# A bare `wait` returns 0 whatever its jobs returned, so each run's
+# status (klocsim --check exits 2 on a violation) is collected by pid.
+# Arguments: the two job pids, then their trace paths.
+wait_both() {
+    local rc=0
+    wait "$1" || rc=1
+    wait "$2" || rc=1
+    if [ "$rc" != 0 ]; then
+        tail -n 20 "$3.out" "$4.out" >&2
+        echo "FAIL: klocsim run failed or reported invariant violations" >&2
+        exit 1
+    fi
+}
+run_traced "$tracedir/a.trace" & pa=$!
+run_traced "$tracedir/b.trace" & pb=$!
+wait_both "$pa" "$pb" "$tracedir/a.trace" "$tracedir/b.trace"
 cmp "$tracedir/a.trace" "$tracedir/b.trace" || {
     echo "FAIL: klocsim traces differ between identical runs" >&2
     exit 1
 }
 
 # Same check with fault injection armed: injected faults, retries,
-# and recovery must land on the same virtual ticks in both runs.
+# and recovery must land on the same virtual ticks in both runs. The
+# poison sites send hwpoison containment, and the checker's rule that
+# a poisoned block leaves its frame only into quarantine, through
+# every run.
 cat > "$tracedir/faults.txt" <<'EOF'
 seed 11
 device_write prob 0.02
@@ -92,15 +108,17 @@ device_read prob 0.01
 device_timeout prob 0.005
 migration_no_space prob 0.1
 journal_commit_crash prob 0.1
+frame_poison_access prob 0.00001
+frame_poison_copy prob 0.0001
 EOF
 run_faulted() {
     "$BUILD_DIR"/tools/klocsim run --workload rocksdb --ops 2000 \
         --scale 16 --fault-spec "$tracedir/faults.txt" \
         --trace "$1" --check > "$1.out"
 }
-run_faulted "$tracedir/fa.trace" &
-run_faulted "$tracedir/fb.trace" &
-wait
+run_faulted "$tracedir/fa.trace" & pa=$!
+run_faulted "$tracedir/fb.trace" & pb=$!
+wait_both "$pa" "$pb" "$tracedir/fa.trace" "$tracedir/fb.trace"
 cmp "$tracedir/fa.trace" "$tracedir/fb.trace" || {
     echo "FAIL: klocsim traces differ between identical faulted runs" >&2
     exit 1

@@ -81,7 +81,7 @@ class LruEngine
 
     /**
      * Move @p frame's LRU membership from @p old_tier to its current
-     * tier; call right after TierManager::migrate succeeds.
+     * tier; call right after TierManager::rehome succeeds.
      */
     void onMigrated(Frame *frame, TierId old_tier);
 

@@ -44,58 +44,59 @@ MigrationEngine::setParallelism(unsigned width)
     _parallelism = width;
 }
 
-MigrateResult
-MigrationEngine::moveFrame(Frame *frame, TierId dst, Tick &copy_cost,
-                           Tick &fixed_cost)
+namespace {
+
+/** True when every MigrateResult has exactly one tally row. */
+constexpr bool
+everyResultTalliedOnce()
 {
-    ++_stats.attempts;
-    const TierId src = frame->tier;
-    const Pfn src_pfn = frame->pfn;
-
-    if (_machine.faults().shouldFire(FaultSite::FramePoisonCopy)) {
-        // The copy's source read hit bad cells: the move fails and
-        // the frame enters containment instead.
-        ++_stats.failedPoisoned;
-        poisonFrame(frame, PoisonOrigin::Copy);
-        return MigrateResult::Poisoned;
+    for (unsigned r = 0; r <= static_cast<unsigned>(MigrateResult::Poisoned);
+         ++r) {
+        unsigned rows = 0;
+        for (const MigrationStatField &field : kMigrationStatFields)
+            rows += field.tallies == static_cast<MigrateResult>(r) ? 1 : 0;
+        if (rows != 1)
+            return false;
     }
+    return true;
+}
 
-    MigrateResult result;
-    if (_machine.faults().shouldFire(FaultSite::MigrationNoSpace)) {
-        // Injected transient exhaustion: the destination allocator
-        // reports no frames even though space may exist.
-        result = MigrateResult::NoSpace;
-    } else {
-        result = _tiers.migrateEx(frame, dst);
-    }
-    switch (result) {
-      case MigrateResult::Ok:
-        break;
-      case MigrateResult::NotRelocatable:
-        ++_stats.failedNotRelocatable;
-        return result;
-      case MigrateResult::Pinned:
-        ++_stats.failedPinned;
-        return result;
-      case MigrateResult::Damped:
-        ++_stats.failedDamped;
-        return result;
-      case MigrateResult::SameTier:
-        ++_stats.failedSameTier;
-        return result;
-      case MigrateResult::Offline:
-        ++_stats.failedOffline;
-        return result;
-      case MigrateResult::NoSpace:
-        // Counted once, at abandonment or retry, by moveWithRetry.
-        return result;
-      case MigrateResult::Poisoned:
-        return result;  // unreachable: handled before migrateEx
-    }
-    ++_stats.movedFrames;
+static_assert(everyResultTalliedOnce(),
+              "kMigrationStatFields must tally each MigrateResult once");
 
+} // namespace
+
+void
+MigrationEngine::tally(MigrateResult result)
+{
+    for (const MigrationStatField &field : kMigrationStatFields) {
+        if (field.tallies == result) {
+            ++(_stats.*field.member);
+            return;
+        }
+    }
+}
+
+void
+MigrationEngine::charge(const MoveCost &cost)
+{
+    _machine.backgroundTraffic((cost.copy + cost.fixed) /
+                               static_cast<int64_t>(_parallelism));
+}
+
+void
+MigrationEngine::commitMove(Frame *frame, TierId src, Pfn src_pfn,
+                            Landing landing, SourceFate source,
+                            MoveCost &cost)
+{
+    const TierId dst = frame->tier;
+    const Pfn dst_pfn = frame->pfn;
+    if (landing == Landing::Shadow) {
+        _machine.tracer().emit(TraceEventType::ShadowReuse, dst, dst_pfn,
+                               src, src_pfn);
+    }
     _machine.tracer().emit(TraceEventType::MigStart, src, src_pfn, dst,
-                           frame->pfn);
+                           dst_pfn);
     _lru.onMigrated(frame, src);
     frame->scanMarks = 0;
     if (dst > src) {
@@ -103,16 +104,34 @@ MigrationEngine::moveFrame(Frame *frame, TierId dst, Tick &copy_cost,
         // before any policy promotes it again.
         _lru.deactivate(frame);
     }
-    _machine.tracer().emit(TraceEventType::MigComplete, dst, frame->pfn,
+    _machine.tracer().emit(TraceEventType::MigComplete, dst, dst_pfn,
                            frame->pages(), dst > src ? 1 : 0);
+    if (source == SourceFate::KeepShadow) {
+        _machine.tracer().emit(TraceEventType::ShadowMake,
+                               frame->shadowTier, frame->shadowPfn,
+                               static_cast<uint64_t>(dst), dst_pfn);
+        ++_stats.shadowMakes;
+    } else if (source == SourceFate::Quarantine) {
+        _tiers.noteQuarantined(src, src_pfn, frame->order);
+    }
 
-    const Bytes bytes = frame->bytes();
-    copy_cost += _machine.memModel().rawCost(src, bytes, AccessType::Read,
-                                             _machine.currentSocket());
-    copy_cost += _machine.memModel().rawCost(dst, bytes, AccessType::Write,
-                                             _machine.currentSocket());
-    fixed_cost += kPerPageOverhead * frame->pages().value();
+    // A shadow landing is a remap: no copy traffic. A fresh one writes
+    // the destination, reading the source unless it is poisoned (the
+    // recovery path re-reads the bytes from the device instead).
+    if (landing == Landing::Fresh) {
+        const Bytes bytes = frame->bytes();
+        if (source != SourceFate::Quarantine) {
+            cost.copy += _machine.memModel().rawCost(
+                src, bytes, AccessType::Read, _machine.currentSocket());
+        }
+        cost.copy += _machine.memModel().rawCost(
+            dst, bytes, AccessType::Write, _machine.currentSocket());
+    }
+    cost.fixed += kPerPageOverhead * frame->pages().value();
 
+    // Containment is not a migration: it never enters the stats.
+    if (source == SourceFate::Quarantine)
+        return;
     _stats.migratedPages += frame->pages();
     _stats.migratedPagesByClass[static_cast<unsigned>(frame->objClass)] +=
         frame->pages();
@@ -120,13 +139,59 @@ MigrationEngine::moveFrame(Frame *frame, TierId dst, Tick &copy_cost,
         _stats.demotedPages += frame->pages();
     else
         _stats.promotedPages += frame->pages();
+}
+
+MigrateResult
+MigrationEngine::moveFrame(Frame *frame, TierId dst, SourceFate source,
+                           MoveCost &cost)
+{
+    const TierId src = frame->tier;
+    const Pfn src_pfn = frame->pfn;
+
+    // A shadow only helps when it sits on the destination, its tier
+    // is online, and no write dirtied the fast copy since the
+    // promotion. Anything else is released up front so the frame
+    // takes the copy path below.
+    if (frame->hasShadow()) {
+        if (!_tiers.tier(frame->shadowTier).online())
+            _tiers.dropShadow(frame, ShadowDropReason::Offline);
+        else if (frame->shadowTier != dst)
+            _tiers.dropShadow(frame, ShadowDropReason::FrameMoved);
+        else if (!frame->shadowClean())
+            _tiers.dropShadow(frame, ShadowDropReason::Stale);
+    }
+    if (frame->hasShadow()) {
+        // Clean shadow: the move is a remap, no copy — so no copy
+        // fault can fire either.
+        const MigrateResult result =
+            _tiers.rehome(frame, dst, Landing::Shadow, SourceFate::Free);
+        if (result == MigrateResult::Ok) {
+            commitMove(frame, src, src_pfn, Landing::Shadow,
+                       SourceFate::Free, cost);
+            ++_stats.shadowFreeDemotions;
+        }
+        return result;
+    }
+
+    if (_machine.faults().shouldFire(FaultSite::FramePoisonCopy)) {
+        // The copy's source read hit bad cells: the move fails and
+        // the caller hands the frame to containment instead.
+        return MigrateResult::Poisoned;
+    }
+    // Injected transient exhaustion: the destination allocator
+    // reports no frames even though space may exist.
+    const MigrateResult result =
+        _machine.faults().shouldFire(FaultSite::MigrationNoSpace)
+            ? MigrateResult::NoSpace
+            : _tiers.rehome(frame, dst, Landing::Fresh, source);
+    if (result == MigrateResult::Ok)
+        commitMove(frame, src, src_pfn, Landing::Fresh, source, cost);
     return result;
 }
 
 bool
 MigrationEngine::moveWithRetry(const FrameRef &ref, TierId dst,
-                               Tick &copy_cost, Tick &fixed_cost,
-                               bool &fail_fast)
+                               MoveCost &cost, bool &fail_fast)
 {
     for (unsigned attempt = 0; ; ++attempt) {
         // Backoff charges time, and charged time can run async work
@@ -138,39 +203,45 @@ MigrationEngine::moveWithRetry(const FrameRef &ref, TierId dst,
         Frame *frame = ref.get();
         const TierId src = frame->tier;
         const Pfn src_pfn = frame->pfn;
+        ++_stats.attempts;
         const MigrateResult result =
-            moveFrame(frame, dst, copy_cost, fixed_cost);
-        if (result == MigrateResult::Ok)
-            return true;
-        if (result != MigrateResult::NoSpace)
-            return false;
-        if (fail_fast || attempt >= kMaxNoSpaceRetries) {
+            moveFrame(frame, dst, SourceFate::Free, cost);
+        if (result == MigrateResult::NoSpace && !fail_fast &&
+            attempt < kMaxNoSpaceRetries) {
+            ++_stats.noSpaceRetries;
+            _machine.tracer().emit(TraceEventType::MigRetry, src, src_pfn,
+                                   static_cast<uint64_t>(dst),
+                                   attempt + 1);
+            _machine.backgroundTraffic(kRetryBackoffBase *
+                                       (int64_t{1} << attempt));
+            continue;
+        }
+        tally(result);
+        if (result == MigrateResult::Poisoned) {
+            // Containment for a copy poisoning; a frame already
+            // poisoned in place is left alone.
+            poisonFrame(frame, PoisonOrigin::Copy);
+        } else if (result == MigrateResult::NoSpace) {
             // Abandon: the frame stays where it is, degraded but
             // consistent. Rotate it hot so the next scan picks
             // different candidates instead of respinning on it, and
             // fail the rest of the batch fast — the destination has
             // proven itself exhausted.
-            ++_stats.failedNoSpace;
             fail_fast = true;
             _machine.tracer().emit(
                 TraceEventType::MigAbandon, src, src_pfn,
                 static_cast<uint64_t>(dst),
                 static_cast<uint64_t>(result));
             _lru.requeue(frame);
-            return false;
         }
-        ++_stats.noSpaceRetries;
-        _machine.tracer().emit(TraceEventType::MigRetry, src, src_pfn,
-                               static_cast<uint64_t>(dst), attempt + 1);
-        _machine.backgroundTraffic(kRetryBackoffBase * (int64_t{1} << attempt));
+        return result == MigrateResult::Ok;
     }
 }
 
 uint64_t
 MigrationEngine::migrate(const std::vector<FrameRef> &batch, TierId dst)
 {
-    Tick copy_cost{};
-    Tick fixed_cost{};
+    MoveCost cost;
     uint64_t moved_pages = 0;
     bool fail_fast = false;
     // Each successful move emits a MigStart/MigComplete bracket plus
@@ -185,23 +256,17 @@ MigrationEngine::migrate(const std::vector<FrameRef> &batch, TierId dst)
         if (ref.get()->tier == dst)
             continue;
         const uint64_t before = _stats.migratedPages;
-        if (moveWithRetry(ref, dst, copy_cost, fixed_cost, fail_fast))
+        if (moveWithRetry(ref, dst, cost, fail_fast))
             moved_pages += _stats.migratedPages - before;
     }
-    // Migration threads run on dedicated CPUs (§5): both the copy
-    // traffic and the unmap/remap work spread across them.
-    const Tick total =
-        (copy_cost + fixed_cost) / static_cast<int64_t>(_parallelism);
-    _machine.backgroundTraffic(total);
+    charge(cost);
     return moved_pages;
 }
 
 bool
 MigrationEngine::promoteOneTransactional(Frame *frame, TierId dst,
                                          Tick write_recency_window,
-                                         Tick &copy_cost,
-                                         Tick &fixed_cost,
-                                         bool &fail_fast)
+                                         MoveCost &cost, bool &fail_fast)
 {
     ++_stats.attempts;
     const TierId src = frame->tier;
@@ -216,7 +281,7 @@ MigrationEngine::promoteOneTransactional(Frame *frame, TierId dst,
     const Tick now = _machine.now();
     if (frame->lastWriteTick > Tick{} &&
         now - frame->lastWriteTick < write_recency_window) {
-        copy_cost += _machine.memModel().rawCost(
+        cost.copy += _machine.memModel().rawCost(
                          src, frame->bytes(), AccessType::Read,
                          _machine.currentSocket()) / 2;
         _machine.tracer().emit(
@@ -228,99 +293,39 @@ MigrationEngine::promoteOneTransactional(Frame *frame, TierId dst,
         return false;
     }
 
-    if (_machine.faults().shouldFire(FaultSite::FramePoisonCopy)) {
-        // The transactional copy's source read hit bad cells: close
-        // the window as a blocked abort, then run containment.
-        _machine.tracer().emit(
-            TraceEventType::MigTxnAbort, src, src_pfn,
-            static_cast<uint64_t>(dst),
-            static_cast<uint64_t>(TxnAbortReason::Blocked));
-        ++_stats.txnAbortedBlocked;
-        ++_stats.failedPoisoned;
-        poisonFrame(frame, PoisonOrigin::Copy);
-        return false;
-    }
-
-    MigrateResult result;
+    // A committed copy keeps the source as a shadow while the budget
+    // allows; past it, the promotion is a plain exclusive move.
     const bool over_budget =
         _tiers.shadowPages() + frame->pages().value() > _shadowBudget;
-    if (_machine.faults().shouldFire(FaultSite::MigrationNoSpace))
-        result = MigrateResult::NoSpace;
-    else if (over_budget)
-        result = _tiers.migrateEx(frame, dst);
-    else
-        result = _tiers.promoteKeepSource(frame, dst);
+    const MigrateResult result = moveFrame(
+        frame, dst, over_budget ? SourceFate::Free : SourceFate::KeepShadow,
+        cost);
+    tally(result);
+    if (result == MigrateResult::Ok) {
+        ++_stats.txnCommits;
+        return true;
+    }
 
-    switch (result) {
-      case MigrateResult::Ok:
-        break;
-      case MigrateResult::NoSpace:
-        // Cheap abort, no retry/backoff: the whole point of the
-        // transactional copy is that pressure aborts cost nothing.
-        _machine.tracer().emit(
-            TraceEventType::MigTxnAbort, src, src_pfn,
-            static_cast<uint64_t>(dst),
-            static_cast<uint64_t>(TxnAbortReason::NoSpace));
+    // NoSpace is a cheap abort with no retry/backoff: the whole point
+    // of the transactional copy is that pressure aborts cost nothing.
+    // Every other outcome — a poisoned copy included — is a blocked
+    // abort.
+    const bool no_space = result == MigrateResult::NoSpace;
+    _machine.tracer().emit(
+        TraceEventType::MigTxnAbort, src, src_pfn,
+        static_cast<uint64_t>(dst),
+        static_cast<uint64_t>(no_space ? TxnAbortReason::NoSpace
+                                       : TxnAbortReason::Blocked));
+    if (no_space) {
         ++_stats.txnAbortedNoSpace;
-        ++_stats.failedNoSpace;
         _lru.requeue(frame);
         fail_fast = true;
-        return false;
-      default:
-        _machine.tracer().emit(
-            TraceEventType::MigTxnAbort, src, src_pfn,
-            static_cast<uint64_t>(dst),
-            static_cast<uint64_t>(TxnAbortReason::Blocked));
+    } else {
         ++_stats.txnAbortedBlocked;
-        switch (result) {
-          case MigrateResult::NotRelocatable:
-            ++_stats.failedNotRelocatable;
-            break;
-          case MigrateResult::Pinned:
-            ++_stats.failedPinned;
-            break;
-          case MigrateResult::Damped:
-            ++_stats.failedDamped;
-            break;
-          case MigrateResult::Offline:
-            ++_stats.failedOffline;
-            break;
-          case MigrateResult::SameTier:
-            ++_stats.failedSameTier;
-            break;
-          default:
-            break;
-        }
-        return false;
+        if (result == MigrateResult::Poisoned)
+            poisonFrame(frame, PoisonOrigin::Copy);
     }
-    ++_stats.movedFrames;
-
-    _machine.tracer().emit(TraceEventType::MigStart, src, src_pfn, dst,
-                           frame->pfn);
-    _lru.onMigrated(frame, src);
-    frame->scanMarks = 0;
-    _machine.tracer().emit(TraceEventType::MigComplete, dst, frame->pfn,
-                           frame->pages(), 0);
-    if (frame->hasShadow()) {
-        _machine.tracer().emit(TraceEventType::ShadowMake,
-                               frame->shadowTier, frame->shadowPfn,
-                               static_cast<uint64_t>(dst), frame->pfn);
-        ++_stats.shadowMakes;
-    }
-
-    const Bytes bytes = frame->bytes();
-    copy_cost += _machine.memModel().rawCost(src, bytes, AccessType::Read,
-                                             _machine.currentSocket());
-    copy_cost += _machine.memModel().rawCost(dst, bytes, AccessType::Write,
-                                             _machine.currentSocket());
-    fixed_cost += kPerPageOverhead * frame->pages().value();
-
-    _stats.migratedPages += frame->pages();
-    _stats.migratedPagesByClass[static_cast<unsigned>(frame->objClass)] +=
-        frame->pages();
-    _stats.promotedPages += frame->pages();
-    ++_stats.txnCommits;
-    return true;
+    return false;
 }
 
 uint64_t
@@ -328,8 +333,7 @@ MigrationEngine::promoteTransactional(const std::vector<FrameRef> &batch,
                                       TierId dst,
                                       Tick write_recency_window)
 {
-    Tick copy_cost{};
-    Tick fixed_cost{};
+    MoveCost cost;
     uint64_t moved_pages = 0;
     bool fail_fast = false;
     TraceBatch trace_batch(_machine.tracer());
@@ -344,117 +348,21 @@ MigrationEngine::promoteTransactional(const std::vector<FrameRef> &batch,
         if (frame->tier == dst)
             continue;
         if (promoteOneTransactional(frame, dst, write_recency_window,
-                                    copy_cost, fixed_cost, fail_fast)) {
+                                    cost, fail_fast)) {
             moved_pages += frame->pages();
         }
     }
-    _machine.backgroundTraffic(
-        (copy_cost + fixed_cost) / static_cast<int64_t>(_parallelism));
-    return moved_pages;
-}
-
-uint64_t
-MigrationEngine::demoteWithShadows(const std::vector<FrameRef> &batch,
-                                   TierId dst)
-{
-    Tick copy_cost{};
-    Tick fixed_cost{};
-    uint64_t moved_pages = 0;
-    bool fail_fast = false;
-    TraceBatch trace_batch(_machine.tracer());
-    for (const FrameRef &ref : batch) {
-        if (!ref.valid()) {
-            ++_stats.failedStale;
-            continue;
-        }
-        Frame *frame = ref.get();
-        if (frame->tier == dst)
-            continue;
-        // A shadow only helps when it sits on the destination, its
-        // tier is online, and no write dirtied the fast copy since
-        // the promotion. Anything else is released up front so the
-        // frame takes the normal copy path below.
-        if (frame->hasShadow()) {
-            if (!_tiers.tier(frame->shadowTier).online())
-                _tiers.dropShadow(frame, ShadowDropReason::Offline);
-            else if (frame->shadowTier != dst)
-                _tiers.dropShadow(frame, ShadowDropReason::FrameMoved);
-            else if (!frame->shadowClean())
-                _tiers.dropShadow(frame, ShadowDropReason::Stale);
-        }
-        if (frame->hasShadow()) {
-            ++_stats.attempts;
-            const TierId src = frame->tier;
-            const Pfn src_pfn = frame->pfn;
-            const Pfn shadow_pfn = frame->shadowPfn;
-            const MigrateResult result = _tiers.migrateIntoShadow(frame);
-            if (result == MigrateResult::Ok) {
-                ++_stats.movedFrames;
-                // Clean shadow: the demotion is a remap, no copy.
-                _machine.tracer().emit(TraceEventType::ShadowReuse, dst,
-                                       shadow_pfn, src, src_pfn);
-                _machine.tracer().emit(TraceEventType::MigStart, src,
-                                       src_pfn, dst, shadow_pfn);
-                _lru.onMigrated(frame, src);
-                frame->scanMarks = 0;
-                if (dst > src)
-                    _lru.deactivate(frame);
-                _machine.tracer().emit(TraceEventType::MigComplete, dst,
-                                       shadow_pfn, frame->pages(),
-                                       dst > src ? 1 : 0);
-                fixed_cost += kPerPageOverhead * frame->pages().value();
-                _stats.migratedPages += frame->pages();
-                _stats.migratedPagesByClass[
-                    static_cast<unsigned>(frame->objClass)] +=
-                    frame->pages();
-                if (dst > src)
-                    _stats.demotedPages += frame->pages();
-                else
-                    _stats.promotedPages += frame->pages();
-                ++_stats.shadowFreeDemotions;
-                moved_pages += frame->pages();
-                continue;
-            }
-            switch (result) {
-              case MigrateResult::NotRelocatable:
-                ++_stats.failedNotRelocatable;
-                break;
-              case MigrateResult::Pinned:
-                ++_stats.failedPinned;
-                break;
-              case MigrateResult::Damped:
-                ++_stats.failedDamped;
-                break;
-              case MigrateResult::Offline:
-                ++_stats.failedOffline;
-                break;
-              case MigrateResult::SameTier:
-                ++_stats.failedSameTier;
-                break;
-              default:
-                break;
-            }
-            continue;
-        }
-        const uint64_t before = _stats.migratedPages;
-        if (moveWithRetry(ref, dst, copy_cost, fixed_cost, fail_fast))
-            moved_pages += _stats.migratedPages - before;
-    }
-    _machine.backgroundTraffic(
-        (copy_cost + fixed_cost) / static_cast<int64_t>(_parallelism));
+    charge(cost);
     return moved_pages;
 }
 
 bool
 MigrationEngine::migrateOne(Frame *frame, TierId dst)
 {
-    Tick copy_cost{};
-    Tick fixed_cost{};
+    MoveCost cost;
     bool fail_fast = false;
-    const bool ok = moveWithRetry(FrameRef(frame), dst, copy_cost,
-                                  fixed_cost, fail_fast);
-    _machine.backgroundTraffic(
-        (copy_cost + fixed_cost) / static_cast<int64_t>(_parallelism));
+    const bool ok = moveWithRetry(FrameRef(frame), dst, cost, fail_fast);
+    charge(cost);
     return ok;
 }
 
@@ -483,25 +391,22 @@ MigrationEngine::offlineTier(TierId id)
             const TierId dst = static_cast<TierId>(t);
             if (dst == id || exhausted[t] || !_tiers.tier(dst).online())
                 continue;
-            Tick copy_cost{};
-            Tick fixed_cost{};
+            MoveCost cost;
             bool fail_fast = false;
             const uint64_t before = _stats.migratedPages;
-            ok = moveWithRetry(ref, dst, copy_cost, fixed_cost,
-                               fail_fast);
-            _machine.backgroundTraffic(
-                (copy_cost + fixed_cost) /
-                static_cast<int64_t>(_parallelism));
+            ok = moveWithRetry(ref, dst, cost, fail_fast);
+            charge(cost);
             if (ok) {
                 moved_pages += _stats.migratedPages - before;
                 break;
             }
             if (fail_fast)
                 exhausted[t] = true;
-            // A frame-local obstacle (freed, pinned, non-relocatable)
-            // blocks every destination equally; stop offering it.
+            // A frame-local obstacle (freed, pinned, non-relocatable,
+            // poisoned in place) blocks every destination equally;
+            // stop offering it.
             if (!ref.valid() || !ref.get()->relocatable ||
-                ref.get()->pinned()) {
+                ref.get()->pinned() || ref.get()->poisoned) {
                 break;
             }
         }
@@ -572,8 +477,7 @@ MigrationEngine::poisonFrame(Frame *frame, PoisonOrigin origin)
     // the frame: either its bytes land on a healthy tier or a
     // DataLoss records the SIGBUS. The poisoned block quarantines
     // immediately on evacuation, or at free time when stuck in place.
-    Tick copy_cost{};
-    Tick fixed_cost{};
+    MoveCost cost;
     bool recovered = false;
     if (!frame->relocatable || frame->pinned()) {
         // Unmovable: the error stays resident until the frame is
@@ -582,62 +486,49 @@ MigrationEngine::poisonFrame(Frame *frame, PoisonOrigin origin)
     } else if (frame->hasShadow() && frame->shadowClean() &&
                frame->shadowTier != src &&
                _tiers.tier(frame->shadowTier).online()) {
-        recovered = recoverViaShadow(frame, fixed_cost);
+        recovered = recoverViaShadow(frame, cost);
     } else if (_rereadProbe != nullptr && _rereadProbe(_rereadCtx, frame)) {
-        recovered = recoverViaReread(frame, copy_cost, fixed_cost);
+        recovered = recoverViaReread(frame, cost);
     } else {
         // No clean shadow and no backing copy: the bytes are gone.
         emitDataLoss(frame, DataLossReason::NoSource);
     }
 
-    const Tick total =
-        (copy_cost + fixed_cost) / static_cast<int64_t>(_parallelism);
-    if (total > Tick{})
-        _machine.backgroundTraffic(total);
+    // Charged only when a leg moved the frame: containment runs from
+    // inside access/scan hooks, where a zero charge would still run
+    // due events.
+    if (cost.copy + cost.fixed > Tick{})
+        charge(cost);
     notifyPoisonOwner(frame, src, !recovered);
     return recovered;
 }
 
 bool
-MigrationEngine::recoverViaShadow(Frame *frame, Tick &fixed_cost)
+MigrationEngine::recoverViaShadow(Frame *frame, MoveCost &cost)
 {
     const TierId src = frame->tier;
     const Pfn src_pfn = frame->pfn;
-    const unsigned order = frame->order;
-    const TierId dst = frame->shadowTier;
-    const Pfn shadow_pfn = frame->shadowPfn;
-    const MigrateResult result = _tiers.evacuateIntoShadow(frame);
+    const MigrateResult result = _tiers.rehome(
+        frame, frame->shadowTier, Landing::Shadow, SourceFate::Quarantine);
     // The caller pre-checked every failure leg (relocatable, unpinned,
     // distinct online shadow tier), so adoption cannot fail.
     KLOC_ASSERT(result == MigrateResult::Ok, "shadow recovery failed: %s",
                 migrateResultName(result));
-    _machine.tracer().emit(TraceEventType::ShadowReuse, dst, shadow_pfn,
-                           src, src_pfn);
-    _machine.tracer().emit(TraceEventType::MigStart, src, src_pfn, dst,
-                           shadow_pfn);
-    _lru.onMigrated(frame, src);
-    frame->scanMarks = 0;
-    if (dst > src)
-        _lru.deactivate(frame);
-    _machine.tracer().emit(TraceEventType::MigComplete, dst, shadow_pfn,
-                           frame->pages(), dst > src ? 1 : 0);
-    _tiers.noteQuarantined(src, src_pfn, order);
+    commitMove(frame, src, src_pfn, Landing::Shadow, SourceFate::Quarantine,
+               cost);
     _machine.tracer().emit(TraceEventType::MemRecover,
-                           traceFrameKey(dst, shadow_pfn),
+                           traceFrameKey(frame->tier, frame->pfn),
                            traceFrameKey(src, src_pfn),
                            static_cast<uint64_t>(RecoverySource::Shadow));
-    fixed_cost += kPerPageOverhead * frame->pages().value();
     ++_poisonStats.recoveredShadow;
     return true;
 }
 
 bool
-MigrationEngine::recoverViaReread(Frame *frame, Tick &copy_cost,
-                                  Tick &fixed_cost)
+MigrationEngine::recoverViaReread(Frame *frame, MoveCost &cost)
 {
     const TierId src = frame->tier;
     const Pfn src_pfn = frame->pfn;
-    const unsigned order = frame->order;
 
     // Land the replacement frame on the fastest online tier with
     // room; recovery placement is not a policy decision.
@@ -646,7 +537,8 @@ MigrationEngine::recoverViaReread(Frame *frame, Tick &copy_cost,
         const TierId dst_id = static_cast<TierId>(t);
         if (dst_id == src || !_tiers.tier(dst_id).online())
             continue;
-        result = _tiers.evacuate(frame, dst_id);
+        result = _tiers.rehome(frame, dst_id, Landing::Fresh,
+                               SourceFate::Quarantine);
         if (result == MigrateResult::Ok)
             break;
     }
@@ -656,26 +548,15 @@ MigrationEngine::recoverViaReread(Frame *frame, Tick &copy_cost,
         emitDataLoss(frame, DataLossReason::NoSpace);
         return false;
     }
+    commitMove(frame, src, src_pfn, Landing::Fresh, SourceFate::Quarantine,
+               cost);
+
+    // The device read inside the hook charges itself through the
+    // block layer. Pin the frame across the read — the I/O charge can
+    // dispatch daemon work that would otherwise migrate or free it
+    // mid-recovery.
     const TierId dst = frame->tier;
     const Pfn dst_pfn = frame->pfn;
-    _machine.tracer().emit(TraceEventType::MigStart, src, src_pfn, dst,
-                           dst_pfn);
-    _lru.onMigrated(frame, src);
-    frame->scanMarks = 0;
-    if (dst > src)
-        _lru.deactivate(frame);
-    _machine.tracer().emit(TraceEventType::MigComplete, dst, dst_pfn,
-                           frame->pages(), dst > src ? 1 : 0);
-    _tiers.noteQuarantined(src, src_pfn, order);
-
-    // The destination write is copy traffic; the device read inside
-    // the hook charges itself through the block layer. Pin the frame
-    // across the read — the I/O charge can dispatch daemon work that
-    // would otherwise migrate or free it mid-recovery.
-    copy_cost += _machine.memModel().rawCost(dst, frame->bytes(),
-                                             AccessType::Write,
-                                             _machine.currentSocket());
-    fixed_cost += kPerPageOverhead * frame->pages().value();
     ++frame->pinCount;
     _machine.tracer().emit(TraceEventType::FramePin, dst, dst_pfn);
     const bool read_ok = _rereadFn != nullptr && _rereadFn(_rereadCtx, frame);

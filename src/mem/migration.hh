@@ -9,6 +9,15 @@
  * divisor on copy traffic; the fixed per-page kernel work does not
  * parallelise.
  *
+ * Every move — a policy batch, a KLOC knode, Nomad's transactional
+ * promotion, a tier drain, hwpoison evacuation — runs through one
+ * commit path over TierManager::rehome(): the frame's own state picks
+ * where it lands (a clean shadow on the destination is re-adopted for
+ * free, anything else copies into a fresh block), one bracket emits
+ * MigStart → LRU follow → MigComplete, one table tallies every
+ * MigrateResult into MigrationStats, and one tail charges the batch's
+ * cost across the copy width.
+ *
  * Transient destination exhaustion (the target tier momentarily out
  * of frames, including injected faults) is retried with bounded
  * exponential backoff; a frame whose move is abandoned stays where
@@ -18,8 +27,8 @@
  *
  * The engine also drives tier offlining: offlineTier() flips the
  * tier's online flag and drains its resident frames to the remaining
- * online tiers, leaving pinned/non-relocatable frames stranded until
- * they are released.
+ * online tiers, leaving pinned, non-relocatable and poisoned-in-place
+ * frames stranded until they are released.
  *
  * Direction accounting (fast->slow vs. slow->fast) keys Fig. 5b.
  */
@@ -28,6 +37,7 @@
 #define KLOC_MEM_MIGRATION_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "fault/fault.hh"
@@ -52,7 +62,7 @@ struct MigrationStats
     uint64_t failedDamped = 0;    ///< ping-pong damping retained it
     uint64_t failedOffline = 0;   ///< destination tier was offline
     uint64_t failedSameTier = 0;  ///< already resident on destination
-    uint64_t failedPoisoned = 0;  ///< poison fault fired mid-copy
+    uint64_t failedPoisoned = 0;  ///< poisoned in place or mid-copy
     uint64_t noSpaceRetries = 0;  ///< backoff retries (not failures)
     uint64_t txnBegins = 0;       ///< transactional copies opened
     uint64_t txnCommits = 0;      ///< transactional copies committed
@@ -78,6 +88,51 @@ struct MigrationStats
                failedPoisoned + failedNoSpace + noSpaceRetries +
                txnAbortedWrite;
     }
+};
+
+/**
+ * One exported MigrationStats counter: its stat name (System::snapshot
+ * prefixes "migration.") and member. A row naming a MigrateResult is
+ * that outcome's tally counter; every result has exactly one row.
+ */
+struct MigrationStatField
+{
+    const char *name;
+    uint64_t MigrationStats::*member;
+    std::optional<MigrateResult> tallies;
+};
+
+/** Every MigrationStats counter, in export order. */
+inline constexpr MigrationStatField kMigrationStatFields[] = {
+    {"attempts", &MigrationStats::attempts, std::nullopt},
+    {"moved_frames", &MigrationStats::movedFrames, MigrateResult::Ok},
+    {"pages", &MigrationStats::migratedPages, std::nullopt},
+    {"demoted", &MigrationStats::demotedPages, std::nullopt},
+    {"promoted", &MigrationStats::promotedPages, std::nullopt},
+    {"failed_not_relocatable", &MigrationStats::failedNotRelocatable,
+     MigrateResult::NotRelocatable},
+    {"failed_no_space", &MigrationStats::failedNoSpace,
+     MigrateResult::NoSpace},
+    {"failed_stale", &MigrationStats::failedStale, std::nullopt},
+    {"failed_pinned", &MigrationStats::failedPinned, MigrateResult::Pinned},
+    {"failed_damped", &MigrationStats::failedDamped, MigrateResult::Damped},
+    {"failed_offline", &MigrationStats::failedOffline,
+     MigrateResult::Offline},
+    {"failed_same_tier", &MigrationStats::failedSameTier,
+     MigrateResult::SameTier},
+    {"failed_poisoned", &MigrationStats::failedPoisoned,
+     MigrateResult::Poisoned},
+    {"no_space_retries", &MigrationStats::noSpaceRetries, std::nullopt},
+    {"txn_begins", &MigrationStats::txnBegins, std::nullopt},
+    {"txn_commits", &MigrationStats::txnCommits, std::nullopt},
+    {"txn_aborted_write", &MigrationStats::txnAbortedWrite, std::nullopt},
+    {"txn_aborted_no_space", &MigrationStats::txnAbortedNoSpace,
+     std::nullopt},
+    {"txn_aborted_blocked", &MigrationStats::txnAbortedBlocked,
+     std::nullopt},
+    {"shadow_makes", &MigrationStats::shadowMakes, std::nullopt},
+    {"shadow_free_demotions", &MigrationStats::shadowFreeDemotions,
+     std::nullopt},
 };
 
 /** Counters describing the hwpoison containment machinery. */
@@ -125,6 +180,12 @@ class MigrationEngine
 
     /**
      * Migrate every still-valid frame in @p batch to @p dst.
+     * A frame whose clean shadow copy already sits on @p dst (its tier
+     * online) re-homes into it for just the fixed remap overhead — no
+     * copy traffic (ShadowReuse, shadowFreeDemotions); any other shadow
+     * is dropped up front (Offline, FrameMoved or Stale) and the frame
+     * takes the copy path. Frames without shadows — every policy but
+     * Nomad — always copy.
      * Cost is charged once, after the whole batch has moved, so no
      * asynchronous work can free batch members mid-flight — except
      * during retry backoff, which charges time and re-validates the
@@ -133,7 +194,7 @@ class MigrationEngine
      */
     uint64_t migrate(const std::vector<FrameRef> &batch, TierId dst);
 
-    /** Convenience for a single frame. */
+    /** migrate() for a single frame. */
     bool migrateOne(Frame *frame, TierId dst);
 
     /**
@@ -153,16 +214,6 @@ class MigrationEngine
                                   TierId dst, Tick write_recency_window);
 
     /**
-     * Shadow-aware demotion of @p batch to @p dst: a frame whose
-     * clean shadow already lives on @p dst re-homes into it for just
-     * the fixed remap overhead (no copy traffic); stale or unusable
-     * shadows are dropped and the frame takes the normal copy path.
-     * @return pages successfully demoted.
-     */
-    uint64_t demoteWithShadows(const std::vector<FrameRef> &batch,
-                               TierId dst);
-
-    /**
      * Cap on pages held by shadow copies; promotions beyond it fall
      * back to plain exclusive moves. Unlimited by default.
      */
@@ -173,8 +224,9 @@ class MigrationEngine
     /**
      * Take @p id offline: no new allocations land there, and its
      * resident relocatable frames are drained to the remaining
-     * online tiers (ascending id order). Pinned or non-relocatable
-     * frames stay stranded on the offline tier until released.
+     * online tiers (ascending id order). Pinned, non-relocatable or
+     * poisoned-in-place frames stay stranded on the offline tier
+     * until released.
      * @return frames left stranded.
      */
     uint64_t offlineTier(TierId id);
@@ -246,35 +298,65 @@ class MigrationEngine
     void resetStats() { _stats = MigrationStats{}; }
 
   private:
-    /** Move one frame, accumulating cost; no charging, no retry. */
-    MigrateResult moveFrame(Frame *frame, TierId dst, Tick &copy_cost,
-                            Tick &fixed_cost);
+    /** Copy and remap work accumulated over a batch, charged once. */
+    struct MoveCost
+    {
+        Tick copy{};
+        Tick fixed{};
+    };
 
     /**
-     * moveFrame plus NoSpace retry/backoff/abandon handling.
+     * Move one frame: reuse a clean shadow on @p dst, else draw the
+     * copy fault sites and copy into a fresh block, leaving the source
+     * to @p source (Free or KeepShadow). Commits via commitMove; no
+     * tally, no charging, no retry. A Poisoned result means the copy
+     * fault fired or the frame is poisoned in place — the caller runs
+     * containment, which is a no-op for the latter.
+     */
+    MigrateResult moveFrame(Frame *frame, TierId dst, SourceFate source,
+                            MoveCost &cost);
+
+    /**
+     * The commit of a successful rehome() from (@p src, @p src_pfn):
+     * ShadowReuse when it landed in its shadow, the MigStart → LRU
+     * follow → MigComplete bracket, ShadowMake when the source was
+     * kept, FrameQuarantine when it was quarantined; plus its cost and,
+     * for every move but containment, the moved-pages accounting.
+     */
+    void commitMove(Frame *frame, TierId src, Pfn src_pfn, Landing landing,
+                    SourceFate source, MoveCost &cost);
+
+    /** Bump the one MigrationStats counter that tallies @p result. */
+    void tally(MigrateResult result);
+
+    /** Charge @p cost: migration threads run on dedicated CPUs (§5),
+     *  so copy traffic and remap work spread across the copy width. */
+    void charge(const MoveCost &cost);
+
+    /**
+     * moveFrame plus NoSpace retry/backoff/abandon handling, the
+     * tally, and containment of a copy poisoning.
      * @p fail_fast suppresses retries (the caller already proved the
      * destination exhausted within this batch).
      * @return true when the frame moved.
      */
-    bool moveWithRetry(const FrameRef &ref, TierId dst, Tick &copy_cost,
-                       Tick &fixed_cost, bool &fail_fast);
+    bool moveWithRetry(const FrameRef &ref, TierId dst, MoveCost &cost,
+                       bool &fail_fast);
 
     /** Transactional copy of one frame; see promoteTransactional. */
     bool promoteOneTransactional(Frame *frame, TierId dst,
                                  Tick write_recency_window,
-                                 Tick &copy_cost, Tick &fixed_cost,
-                                 bool &fail_fast);
+                                 MoveCost &cost, bool &fail_fast);
 
     /** Shadow-recovery leg of poisonFrame; true = bytes recovered. */
-    bool recoverViaShadow(Frame *frame, Tick &fixed_cost);
+    bool recoverViaShadow(Frame *frame, MoveCost &cost);
 
     /**
      * Evacuate-then-reread leg of poisonFrame; true = bytes
      * recovered. Emits its own DataLoss when evacuation finds no
      * space or the device read fails.
      */
-    bool recoverViaReread(Frame *frame, Tick &copy_cost,
-                          Tick &fixed_cost);
+    bool recoverViaReread(Frame *frame, MoveCost &cost);
 
     /** Emit DataLoss for @p frame and bump the counter. */
     void emitDataLoss(Frame *frame, DataLossReason reason);

@@ -216,16 +216,20 @@ TierManager::free(Frame *frame)
     _freeFrameObjs.push_back(frame);
 }
 
-bool
-TierManager::migrate(Frame *frame, TierId dst)
-{
-    return migrateEx(frame, dst) == MigrateResult::Ok;
-}
-
 MigrateResult
-TierManager::migrateEx(Frame *frame, TierId dst)
+TierManager::rehome(Frame *frame, TierId dst, Landing landing,
+                    SourceFate source)
 {
-    KLOC_ASSERT(frame->tier != kInvalidTier, "migrating freed frame");
+    KLOC_ASSERT(frame->tier != kInvalidTier, "re-homing freed frame");
+    KLOC_ASSERT(landing == Landing::Fresh ||
+                    (frame->hasShadow() && frame->shadowTier == dst),
+                "no shadow on the destination to land in");
+    KLOC_ASSERT(source != SourceFate::KeepShadow ||
+                    (landing == Landing::Fresh && !frame->hasShadow()),
+                "keeping a shadow over an existing one");
+    const bool containment = source == SourceFate::Quarantine;
+    KLOC_ASSERT(!containment || frame->poisoned,
+                "quarantining a healthy frame's block");
     if (!frame->relocatable)
         return MigrateResult::NotRelocatable;
     if (frame->pinned())
@@ -236,175 +240,60 @@ TierManager::migrateEx(Frame *frame, TierId dst)
     // retained where it is rather than demoted again. Promotions
     // (toward lower tier ids) stay allowed so the page can settle
     // in fast memory, which is where the paper retains such pages.
-    if (frame->migrateCount >= kRetainThreshold && dst > frame->tier)
+    // The counter also has an absolute cap. Containment is not a
+    // policy decision and is never damped.
+    if (!containment &&
+        ((frame->migrateCount >= kRetainThreshold && dst > frame->tier) ||
+         frame->migrateCount == 0xFF)) {
         return MigrateResult::Damped;
-    if (frame->migrateCount == 0xFF)
-        return MigrateResult::Damped;  // absolute cap on the counter
-
+    }
     Tier &to = tier(dst);
     if (!to.online())
         return MigrateResult::Offline;
-    const Pfn new_pfn = allocBlock(to, frame->order);
-    if (new_pfn == kInvalidPfn)
-        return MigrateResult::NoSpace;
+    // A frame poisoned in place may only leave its bad block through
+    // containment; any other move would free that block.
+    if (frame->poisoned && !containment)
+        return MigrateResult::Poisoned;
 
-    // Past the commit point: a plain move strands any shadow copy.
-    if (frame->hasShadow())
-        dropShadow(frame, ShadowDropReason::FrameMoved);
+    Pfn new_pfn;
+    if (landing == Landing::Shadow) {
+        // The shadow's buddy pages are already ours; adopt them.
+        new_pfn = frame->shadowPfn;
+        _shadowPages -= frame->pages();
+        frame->shadowTier = kInvalidTier;
+        frame->shadowPfn = kInvalidPfn;
+        frame->shadowSince = Tick{};
+    } else {
+        new_pfn = allocBlock(to, frame->order);
+        if (new_pfn == kInvalidPfn)
+            return MigrateResult::NoSpace;
+        // Past the commit point: a fresh landing strands any shadow.
+        if (frame->hasShadow())
+            dropShadow(frame, ShadowDropReason::FrameMoved);
+    }
 
+    // Only the class residency moves with the frame; the vacated
+    // block's buddy pages follow @p source.
     Tier &from = tier(frame->tier);
     from.noteFree(frame->objClass, frame->pages());
-    freeBlock(from, frame->pfn, frame->order);
+    switch (source) {
+      case SourceFate::Free:
+        freeBlock(from, frame->pfn, frame->order);
+        break;
+      case SourceFate::KeepShadow:
+        frame->shadowTier = frame->tier;
+        frame->shadowPfn = frame->pfn;
+        frame->shadowSince = _machine.now();
+        _shadowPages += frame->pages();
+        break;
+      case SourceFate::Quarantine:
+        from.buddy().quarantine(frame->pfn, frame->order);
+        frame->poisoned = false;
+        break;
+    }
 
     frame->tier = dst;
     frame->pfn = new_pfn;
-    ++frame->migrateCount;
-    to.noteArrive(frame->objClass, frame->pages());
-    return MigrateResult::Ok;
-}
-
-MigrateResult
-TierManager::promoteKeepSource(Frame *frame, TierId dst)
-{
-    KLOC_ASSERT(frame->tier != kInvalidTier, "promoting freed frame");
-    KLOC_ASSERT(!frame->hasShadow(),
-                "promoteKeepSource over an existing shadow");
-    if (!frame->relocatable)
-        return MigrateResult::NotRelocatable;
-    if (frame->pinned())
-        return MigrateResult::Pinned;
-    if (frame->tier == dst)
-        return MigrateResult::SameTier;
-    if (frame->migrateCount >= kRetainThreshold && dst > frame->tier)
-        return MigrateResult::Damped;
-    if (frame->migrateCount == 0xFF)
-        return MigrateResult::Damped;
-
-    Tier &to = tier(dst);
-    if (!to.online())
-        return MigrateResult::Offline;
-    const Pfn new_pfn = allocBlock(to, frame->order);
-    if (new_pfn == kInvalidPfn)
-        return MigrateResult::NoSpace;
-
-    // The source buddy pages stay allocated as the shadow; only the
-    // class residency moves with the frame.
-    Tier &from = tier(frame->tier);
-    from.noteFree(frame->objClass, frame->pages());
-    frame->shadowTier = frame->tier;
-    frame->shadowPfn = frame->pfn;
-    frame->shadowSince = _machine.now();
-    _shadowPages += frame->pages();
-
-    frame->tier = dst;
-    frame->pfn = new_pfn;
-    ++frame->migrateCount;
-    to.noteArrive(frame->objClass, frame->pages());
-    return MigrateResult::Ok;
-}
-
-MigrateResult
-TierManager::migrateIntoShadow(Frame *frame)
-{
-    KLOC_ASSERT(frame->tier != kInvalidTier, "demoting freed frame");
-    KLOC_ASSERT(frame->hasShadow(), "no shadow to demote into");
-    const TierId dst = frame->shadowTier;
-    if (!frame->relocatable)
-        return MigrateResult::NotRelocatable;
-    if (frame->pinned())
-        return MigrateResult::Pinned;
-    if (frame->tier == dst)
-        return MigrateResult::SameTier;
-    if (frame->migrateCount >= kRetainThreshold && dst > frame->tier)
-        return MigrateResult::Damped;
-    if (frame->migrateCount == 0xFF)
-        return MigrateResult::Damped;
-    Tier &to = tier(dst);
-    if (!to.online())
-        return MigrateResult::Offline;
-
-    Tier &from = tier(frame->tier);
-    from.noteFree(frame->objClass, frame->pages());
-    freeBlock(from, frame->pfn, frame->order);
-
-    // The shadow's buddy pages are already allocated; adopt them.
-    frame->tier = dst;
-    frame->pfn = frame->shadowPfn;
-    _shadowPages -= frame->pages();
-    frame->shadowTier = kInvalidTier;
-    frame->shadowPfn = kInvalidPfn;
-    frame->shadowSince = Tick{};
-    ++frame->migrateCount;
-    to.noteArrive(frame->objClass, frame->pages());
-    return MigrateResult::Ok;
-}
-
-MigrateResult
-TierManager::evacuate(Frame *frame, TierId dst)
-{
-    KLOC_ASSERT(frame->tier != kInvalidTier, "evacuating freed frame");
-    KLOC_ASSERT(frame->poisoned, "evacuating healthy frame");
-    if (!frame->relocatable)
-        return MigrateResult::NotRelocatable;
-    if (frame->pinned())
-        return MigrateResult::Pinned;
-    if (frame->tier == dst)
-        return MigrateResult::SameTier;
-    Tier &to = tier(dst);
-    if (!to.online())
-        return MigrateResult::Offline;
-    const Pfn new_pfn = allocBlock(to, frame->order);
-    if (new_pfn == kInvalidPfn)
-        return MigrateResult::NoSpace;
-
-    // A stale shadow cannot serve recovery; a clean one would have
-    // been adopted by evacuateIntoShadow() instead. Either way the
-    // frame leaves it behind.
-    if (frame->hasShadow())
-        dropShadow(frame, ShadowDropReason::FrameMoved);
-
-    Tier &from = tier(frame->tier);
-    from.noteFree(frame->objClass, frame->pages());
-    from.buddy().quarantine(frame->pfn, frame->order);
-
-    frame->tier = dst;
-    frame->pfn = new_pfn;
-    frame->poisoned = false;
-    ++frame->migrateCount;
-    to.noteArrive(frame->objClass, frame->pages());
-    return MigrateResult::Ok;
-}
-
-MigrateResult
-TierManager::evacuateIntoShadow(Frame *frame)
-{
-    KLOC_ASSERT(frame->tier != kInvalidTier, "evacuating freed frame");
-    KLOC_ASSERT(frame->poisoned, "evacuating healthy frame");
-    KLOC_ASSERT(frame->hasShadow(), "no shadow to recover from");
-    const TierId dst = frame->shadowTier;
-    if (!frame->relocatable)
-        return MigrateResult::NotRelocatable;
-    if (frame->pinned())
-        return MigrateResult::Pinned;
-    if (frame->tier == dst)
-        return MigrateResult::SameTier;
-    Tier &to = tier(dst);
-    if (!to.online())
-        return MigrateResult::Offline;
-
-    Tier &from = tier(frame->tier);
-    from.noteFree(frame->objClass, frame->pages());
-    from.buddy().quarantine(frame->pfn, frame->order);
-
-    // The clean shadow's buddy pages carry the pre-error bytes;
-    // adopt them as the frame's new home.
-    frame->tier = dst;
-    frame->pfn = frame->shadowPfn;
-    frame->poisoned = false;
-    _shadowPages -= frame->pages();
-    frame->shadowTier = kInvalidTier;
-    frame->shadowPfn = kInvalidPfn;
-    frame->shadowSince = Tick{};
     ++frame->migrateCount;
     to.noteArrive(frame->objClass, frame->pages());
     return MigrateResult::Ok;

@@ -5,8 +5,11 @@
  *
  * Placement policy is expressed by the caller through the tier
  * preference order passed to alloc(); the manager walks it until a
- * tier has room. Migration re-homes a Frame in place so that kernel
- * objects holding Frame* never see a pointer change.
+ * tier has room. Every frame move — policy migration, Nomad's
+ * shadow-keeping promotion and shadow-reusing demotion, hwpoison
+ * evacuation — is one call to rehome(), which re-homes a Frame in
+ * place behind a single gate ladder so kernel objects holding Frame*
+ * never see a pointer change.
  */
 
 #ifndef KLOC_MEM_TIER_MANAGER_HH
@@ -33,10 +36,25 @@ enum class MigrateResult : uint8_t
     SameTier,        ///< already resident on the destination
     Offline,         ///< destination tier is offline
     NoSpace,         ///< destination allocator is exhausted
-    Poisoned,        ///< an uncorrectable error fired mid-copy
+    Poisoned,        ///< poisoned in place, or an error fired mid-copy
 };
 
 const char *migrateResultName(MigrateResult result);
+
+/** Where a re-homed frame's bytes land (TierManager::rehome). */
+enum class Landing : uint8_t
+{
+    Fresh = 0,  ///< a newly allocated block on the destination
+    Shadow,     ///< the frame's own shadow copy (no allocation)
+};
+
+/** What the block a frame re-homes off becomes. */
+enum class SourceFate : uint8_t
+{
+    Free = 0,    ///< returned to the allocator
+    KeepShadow,  ///< kept allocated as a Nomad shadow copy
+    Quarantine,  ///< retired for good: hwpoison containment
+};
 
 /** Where a frame poisoning surfaced (FramePoison arg). */
 enum class PoisonOrigin : uint8_t
@@ -172,53 +190,34 @@ class TierManager
     void free(Frame *frame);
 
     /**
-     * Re-home @p frame onto @p dst. Space bookkeeping only — the
-     * MigrationEngine charges copy costs. Fails (returns false) when
-     * the frame is non-relocatable, pinned, or @p dst is full.
+     * Re-home @p frame onto @p dst — the one way a frame moves. Space
+     * bookkeeping only: the MigrationEngine emits the trace bracket and
+     * charges copy costs. The frame keeps its address, so kernel
+     * objects holding Frame* never see a pointer change.
+     *
+     * One gate ladder decides, in order: relocatable, pinned, same
+     * tier, ping-pong damping, destination online, poisoned — then,
+     * for a fresh landing, destination space. Containment
+     * (@p source == Quarantine) skips damping, which is no policy
+     * decision, and is the only move a poisoned frame may make: its
+     * bad block must end quarantined, never back in the allocator.
+     *
+     * @p landing picks where the bytes land: a fresh block allocated
+     * on @p dst, or the frame's own shadow copy, which must sit on
+     * @p dst. A fresh landing strands any shadow (dropped as
+     * FrameMoved). @p source picks what the vacated block becomes:
+     * freed; kept allocated as the frame's new Nomad shadow, which no
+     * allocation can claim until the shadow is reused or dropped
+     * (fresh landing onto a shadow-less frame only); or quarantined,
+     * which also scrubs the poison flag — the caller emits
+     * FrameQuarantine via noteQuarantined() after its bracket, so the
+     * checker sees the frame leave the block before the block is
+     * retired.
      */
-    bool migrate(Frame *frame, TierId dst);
+    MigrateResult rehome(Frame *frame, TierId dst, Landing landing,
+                         SourceFate source);
 
-    /** migrate() with the failure reason surfaced. */
-    MigrateResult migrateEx(Frame *frame, TierId dst);
-
-    /**
-     * Re-home @p frame onto @p dst while keeping the source buddy
-     * pages allocated as a non-exclusive shadow copy (Nomad). The
-     * old (tier, pfn) is recorded on the frame; no FrameAlloc can
-     * land there until the shadow is reused or dropped. Space
-     * bookkeeping only — the caller emits trace events and charges
-     * copy costs. Same failure modes as migrateEx().
-     */
-    MigrateResult promoteKeepSource(Frame *frame, TierId dst);
-
-    /**
-     * Demote @p frame back into its shadow location: the resident
-     * copy is freed and the frame re-homes onto the shadow's pages
-     * without a new allocation (the shadow pages are already ours).
-     * The caller must have checked the shadow is clean and its tier
-     * online. Space bookkeeping only. Fails like migrateEx().
-     */
-    MigrateResult migrateIntoShadow(Frame *frame);
-
-    /**
-     * Re-home @p frame off its poisoned block onto @p dst. Like
-     * migrateEx() but skips ping-pong damping (containment is not a
-     * policy decision) and quarantines the source block instead of
-     * freeing it. Any shadow is dropped. The caller emits the
-     * MigStart/MigComplete bracket and then FrameQuarantine for the
-     * abandoned block — after the bracket, so the checker sees the
-     * frame leave the block before the block is retired.
-     */
-    MigrateResult evacuate(Frame *frame, TierId dst);
-
-    /**
-     * Re-home @p frame off its poisoned block into its clean shadow
-     * copy. Like migrateIntoShadow() but skips damping and
-     * quarantines the abandoned block. Event duties as evacuate().
-     */
-    MigrateResult evacuateIntoShadow(Frame *frame);
-
-    /** Emit FrameQuarantine for a block retired via evacuate(). */
+    /** Emit FrameQuarantine for a block rehome() quarantined. */
     void noteQuarantined(TierId tier, Pfn pfn, unsigned order);
 
     /**

@@ -74,25 +74,10 @@ System::snapshot() const
     }
 
     const MigrationStats &mig = _migrator.stats();
-    stats.set("migration.pages", static_cast<double>(mig.migratedPages));
-    stats.set("migration.demoted",
-              static_cast<double>(mig.demotedPages));
-    stats.set("migration.promoted",
-              static_cast<double>(mig.promotedPages));
-    stats.set("migration.failed_not_relocatable",
-              static_cast<double>(mig.failedNotRelocatable));
-    stats.set("migration.failed_no_space",
-              static_cast<double>(mig.failedNoSpace));
-    stats.set("migration.failed_pinned",
-              static_cast<double>(mig.failedPinned));
-    stats.set("migration.failed_damped",
-              static_cast<double>(mig.failedDamped));
-    stats.set("migration.failed_offline",
-              static_cast<double>(mig.failedOffline));
-    stats.set("migration.failed_stale",
-              static_cast<double>(mig.failedStale));
-    stats.set("migration.no_space_retries",
-              static_cast<double>(mig.noSpaceRetries));
+    for (const MigrationStatField &field : kMigrationStatFields) {
+        stats.set(std::string("migration.") + field.name,
+                  static_cast<double>(mig.*field.member));
+    }
 
     const FaultInjector &faults = _machine.faults();
     if (faults.armed()) {

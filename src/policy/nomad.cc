@@ -55,8 +55,9 @@ NomadStrategy::scanTick()
     ++_scanTicks;
     TierManager &tiers = _heap.tiers();
 
-    // Demotions drain through shadows when possible: a clean page
-    // whose shadow still sits on the slow tier is a free remap.
+    // Demotions drain through shadows when possible: migrate() turns
+    // a clean page whose shadow still sits on the slow tier into a
+    // free remap.
     if (tiers.tier(_fast).utilization() > _config.demoteWatermark) {
         _lru.scanTier(_fast, _config.scanBatch, _scanScratch);
         _victims.clear();
@@ -64,7 +65,7 @@ NomadStrategy::scanTick()
             if (ref.valid() && ref->objClass == ObjClass::App)
                 _victims.push_back(ref);
         }
-        _migrator.demoteWithShadows(_victims, _slow);
+        _migrator.migrate(_victims, _slow);
     }
 
     // Promotions are transactional copies.

@@ -108,6 +108,12 @@ InvariantChecker::consume(const TraceEvent &event)
                       "allocation on quarantined block tier=%llu pfn=%llu",
                       (unsigned long long)a, (unsigned long long)b);
         }
+        if (_poisonVacated.count(key)) {
+            violation(event,
+                      "allocation on poisoned block tier=%llu pfn=%llu "
+                      "before its quarantine",
+                      (unsigned long long)a, (unsigned long long)b);
+        }
         FrameState state;
         state.cls = d;
         _frames.emplace(key, state);
@@ -278,8 +284,17 @@ InvariantChecker::consume(const TraceEvent &event)
                       "pfn=%llu",
                       (unsigned long long)c, (unsigned long long)d);
         }
+        if (_poisonVacated.count(dst_key)) {
+            violation(event,
+                      "migration lands on poisoned block tier=%llu "
+                      "pfn=%llu before its quarantine",
+                      (unsigned long long)c, (unsigned long long)d);
+        }
         // The only migration a poisoned frame may make is its
-        // containment evacuation, which scrubs the poison.
+        // containment evacuation, which scrubs the poison. The bad
+        // block it leaves may go nowhere but quarantine.
+        if (frame.poisoned)
+            _poisonVacated.insert(src_key);
         frame.poisoned = false;
         // List membership follows the frame to the destination tier.
         // counts() may grow the tier vector; materialize both entries
@@ -576,10 +591,10 @@ InvariantChecker::consume(const TraceEvent &event)
                       (unsigned long long)a, (unsigned long long)b);
             break;
         }
-        if (_quarantined.count(key)) {
+        if (_quarantined.count(key) || _poisonVacated.count(key)) {
             violation(event,
-                      "shadow created on quarantined block tier=%llu "
-                      "pfn=%llu",
+                      "shadow created on %s block tier=%llu pfn=%llu",
+                      _quarantined.count(key) ? "quarantined" : "poisoned",
                       (unsigned long long)a, (unsigned long long)b);
             break;
         }
@@ -654,6 +669,7 @@ InvariantChecker::consume(const TraceEvent &event)
                       "double quarantine of block tier=%llu pfn=%llu",
                       (unsigned long long)a, (unsigned long long)b);
         }
+        _poisonVacated.erase(key);
         break;
       }
 

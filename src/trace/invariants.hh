@@ -29,8 +29,10 @@
  *  - hwpoison containment is sound: a frame is never poisoned twice,
  *    quarantine retires only dead locations and never the same block
  *    twice, nothing ever allocates, migrates into, or shadows onto a
- *    quarantined block, and every recovery names a live destination
- *    and a quarantined source
+ *    quarantined block, a poisoned block a frame migrated off takes no
+ *    allocation, migration arrival or shadow before its quarantine
+ *    (it may leave its frame only into quarantine), and every
+ *    recovery names a live destination and a quarantined source
  *  - tier health moves one step at a time (healthy <-> degraded <->
  *    failed) from the state the model last saw, and every transition
  *    respects the hysteresis thresholds its score reports
@@ -148,6 +150,8 @@ class InvariantChecker
     std::vector<TierCounts> _tierCounts;
     std::vector<bool> _tierOffline;    ///< per-tier offline flag
     std::unordered_set<uint64_t> _quarantined; ///< retired frame keys
+    /** Blocks a poisoned frame migrated off, awaiting quarantine. */
+    std::unordered_set<uint64_t> _poisonVacated;
     std::vector<uint64_t> _tierHealth; ///< per-tier health (0/1/2)
     int _journalWindows = 0;   ///< nesting depth of commit/detach windows
     bool _journalArmed = false;///< a journal subsystem has shown itself

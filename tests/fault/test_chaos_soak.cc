@@ -229,7 +229,7 @@ runSoakCell(const std::string &policy_name, uint64_t seed)
             // poison-during-copy and shadow recovery both happen.
             ScanResult scan = lru.scanTier(fast, FrameCount{48});
             if (!scan.demoteCandidates.empty())
-                migrator.demoteWithShadows(scan.demoteCandidates, slow);
+                migrator.migrate(scan.demoteCandidates, slow);
             auto hot = lru.collectHot(slow, FrameCount{24});
             if (!hot.empty())
                 migrator.promoteTransactional(hot, fast,

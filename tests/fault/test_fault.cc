@@ -1046,6 +1046,45 @@ TEST(PoisonLifecycle, NoShadowNoBackingIsDataLoss)
     EXPECT_TRUE(s.checker->clean()) << s.checker->report();
 }
 
+TEST(PoisonLifecycle, DataLostFrameNeverLeavesItsBlock)
+{
+    FaultStack s(/*fast_pages=*/8, /*slow_pages=*/8);
+    Frame *frame = s.tiers.alloc(0, ObjClass::App, true, {s.fast});
+    ASSERT_NE(frame, nullptr);
+    const Pfn bad = frame->pfn;
+
+    // No shadow, no reread hook: NoSource data loss, poisoned in place.
+    EXPECT_FALSE(s.migrator.poisonFrame(frame, PoisonOrigin::Access));
+    ASSERT_TRUE(frame->poisoned);
+
+    // No move may free the bad block: single-frame, batch, and drain
+    // all refuse, and each refusal is tallied.
+    EXPECT_FALSE(s.migrator.migrateOne(frame, s.slow));
+    EXPECT_EQ(s.migrator.migrate({FrameRef(frame)}, s.slow), 0u);
+    EXPECT_EQ(s.migrator.offlineTier(s.fast), 1u) << "not stranded";
+    EXPECT_EQ(frame->tier, s.fast);
+    EXPECT_EQ(frame->pfn, bad);
+    EXPECT_EQ(s.migrator.stats().failedPoisoned, 3u);
+    EXPECT_EQ(s.migrator.stats().movedFrames, 0u);
+    EXPECT_EQ(s.migrator.stats().attempts,
+              s.migrator.stats().resolvedAttempts());
+    s.migrator.onlineTier(s.fast);
+
+    // Freed, the frame's block quarantines; the bad pfn never comes
+    // back, however hard the tier is drained.
+    s.tiers.free(frame);
+    EXPECT_EQ(s.tiers.quarantinedPages(), 1u);
+    std::vector<Frame *> all;
+    while (Frame *f = s.tiers.alloc(0, ObjClass::App, true, {s.fast})) {
+        EXPECT_NE(f->pfn, bad);
+        all.push_back(f);
+    }
+    EXPECT_EQ(all.size(), 7u);
+    for (Frame *f : all)
+        s.tiers.free(f);
+    EXPECT_TRUE(s.checker->clean()) << s.checker->report();
+}
+
 TEST(PoisonLifecycle, StormBurstsFireOnSchedule)
 {
     FaultStack s;
@@ -1263,6 +1302,41 @@ TEST_F(PoisonChecker, ValidRecoverySequenceIsClean)
     checker.consume(make(TraceEventType::FrameFree, 1, 9, 0, 1));
     EXPECT_TRUE(checker.clean()) << checker.report();
     EXPECT_EQ(checker.quarantinedCount(), 1u);
+}
+
+TEST_F(PoisonChecker, PoisonedBlockReallocatedBeforeQuarantineViolates)
+{
+    // A plain migration of a poisoned-in-place frame: the bad block
+    // went back to the allocator instead of into quarantine, and the
+    // next allocation was handed it.
+    checker.consume(make(TraceEventType::FrameAlloc, 0, 5, 0, 1));
+    checker.consume(make(TraceEventType::FramePoison, 0, 5, 0, 0));
+    checker.consume(make(TraceEventType::MigStart, 0, 5, 1, 9));
+    checker.consume(make(TraceEventType::MigComplete, 1, 9, 1, 1));
+    EXPECT_TRUE(checker.clean()) << checker.report();
+    checker.consume(make(TraceEventType::FrameAlloc, 0, 5, 0, 1));
+    EXPECT_FALSE(checker.clean());
+}
+
+TEST_F(PoisonChecker, MigrationOntoPoisonedBlockBeforeQuarantineViolates)
+{
+    checker.consume(make(TraceEventType::FrameAlloc, 0, 5, 0, 1));
+    checker.consume(make(TraceEventType::FrameAlloc, 1, 7, 0, 1));
+    checker.consume(make(TraceEventType::FramePoison, 0, 5, 0, 0));
+    checker.consume(make(TraceEventType::MigStart, 0, 5, 1, 9));
+    checker.consume(make(TraceEventType::MigComplete, 1, 9, 1, 1));
+    checker.consume(make(TraceEventType::MigStart, 1, 7, 0, 5));
+    EXPECT_FALSE(checker.clean());
+}
+
+TEST_F(PoisonChecker, PoisonedBlockKeptAsShadowViolates)
+{
+    checker.consume(make(TraceEventType::FrameAlloc, 1, 5, 0, 1));
+    checker.consume(make(TraceEventType::FramePoison, 1, 5, 0, 0));
+    checker.consume(make(TraceEventType::MigStart, 1, 5, 0, 9));
+    checker.consume(make(TraceEventType::MigComplete, 0, 9, 1, 0));
+    checker.consume(make(TraceEventType::ShadowMake, 1, 5, 0, 9));
+    EXPECT_FALSE(checker.clean());
 }
 
 TEST_F(PoisonChecker, TierHealthTransitionsMustBeAdjacent)

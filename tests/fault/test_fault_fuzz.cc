@@ -253,17 +253,12 @@ runFuzzSeed(uint64_t seed, const std::string &policy_name = {},
             }
         } else if (action < 0.89) {
             // Exercise the migration fault site from both directions.
-            // Under a hosted policy take the transactional/shadow
-            // paths so copy aborts and shadow reuse also run while
-            // faults fire.
+            // Under a hosted policy promote transactionally, so copy
+            // aborts — and, through migrate(), shadow reuse — also run
+            // while faults fire.
             ScanResult scan = lru.scanTier(fast, FrameCount{64});
-            if (!scan.demoteCandidates.empty()) {
-                if (policy)
-                    migrator.demoteWithShadows(scan.demoteCandidates,
-                                               slow);
-                else
-                    migrator.migrate(scan.demoteCandidates, slow);
-            }
+            if (!scan.demoteCandidates.empty())
+                migrator.migrate(scan.demoteCandidates, slow);
             auto hot = lru.collectHot(slow, FrameCount{32});
             if (!hot.empty()) {
                 if (policy)

@@ -2,8 +2,9 @@
  * @file
  * klocsim CLI smoke tests: `list` prints the whole registry vocabulary
  * (both platforms' policy names and every workload), both run commands
- * accept a registry name through --strategy, and both reject an unknown
- * one with a nonzero exit.
+ * accept a registry name through --strategy, both reject an unknown
+ * one with a nonzero exit, and --stats exports every MigrationStats
+ * counter.
  */
 
 #include <gtest/gtest.h>
@@ -73,6 +74,22 @@ TEST(KlocsimCli, RunTakesAnyTwoTierRegistryName)
         klocsim("run --strategy nomad --ops 200 --scale 256");
     EXPECT_EQ(r.code, 0) << r.out;
     EXPECT_NE(r.out.find("under nomad:"), std::string::npos) << r.out;
+}
+
+TEST(KlocsimCli, StatsExportEveryMigrationCounter)
+{
+    const CliResult r =
+        klocsim("run --strategy nomad --ops 200 --scale 256 --stats");
+    ASSERT_EQ(r.code, 0) << r.out;
+    for (const char *name :
+         {"migration.attempts", "migration.failed_same_tier",
+          "migration.failed_poisoned", "migration.txn_begins",
+          "migration.txn_commits", "migration.txn_aborted_write",
+          "migration.txn_aborted_no_space", "migration.txn_aborted_blocked",
+          "migration.shadow_makes", "migration.shadow_free_demotions"}) {
+        EXPECT_NE(r.out.find(name), std::string::npos)
+            << name << " missing:\n" << r.out;
+    }
 }
 
 TEST(KlocsimCli, OptaneTakesAnOptaneRegistryName)

@@ -95,7 +95,7 @@ struct ShadowStack
     uint64_t
     demote(Frame *frame)
     {
-        return migrator.demoteWithShadows({FrameRef(frame)}, slow);
+        return migrator.migrate({FrameRef(frame)}, slow);
     }
 
     Machine machine;
@@ -556,7 +556,7 @@ runTxnFuzzSeed(uint64_t seed)
             for (int i = 0; i < 8 && !pages.empty(); ++i)
                 batch.push_back(FrameRef(
                     pages[rng.nextBounded(pages.size())]));
-            s.migrator.demoteWithShadows(batch, s.slow);
+            s.migrator.migrate(batch, s.slow);
         } else if (action < 0.88 && !pages.empty()) {
             const size_t victim = rng.nextBounded(pages.size());
             s.heap.freeAppPage(pages[victim]);

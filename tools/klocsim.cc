@@ -384,24 +384,11 @@ cmdCharacterize(const Args &args)
                     (unsigned long long)hist.dist().count());
     }
     const MigrationStats &mig = sys.migrator().stats();
-    std::printf("  migration outcomes (of %llu attempts):\n",
-                (unsigned long long)mig.attempts);
-    std::printf("    %-16s %llu\n", "moved_pages",
-                (unsigned long long)mig.migratedPages);
-    std::printf("    %-16s %llu\n", "no_space",
-                (unsigned long long)mig.failedNoSpace);
-    std::printf("    %-16s %llu\n", "no_space_retries",
-                (unsigned long long)mig.noSpaceRetries);
-    std::printf("    %-16s %llu\n", "not_relocatable",
-                (unsigned long long)mig.failedNotRelocatable);
-    std::printf("    %-16s %llu\n", "pinned",
-                (unsigned long long)mig.failedPinned);
-    std::printf("    %-16s %llu\n", "damped",
-                (unsigned long long)mig.failedDamped);
-    std::printf("    %-16s %llu\n", "offline",
-                (unsigned long long)mig.failedOffline);
-    std::printf("    %-16s %llu\n", "stale",
-                (unsigned long long)mig.failedStale);
+    std::printf("  migration outcomes:\n");
+    for (const MigrationStatField &field : kMigrationStatFields) {
+        std::printf("    %-22s %llu\n", field.name,
+                    (unsigned long long)(mig.*field.member));
+    }
     printCommonStats(sys);
     printFaultStats(sys);
     return trace_rc;

@@ -69,11 +69,16 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 # Golden-style determinism check on the CLI path: same command, two
 # fresh processes, identical serialized traces, zero violations. The
 # two runs are independent processes, so they run concurrently.
+# rocksdb drives the fs data path and KLOC knode migration; varmail
+# drives the fs metadata path (create, fsync, unlink, readdir) and
+# the journal's per-inode detach.
+WORKLOADS="rocksdb varmail"
 tracedir=$(mktemp -d)
 trap 'rm -rf "$tracedir"' EXIT
+# Arguments: workload, trace path.
 run_traced() {
-    "$BUILD_DIR"/tools/klocsim run --workload rocksdb --ops 2000 \
-        --scale 16 --trace "$1" --check > "$1.out"
+    "$BUILD_DIR"/tools/klocsim run --workload "$1" --ops 2000 \
+        --scale 16 --trace "$2" --check > "$2.out"
 }
 # A bare `wait` returns 0 whatever its jobs returned, so each run's
 # status (klocsim --check exits 2 on a violation) is collected by pid.
@@ -88,19 +93,24 @@ wait_both() {
         exit 1
     fi
 }
-run_traced "$tracedir/a.trace" & pa=$!
-run_traced "$tracedir/b.trace" & pb=$!
-wait_both "$pa" "$pb" "$tracedir/a.trace" "$tracedir/b.trace"
-cmp "$tracedir/a.trace" "$tracedir/b.trace" || {
-    echo "FAIL: klocsim traces differ between identical runs" >&2
-    exit 1
-}
+for workload in $WORKLOADS; do
+    a="$tracedir/$workload.a.trace"
+    b="$tracedir/$workload.b.trace"
+    run_traced "$workload" "$a" & pa=$!
+    run_traced "$workload" "$b" & pb=$!
+    wait_both "$pa" "$pb" "$a" "$b"
+    cmp "$a" "$b" || {
+        echo "FAIL: klocsim $workload traces differ between identical runs" >&2
+        exit 1
+    }
+done
 
 # Same check with fault injection armed: injected faults, retries,
 # and recovery must land on the same virtual ticks in both runs. The
 # poison sites send hwpoison containment, and the checker's rule that
 # a poisoned block leaves its frame only into quarantine, through
-# every run.
+# every run, and journal_commit_crash sends varmail's unlinks through
+# detach-during-crashed-transaction and replay.
 cat > "$tracedir/faults.txt" <<'EOF'
 seed 11
 device_write prob 0.02
@@ -111,18 +121,24 @@ journal_commit_crash prob 0.1
 frame_poison_access prob 0.00001
 frame_poison_copy prob 0.0001
 EOF
+# Arguments: workload, trace path.
 run_faulted() {
-    "$BUILD_DIR"/tools/klocsim run --workload rocksdb --ops 2000 \
+    "$BUILD_DIR"/tools/klocsim run --workload "$1" --ops 2000 \
         --scale 16 --fault-spec "$tracedir/faults.txt" \
-        --trace "$1" --check > "$1.out"
+        --trace "$2" --check > "$2.out"
 }
-run_faulted "$tracedir/fa.trace" & pa=$!
-run_faulted "$tracedir/fb.trace" & pb=$!
-wait_both "$pa" "$pb" "$tracedir/fa.trace" "$tracedir/fb.trace"
-cmp "$tracedir/fa.trace" "$tracedir/fb.trace" || {
-    echo "FAIL: klocsim traces differ between identical faulted runs" >&2
-    exit 1
-}
+for workload in $WORKLOADS; do
+    a="$tracedir/$workload.fa.trace"
+    b="$tracedir/$workload.fb.trace"
+    run_faulted "$workload" "$a" & pa=$!
+    run_faulted "$workload" "$b" & pb=$!
+    wait_both "$pa" "$pb" "$a" "$b"
+    cmp "$a" "$b" || {
+        echo "FAIL: klocsim $workload traces differ between identical" \
+            "faulted runs" >&2
+        exit 1
+    }
+done
 
 # The randomized fault fuzz must be invariant-clean on every seed;
 # the sweep fans the seeds out over KLOC_JOBS RunPool workers.

@@ -15,6 +15,10 @@
  * src/base/ — wrap the container in sortedSnapshot() or, for loops
  * that are provably order-independent reductions, add a
  * `// klint:allow(determinism): <why>` justification.
+ *
+ * The sort is paid on every call. A container walked in order on a
+ * hot path should be an ordered one (std::map/std::set) instead, as
+ * the filesystem's name table and dirty-inode set are.
  */
 
 #ifndef KLOC_BASE_ORDERED_HH

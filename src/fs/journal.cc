@@ -14,27 +14,9 @@ Journal::~Journal()
     // Drop any uncommitted transaction state. This is an abort, not a
     // commit, but it still releases journal objects — open a detach
     // window so the invariant checker sees a sanctioned release.
-    // Move the queues into locals before releasing anything: freeing
-    // charges time, charged time dispatches events, and the commit
-    // timer firing mid-teardown must find the queues already empty
-    // instead of half-released.
     Tracer &tracer = _heap.mem().machine().tracer();
     tracer.emit(TraceEventType::JournalDetachStart, 0);
-    std::vector<std::unique_ptr<JournalRecord>> records =
-        std::move(_records);
-    _records.clear();
-    std::vector<std::unique_ptr<JournalPage>> pages = std::move(_pages);
-    _pages.clear();
-    for (auto &rec : records) {
-        if (_kloc && rec->knode)
-            _kloc->removeObject(rec.get());
-        _heap.freeBacking(*rec);
-    }
-    for (auto &page : pages) {
-        if (_kloc && page->knode)
-            _kloc->removeObject(page.get());
-        _heap.freeBacking(*page);
-    }
+    releaseTransaction();
     tracer.emit(TraceEventType::JournalDetachEnd, 0);
 }
 
@@ -54,6 +36,10 @@ Journal::logMetadata(Knode *knode, bool active, uint64_t inode_id,
     if (_kloc && knode)
         _kloc->addObject(knode, rec.get());
     _heap.touchObject(*rec, AccessType::Write);
+    // Index and queue with no charged time in between, so a commit
+    // dispatched by the touch cannot split the two.
+    if (rec->knode)
+        _byInode[inode_id].records.push_back(rec.get());
     _records.push_back(std::move(rec));
 
     // Every page worth of logged metadata pins a journal buffer page.
@@ -68,6 +54,8 @@ Journal::logMetadata(Knode *knode, bool active, uint64_t inode_id,
         if (_kloc && knode)
             _kloc->addObject(knode, page.get());
         _heap.touchObject(*page, AccessType::Write);
+        if (page->knode)
+            _byInode[inode_id].pages.push_back(page.get());
         _pages.push_back(std::move(page));
     }
 }
@@ -75,15 +63,17 @@ Journal::logMetadata(Knode *knode, bool active, uint64_t inode_id,
 void
 Journal::releaseTransaction()
 {
-    // Same shape as the destructor: take the queues first, release
-    // after. removeObject/freeBacking charge time, and a dispatched
-    // event re-entering the journal must see the transaction as
-    // already gone.
+    // Take the queues (and empty their index) first, release after.
+    // removeObject/freeBacking charge time, and a dispatched event
+    // re-entering the journal — the commit timer firing mid-teardown,
+    // say — must see the transaction as already gone, not half
+    // released.
     std::vector<std::unique_ptr<JournalRecord>> records =
         std::move(_records);
     _records.clear();
     std::vector<std::unique_ptr<JournalPage>> pages = std::move(_pages);
     _pages.clear();
+    _byInode.clear();
     for (auto &rec : records) {
         if (_kloc && rec->knode)
             _kloc->removeObject(rec.get());
@@ -241,23 +231,29 @@ Journal::detachInode(uint64_t inode_id)
 {
     Tracer &tracer = _heap.mem().machine().tracer();
     tracer.emit(TraceEventType::JournalDetachStart, inode_id);
-    // removeObject charges time, and charged time can fire the commit
-    // timer. Latch _committing so a timer tick cannot run
-    // releaseTransaction under these walks (save/restore: detach may
-    // itself run inside a commit).
-    const bool was_committing = _committing;
-    _committing = true;
-    for (auto &rec : _records) {
-        if (rec->inodeId == inode_id && _kloc && rec->knode)
-            // klint:allow(iterator-invalidation): the _committing latch above keeps the commit timer out of releaseTransaction mid-walk
-            _kloc->removeObject(rec.get());
+    auto it = _byInode.find(inode_id);
+    if (it != _byInode.end()) {
+        // Take the inode's lists out of the index before untracking:
+        // a second detach, or a record logged meanwhile, finds a
+        // fresh entry instead of this one.
+        const InodeObjects objs = std::move(it->second);
+        _byInode.erase(it);
+        // removeObject charges time, and charged time can fire the
+        // commit timer. Latch _committing so a timer tick cannot run
+        // releaseTransaction and free the objects these lists point
+        // at (save/restore: detach may itself run inside a commit).
+        const bool was_committing = _committing;
+        _committing = true;
+        for (JournalRecord *rec : objs.records) {
+            if (rec->knode)
+                _kloc->removeObject(rec);
+        }
+        for (JournalPage *page : objs.pages) {
+            if (page->knode)
+                _kloc->removeObject(page);
+        }
+        _committing = was_committing;
     }
-    for (auto &page : _pages) {
-        if (page->inodeId == inode_id && _kloc && page->knode)
-            // klint:allow(iterator-invalidation): the _committing latch above keeps the commit timer out of releaseTransaction mid-walk
-            _kloc->removeObject(page.get());
-    }
-    _committing = was_committing;
     tracer.emit(TraceEventType::JournalDetachEnd, inode_id);
 }
 

@@ -23,6 +23,7 @@
 #define KLOC_FS_JOURNAL_HH
 
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "core/kloc_manager.hh"
@@ -61,7 +62,8 @@ class Journal
     /**
      * Untrack any in-flight records/pages belonging to @p inode_id
      * from their knode (called before the knode is destroyed on
-     * unlink). The objects stay allocated until commit.
+     * unlink). The objects stay allocated until commit. Costs the
+     * inode's own in-flight objects, not the whole transaction.
      */
     void detachInode(uint64_t inode_id);
 
@@ -88,6 +90,13 @@ class Journal
     /** Free every queued record and page (transaction complete). */
     void releaseTransaction();
 
+    /** One inode's knode-tracked records and pages, each in log order. */
+    struct InodeObjects
+    {
+        std::vector<JournalRecord *> records;
+        std::vector<JournalPage *> pages;
+    };
+
     KernelHeap &_heap;
     KlocManager *_kloc;
     BlockLayer &_block;
@@ -95,6 +104,12 @@ class Journal
     uint64_t _txId = 1;
     std::vector<std::unique_ptr<JournalRecord>> _records;
     std::vector<std::unique_ptr<JournalPage>> _pages;
+    /**
+     * Index of the queued objects still tracked by a knode, by inode
+     * id: detachInode's lookup. Only ever probed by key, never walked.
+     * Empties whenever the queues are taken.
+     */
+    std::unordered_map<uint64_t, InodeObjects> _byInode;
     Bytes _pendingMetaBytes{};
     uint64_t _journalSector = kJournalStartSector;
     uint64_t _committedTxs = 0;

@@ -1,7 +1,5 @@
 #include "fs/vfs.hh"
 
-#include "base/ordered.hh"
-
 #include <algorithm>
 #include <cstring>
 
@@ -23,8 +21,9 @@ FileSystem::~FileSystem()
 {
     stopDaemons();
     // Tear down every inode: pages off the global LRU, objects
-    // untracked and freed, knodes unmapped.
-    for (const auto &name : sortedSnapshot(_names)) {
+    // untracked and freed, knodes unmapped. Walk a copy of the names:
+    // unlink erases from _names.
+    for (const std::string &name : nameSnapshot()) {
         // Force-close any lingering fds.
         auto it = _names.find(name);
         if (it == _names.end())
@@ -672,9 +671,9 @@ FileSystem::writebackTick()
 {
     if (!_daemonsRunning)
         return;
-    // Snapshot (writebackInode mutates _dirtyInodes), sorted so
-    // writeback order never depends on hash-table layout.
-    const std::vector<uint64_t> ids = sortedSnapshot(_dirtyInodes);
+    // Snapshot: writebackInode erases from _dirtyInodes.
+    const std::vector<uint64_t> ids(_dirtyInodes.begin(),
+                                    _dirtyInodes.end());
     for (const uint64_t id : ids) {
         InodeInfo *info = infoForId(id);
         if (info)
@@ -715,7 +714,8 @@ FileSystem::stopDaemons()
 void
 FileSystem::syncAll()
 {
-    const std::vector<uint64_t> ids = sortedSnapshot(_dirtyInodes);
+    const std::vector<uint64_t> ids(_dirtyInodes.begin(),
+                                    _dirtyInodes.end());
     for (const uint64_t id : ids) {
         InodeInfo *info = infoForId(id);
         if (!info)
@@ -849,15 +849,26 @@ FileSystem::exists(const std::string &name) const
 }
 
 std::vector<std::string>
+FileSystem::nameSnapshot() const
+{
+    std::vector<std::string> names;
+    names.reserve(_names.size());
+    for (const auto &entry : _names)
+        names.push_back(entry.first);
+    return names;
+}
+
+std::vector<std::string>
 FileSystem::readdir()
 {
     Machine &machine = _heap.mem().machine();
     machine.cpuWork(kSyscallCost);
-    std::vector<std::string> names;
-    names.reserve(_names.size());
+    // Copy the names out first: the dirent loop below charges time,
+    // and a dispatched event may create or unlink files.
+    std::vector<std::string> names = nameSnapshot();
     size_t in_buffer = 0;
     std::unique_ptr<DirBuffer> dir_buf;
-    for (const std::string &name : sortedSnapshot(_names)) {
+    for (size_t i = 0; i < names.size(); ++i) {
         if (in_buffer == 0) {
             // Fill a fresh dirent buffer (getdents chunking).
             if (dir_buf) {
@@ -872,7 +883,6 @@ FileSystem::readdir()
         // Copy one dirent into the buffer.
         if (dir_buf->backed())
             _heap.touchObject(*dir_buf, AccessType::Write);
-        names.push_back(name);
         in_buffer = (in_buffer + 1) % 64;
     }
     if (dir_buf && dir_buf->backed()) {

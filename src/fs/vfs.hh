@@ -13,10 +13,11 @@
 #ifndef KLOC_FS_VFS_HH
 #define KLOC_FS_VFS_HH
 
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/kloc_manager.hh"
@@ -223,6 +224,8 @@ class FileSystem
                          Knode *knode, bool active);
     void evictDentries();
     void destroyInode(uint64_t inode_id);
+    /** Every file name, in name order (a copy: callers may unlink). */
+    std::vector<std::string> nameSnapshot() const;
 
     KernelHeap &_heap;
     KlocManager *_kloc;
@@ -232,7 +235,9 @@ class FileSystem
     std::unique_ptr<BlockLayer> _blockLayer;
     std::unique_ptr<Journal> _journal;
 
-    std::unordered_map<std::string, uint64_t> _names;
+    /** Name table, ordered: readdir and teardown walk it in name
+     *  order without sorting. */
+    std::map<std::string, uint64_t> _names;
     std::unordered_map<uint64_t, InodeInfo> _inodes;
 
     /** Dentry LRU cache. */
@@ -246,8 +251,9 @@ class FileSystem
     /** Global page LRU for reclaim. */
     IntrusiveList<PageCachePage, &PageCachePage::globalLruHook> _globalLru;
 
-    /** Inodes with dirty pages. */
-    std::unordered_set<uint64_t> _dirtyInodes;
+    /** Inodes with dirty pages, ordered: writeback walks them in id
+     *  order without sorting. */
+    std::set<uint64_t> _dirtyInodes;
 
     /**
      * Depth-indexed scratch buffers for writebackInode's dirty-page

@@ -123,7 +123,7 @@ Tier &
 TierManager::tier(TierId id)
 {
     KLOC_ASSERT(id >= 0 && static_cast<size_t>(id) < _tiers.size(),
-                "bad tier id %d", id);
+                "bad tier id %d", id.value());
     return *_tiers[static_cast<size_t>(id)];
 }
 
@@ -131,7 +131,7 @@ const Tier &
 TierManager::tier(TierId id) const
 {
     KLOC_ASSERT(id >= 0 && static_cast<size_t>(id) < _tiers.size(),
-                "bad tier id %d", id);
+                "bad tier id %d", id.value());
     return *_tiers[static_cast<size_t>(id)];
 }
 
@@ -381,7 +381,7 @@ TierHealth
 TierManager::health(TierId id) const
 {
     KLOC_ASSERT(id >= 0 && static_cast<size_t>(id) < _health.size(),
-                "bad tier id %d", id);
+                "bad tier id %d", id.value());
     return _health[static_cast<size_t>(id)].health;
 }
 
@@ -389,7 +389,7 @@ uint64_t
 TierManager::healthScore(TierId id) const
 {
     KLOC_ASSERT(id >= 0 && static_cast<size_t>(id) < _health.size(),
-                "bad tier id %d", id);
+                "bad tier id %d", id.value());
     return _health[static_cast<size_t>(id)].score;
 }
 
@@ -427,7 +427,7 @@ void
 TierManager::recordTierError(TierId id)
 {
     KLOC_ASSERT(id >= 0 && static_cast<size_t>(id) < _health.size(),
-                "bad tier id %d", id);
+                "bad tier id %d", id.value());
     HealthState &state = _health[static_cast<size_t>(id)];
     state.score += kErrorScore;
     applyUpwardTransitions(id);

@@ -24,7 +24,7 @@ const TierSpec &
 MemoryModel::spec(TierId tier) const
 {
     KLOC_ASSERT(tier >= 0 && static_cast<size_t>(tier) < _tiers.size(),
-                "bad tier id %d", tier);
+                "bad tier id %d", tier.value());
     return _tiers[static_cast<size_t>(tier)];
 }
 

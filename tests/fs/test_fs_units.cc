@@ -144,6 +144,75 @@ TEST_F(FsUnitTest, JournalDetachInodeAllowsUnmap)
     journal.commit(false);   // records freed without a knode
 }
 
+TEST_F(FsUnitTest, JournalDetachTouchesOnlyItsInode)
+{
+    BlockLayer block(heap, &kloc, device);
+    Journal journal(heap, &kloc, block);
+    Knode *a = kloc.mapKnode(1);
+    Knode *b = kloc.mapKnode(2);
+    // Interleave the two inodes' records and pages in one transaction.
+    for (int i = 0; i < 3; ++i) {
+        journal.logMetadata(a, true, 1, kPageSize);
+        journal.logMetadata(b, true, 2, kPageSize / 2);
+    }
+    const uint64_t b_objects = b->objectCount();
+    ASSERT_GT(a->objectCount(), 0u);
+    ASSERT_GT(b_objects, 0u);
+
+    journal.detachInode(1);
+    EXPECT_EQ(a->objectCount(), 0u);
+    EXPECT_EQ(b->objectCount(), b_objects);
+    EXPECT_EQ(journal.liveRecords(), 6u);  // detach frees nothing
+
+    // Detaching the same inode again is a no-op.
+    journal.detachInode(1);
+    EXPECT_EQ(b->objectCount(), b_objects);
+    kloc.unmapKnode(a);
+
+    // After commit, detach has nothing left to untrack.
+    journal.commit(false);
+    EXPECT_EQ(journal.liveRecords(), 0u);
+    EXPECT_EQ(b->objectCount(), 0u);
+    journal.logMetadata(b, true, 2, Bytes{256});
+    journal.commit(false);
+    journal.detachInode(2);
+    EXPECT_EQ(b->objectCount(), 0u);
+    kloc.unmapKnode(b);
+}
+
+TEST_F(FsUnitTest, JournalDetachDuringCrashedTransaction)
+{
+    BlockLayer block(heap, &kloc, device);
+    Journal journal(heap, &kloc, block);
+    Knode *a = kloc.mapKnode(1);
+    Knode *b = kloc.mapKnode(2);
+    journal.logMetadata(a, true, 1, kPageSize);
+    journal.logMetadata(b, true, 2, kPageSize);
+
+    FaultSpec spec;
+    std::string err;
+    ASSERT_TRUE(FaultSpec::parse("journal_commit_crash oneshot 1\n", spec,
+                                 &err))
+        << err;
+    machine.faults().configure(spec);
+    journal.commit(true);
+    ASSERT_TRUE(journal.crashed());
+
+    // Unlink-style detach while the transaction is frozen.
+    journal.detachInode(1);
+    EXPECT_EQ(a->objectCount(), 0u);
+    EXPECT_GT(b->objectCount(), 0u);
+    kloc.unmapKnode(a);
+
+    // The recovery commit frees everything, detached or not.
+    journal.commit(true);
+    EXPECT_FALSE(journal.crashed());
+    EXPECT_EQ(journal.recoveredTxs(), 1u);
+    EXPECT_EQ(journal.liveRecords(), 0u);
+    EXPECT_EQ(b->objectCount(), 0u);
+    kloc.unmapKnode(b);
+}
+
 TEST_F(FsUnitTest, JournalCommitTimer)
 {
     BlockLayer block(heap, &kloc, device);

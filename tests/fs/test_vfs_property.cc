@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <vector>
@@ -24,6 +25,16 @@ struct ModelFile
     std::vector<char> bytes;
     int fd = -1;  ///< open descriptor in the simulated FS, if any
 };
+
+/** The model's names in sorted (std::string operator<) order. */
+std::vector<std::string>
+modelNames(const std::map<std::string, ModelFile> &model)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : model)
+        names.push_back(entry.first);
+    return names;
+}
 
 class VfsPropertyTest : public ::testing::TestWithParam<int>
 {};
@@ -147,11 +158,51 @@ TEST_P(VfsPropertyTest, MatchesReferenceModel)
         fs.close(file.fd);
         file.fd = -1;
     }
-    // readdir agrees with the model's name set.
-    auto names = fs.readdir();
-    EXPECT_EQ(names.size(), model.size());
-    for (const auto &name : names)
-        EXPECT_TRUE(model.count(name)) << "phantom file " << name;
+    // readdir returns exactly the model's names, in sorted order.
+    EXPECT_EQ(fs.readdir(), modelNames(model));
+}
+
+TEST_P(VfsPropertyTest, ReaddirIsSortedAcrossCreateAndUnlink)
+{
+    TwoTierPlatform::Config config;
+    config.scale = 256;
+    TwoTierPlatform platform(config);
+    platform.applyPolicyByName("klocs");
+    FileSystem &fs = platform.sys().fs();
+
+    // Numeric suffixes whose lexicographic and numeric orders differ
+    // (f_10 < f_100 < f_9), created and unlinked interleaved.
+    Rng rng(static_cast<uint64_t>(GetParam()));
+    std::map<std::string, ModelFile> model;
+    for (int step = 0; step < 400; ++step) {
+        const std::string name =
+            "f_" + std::to_string(rng.nextBounded(150));
+        if (model.count(name)) {
+            ASSERT_TRUE(fs.unlink(name));
+            model.erase(name);
+        } else {
+            const int fd = fs.create(name);
+            ASSERT_GE(fd, 0);
+            fs.close(fd);
+            model[name] = ModelFile{};
+        }
+        if (step % 25 == 0) {
+            ASSERT_EQ(fs.readdir(), modelNames(model)) << "step " << step;
+        }
+    }
+    for (const char *name : {"f_9", "f_10", "f_100"}) {
+        if (!model.count(name)) {
+            fs.close(fs.create(name));
+            model[name] = ModelFile{};
+        }
+    }
+    const std::vector<std::string> names = fs.readdir();
+    EXPECT_EQ(names, modelNames(model));
+    const auto pos = [&](const std::string &name) {
+        return std::find(names.begin(), names.end(), name) - names.begin();
+    };
+    EXPECT_LT(pos("f_10"), pos("f_100"));
+    EXPECT_LT(pos("f_100"), pos("f_9"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VfsPropertyTest,

@@ -3,16 +3,20 @@
  * klocsim CLI smoke tests: `list` prints the whole registry vocabulary
  * (both platforms' policy names and every workload), both run commands
  * accept a registry name through --strategy, both reject an unknown
- * one with a nonzero exit, and --stats exports every MigrationStats
- * counter.
+ * one with a nonzero exit, --stats exports every MigrationStats
+ * counter, and a fault spec naming a tier the platform lacks is
+ * refused with the tier number in the message.
  */
 
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "policy/registry.hh"
@@ -110,6 +114,22 @@ TEST(KlocsimCli, UnknownStrategyExitsNonzero)
         EXPECT_NE(r.code, 0) << command << ":\n" << r.out;
         EXPECT_NE(r.out.find("bogus"), std::string::npos) << r.out;
     }
+}
+
+TEST(KlocsimCli, FaultSpecNamingAMissingTierExitsNonzero)
+{
+    // ctest may run test processes in parallel: one file per process.
+    const std::filesystem::path spec =
+        std::filesystem::temp_directory_path() /
+        ("klocsim_cli_bad_tier_" + std::to_string(::getpid()) + ".spec");
+    std::ofstream(spec) << "tier_offline at 5000000 tier 7\n";
+    const CliResult r = klocsim("run --ops 200 --scale 256 --fault-spec " +
+                                spec.string());
+    std::filesystem::remove(spec);
+    EXPECT_NE(r.code, 0) << r.out;
+    EXPECT_NE(r.out.find("references tier 7; platform has 2"),
+              std::string::npos)
+        << r.out;
 }
 
 } // namespace

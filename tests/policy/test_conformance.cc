@@ -302,8 +302,9 @@ TEST_P(PolicyConformance, DeterministicTraceAcrossSeedsAndJobs)
     // Different seeds with faults armed actually diverge as soon as
     // the policy attempts any migration (the armed fault site); Naive
     // never migrates, so its trace is legitimately seed-invariant.
-    if (pooled[0].migration.attempts > 0)
+    if (pooled[0].migration.attempts > 0) {
         EXPECT_NE(serial[0], serial[1]);
+    }
 }
 
 TEST_P(PolicyConformance, BoundedPromotionUnderThrash)

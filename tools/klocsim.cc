@@ -142,7 +142,7 @@ applyFaults(System &sys, const Args &args)
         if (event.tier < 0 ||
             static_cast<size_t>(event.tier) >= sys.tiers().tierCount()) {
             fatal("fault spec references tier %d; platform has %zu",
-                  event.tier, sys.tiers().tierCount());
+                  event.tier.value(), sys.tiers().tierCount());
         }
     }
     sys.machine().faults().configure(spec);

@@ -69,16 +69,18 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 # Golden-style determinism check on the CLI path: same command, two
 # fresh processes, identical serialized traces, zero violations. The
 # two runs are independent processes, so they run concurrently.
-# rocksdb drives the fs data path and KLOC knode migration; varmail
-# drives the fs metadata path (create, fsync, unlink, readdir) and
-# the journal's per-inode detach.
-WORKLOADS="rocksdb varmail"
+# Each entry is workload:strategy. rocksdb drives the fs data path
+# and KLOC knode migration; varmail drives the fs metadata path
+# (create, fsync, unlink, readdir) and the journal's per-inode
+# detach; thrash under nomad is almost all app-page touches through
+# the poison-hooked access path, plus Nomad's shadow migrations.
+RUNS="rocksdb:klocs varmail:klocs thrash:nomad"
 tracedir=$(mktemp -d)
 trap 'rm -rf "$tracedir"' EXIT
-# Arguments: workload, trace path.
+# Arguments: workload, strategy, trace path.
 run_traced() {
-    "$BUILD_DIR"/tools/klocsim run --workload "$1" --ops 2000 \
-        --scale 16 --trace "$2" --check > "$2.out"
+    "$BUILD_DIR"/tools/klocsim run --workload "$1" --strategy "$2" \
+        --ops 2000 --scale 16 --trace "$3" --check > "$3.out"
 }
 # A bare `wait` returns 0 whatever its jobs returned, so each run's
 # status (klocsim --check exits 2 on a violation) is collected by pid.
@@ -93,14 +95,17 @@ wait_both() {
         exit 1
     fi
 }
-for workload in $WORKLOADS; do
+for run in $RUNS; do
+    workload=${run%:*}
+    strategy=${run#*:}
     a="$tracedir/$workload.a.trace"
     b="$tracedir/$workload.b.trace"
-    run_traced "$workload" "$a" & pa=$!
-    run_traced "$workload" "$b" & pb=$!
+    run_traced "$workload" "$strategy" "$a" & pa=$!
+    run_traced "$workload" "$strategy" "$b" & pb=$!
     wait_both "$pa" "$pb" "$a" "$b"
     cmp "$a" "$b" || {
-        echo "FAIL: klocsim $workload traces differ between identical runs" >&2
+        echo "FAIL: klocsim $workload/$strategy traces differ between" \
+            "identical runs" >&2
         exit 1
     }
 done
@@ -121,21 +126,23 @@ journal_commit_crash prob 0.1
 frame_poison_access prob 0.00001
 frame_poison_copy prob 0.0001
 EOF
-# Arguments: workload, trace path.
+# Arguments: workload, strategy, trace path.
 run_faulted() {
-    "$BUILD_DIR"/tools/klocsim run --workload "$1" --ops 2000 \
-        --scale 16 --fault-spec "$tracedir/faults.txt" \
-        --trace "$2" --check > "$2.out"
+    "$BUILD_DIR"/tools/klocsim run --workload "$1" --strategy "$2" \
+        --ops 2000 --scale 16 --fault-spec "$tracedir/faults.txt" \
+        --trace "$3" --check > "$3.out"
 }
-for workload in $WORKLOADS; do
+for run in $RUNS; do
+    workload=${run%:*}
+    strategy=${run#*:}
     a="$tracedir/$workload.fa.trace"
     b="$tracedir/$workload.fb.trace"
-    run_faulted "$workload" "$a" & pa=$!
-    run_faulted "$workload" "$b" & pb=$!
+    run_faulted "$workload" "$strategy" "$a" & pa=$!
+    run_faulted "$workload" "$strategy" "$b" & pb=$!
     wait_both "$pa" "$pb" "$a" "$b"
     cmp "$a" "$b" || {
-        echo "FAIL: klocsim $workload traces differ between identical" \
-            "faulted runs" >&2
+        echo "FAIL: klocsim $workload/$strategy traces differ between" \
+            "identical faulted runs" >&2
         exit 1
     }
 done

@@ -49,14 +49,17 @@ KlocManager::~KlocManager()
 
 namespace {
 
-void
+/** Remove @p knode from @p list; returns the entries removed. */
+size_t
 dropFromList(std::vector<Knode *> &list, const Knode *knode)
 {
     // Remove every occurrence: unmapKnode relies on this leaving no
     // dangling entry behind even if a reentrant event handler ever
     // managed to duplicate one.
-    list.erase(std::remove(list.begin(), list.end(), knode),
-               list.end());
+    const auto kept = std::remove(list.begin(), list.end(), knode);
+    const auto removed = static_cast<size_t>(list.end() - kept);
+    list.erase(kept, list.end());
+    return removed;
 }
 
 } // namespace
@@ -116,7 +119,7 @@ KlocManager::unmapKnode(Knode *knode)
                 static_cast<unsigned long long>(knode->objectCount()));
     _machine.tracer().emit(TraceEventType::KnodeUnmap, knode->id);
     for (auto &list : _perCpu)
-        dropFromList(list, knode);
+        _perCpuEntries -= dropFromList(list, knode);
     _kmap.erase(knode);
     _knodeTreeVisitsRetired += knode->rbCache.nodesVisited() +
                                knode->rbSlab.nodesVisited();
@@ -182,10 +185,13 @@ KlocManager::cacheOnCpu(Knode *knode)
     if (!_usePerCpuLists)
         return;
     auto &list = _perCpu[_machine.currentCpu()];
-    dropFromList(list, knode);
+    _perCpuEntries -= dropFromList(list, knode);
     list.insert(list.begin(), knode);
-    if (list.size() > kPerCpuCap)
+    ++_perCpuEntries;
+    if (list.size() > kPerCpuCap) {
         list.pop_back();
+        --_perCpuEntries;
+    }
     noteMetadata();
 }
 
@@ -238,26 +244,6 @@ KlocManager::removeObject(KernelObject *obj)
     _machine.cpuWork(3 * kTreeStepCost);
     KLOC_ASSERT(_trackedObjects > 0, "tracked object underflow");
     --_trackedObjects;
-}
-
-void
-KlocManager::forEachSlabObj(Knode *knode,
-                            const std::function<void(KernelObject *)> &fn)
-{
-    for (KernelObject *obj = knode->rbSlab.first(); obj != nullptr;
-         obj = knode->rbSlab.next(obj)) {
-        fn(obj);
-    }
-}
-
-void
-KlocManager::forEachCacheObj(Knode *knode,
-                             const std::function<void(KernelObject *)> &fn)
-{
-    for (KernelObject *obj = knode->rbCache.first(); obj != nullptr;
-         obj = knode->rbCache.next(obj)) {
-        fn(obj);
-    }
 }
 
 std::vector<Knode *>
@@ -582,12 +568,9 @@ KlocManager::startDaemon(Tick period)
 Bytes
 KlocManager::metadataBytes() const
 {
-    uint64_t per_cpu_entries = 0;
-    for (const auto &list : _perCpu)
-        per_cpu_entries += list.size();
     return _kmap.size() * kKnodeSize +            // knode structures
            Bytes{_trackedObjects * 8} +           // rbtree pointers
-           Bytes{per_cpu_entries * 16} +          // per-CPU list nodes
+           Bytes{_perCpuEntries * 16} +           // per-CPU list nodes
            Bytes{(_demoteQueue.size() + _promoteQueue.size()) * 8};
 }
 

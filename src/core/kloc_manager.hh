@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -99,13 +98,27 @@ class KlocManager
     /** Stop tracking @p obj (object about to be freed). */
     void removeObject(KernelObject *obj);
 
-    /** itr_knode_slab(): visit slab-tree members in id order. */
-    void forEachSlabObj(Knode *knode,
-                        const std::function<void(KernelObject *)> &fn);
+    /** itr_knode_slab(): call @p fn on slab-tree members in id order. */
+    template <typename Fn>
+    void
+    forEachSlabObj(Knode *knode, Fn &&fn)
+    {
+        for (KernelObject *obj = knode->rbSlab.first(); obj != nullptr;
+             obj = knode->rbSlab.next(obj)) {
+            fn(obj);
+        }
+    }
 
-    /** itr_knode_cache(): visit cache-tree members in id order. */
-    void forEachCacheObj(Knode *knode,
-                         const std::function<void(KernelObject *)> &fn);
+    /** itr_knode_cache(): call @p fn on cache-tree members in id order. */
+    template <typename Fn>
+    void
+    forEachCacheObj(Knode *knode, Fn &&fn)
+    {
+        for (KernelObject *obj = knode->rbCache.first(); obj != nullptr;
+             obj = knode->rbCache.next(obj)) {
+            fn(obj);
+        }
+    }
 
     /**
      * get_LRU_knodes(): up to @p max knodes, coldest first
@@ -229,6 +242,16 @@ class KlocManager
     /** Peak metadata footprint observed. */
     Bytes peakMetadataBytes() const { return _peakMetadata; }
 
+    /** Entries on all per-CPU fast-path lists (kept as they change). */
+    uint64_t perCpuEntries() const { return _perCpuEntries; }
+
+    /** @p cpu's fast-path knode list, most recently used first. */
+    const std::vector<Knode *> &
+    perCpuList(unsigned cpu) const
+    {
+        return _perCpu[cpu];
+    }
+
     KernelHeap &heap() { return _heap; }
 
   private:
@@ -265,6 +288,8 @@ class KlocManager
      * they are plain non-owning vectors.
      */
     std::vector<std::vector<Knode *>> _perCpu;
+    /** Sum of _perCpu list sizes, for metadataBytes(). */
+    uint64_t _perCpuEntries = 0;
 
     /** Slab cache backing knode structures (always fast memory). */
     std::unique_ptr<KmemCache> _knodeCache;

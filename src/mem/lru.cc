@@ -56,9 +56,8 @@ LruEngine::maybePoison(Frame *frame, FaultSite site, PoisonOrigin origin)
 }
 
 void
-LruEngine::onAccessed(Frame *frame)
+LruEngine::onAccessedSlow(Frame *frame)
 {
-    frame->lastAccessTick = _machine.now();
     if (maybePoison(frame, FaultSite::FramePoisonAccess,
                     PoisonOrigin::Access)) {
         // Containment ran; the frame may have been re-homed. Its new

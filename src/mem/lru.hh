@@ -76,8 +76,27 @@ class LruEngine
      * Frame lifecycle notifications. Alloc/free arrive automatically
      * via TierManager observers; access and migration notifications
      * are the caller's responsibility.
+     *
+     * onAccessed runs on every simulated reference. When no poison
+     * consult is due, the touches that only set the referenced bit
+     * (unlinked, active, or inactive and unreferenced frames) finish
+     * inline; promotion and the consult take the out-of-line path.
      */
-    void onAccessed(Frame *frame);
+    void
+    onAccessed(Frame *frame)
+    {
+        frame->lastAccessTick = _machine.now();
+        const bool consult = _poisonHook.fn != nullptr &&
+                             !frame->poisoned && _machine.faults().armed();
+        const bool promote = frame->lruHook.linked() &&
+                             !frame->onActiveList && frame->referenced;
+        if (consult || promote) {
+            onAccessedSlow(frame);
+            return;
+        }
+        if (frame->lruHook.linked())
+            frame->referenced = true;
+    }
 
     /**
      * Move @p frame's LRU membership from @p old_tier to its current
@@ -176,6 +195,9 @@ class LruEngine
 
     void onAllocated(Frame *frame);
     void onFreed(Frame *frame);
+
+    /** onAccessed past the timestamp: poison consult and promotion. */
+    void onAccessedSlow(Frame *frame);
 
     /** Consult the injector at @p site for @p frame; true = poisoned
      *  (the hook ran and the caller must not keep scanning it). */

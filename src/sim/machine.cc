@@ -16,6 +16,7 @@ Machine::reset()
     _clock.reset();
     _events.clear();
     _currentCpu = 0;
+    _currentSocket = 0;
     _refs.reset();
 }
 

@@ -86,9 +86,11 @@ class Machine
     {
         KLOC_ASSERT(cpu < _numCpus, "cpu %u out of range", cpu);
         _currentCpu = cpu;
+        _currentSocket = socketOf(cpu);
     }
 
-    int currentSocket() const { return socketOf(_currentCpu); }
+    /** Socket of the current CPU (kept by setCurrentCpu for access()). */
+    int currentSocket() const { return _currentSocket; }
 
     // -- time -------------------------------------------------------------
     Tick now() const { return _clock.now(); }
@@ -183,6 +185,7 @@ class Machine
     Tracer _tracer{_clock};
     FaultInjector _faults{_tracer};
     unsigned _currentCpu = 0;
+    int _currentSocket = 0;
 };
 
 } // namespace kloc

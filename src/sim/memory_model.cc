@@ -17,6 +17,7 @@ MemoryModel::addTier(const TierSpec &spec)
     const auto socket = static_cast<size_t>(spec.socket);
     if (_interference.size() <= socket)
         _interference.resize(socket + 1, 1.0);
+    rebuildPageCosts();
     return static_cast<TierId>(_tiers.size() - 1);
 }
 
@@ -50,8 +51,8 @@ MemoryModel::rawCost(TierId tier, Bytes bytes, AccessType type,
 }
 
 Tick
-MemoryModel::accessCost(TierId tier, Bytes bytes, AccessType type,
-                        int from_socket) const
+MemoryModel::computeAccessCost(TierId tier, Bytes bytes, AccessType type,
+                               int from_socket) const
 {
     const Tick miss = rawCost(tier, bytes, type, from_socket);
     if (_llcHitFraction <= 0.0)
@@ -70,6 +71,7 @@ MemoryModel::setInterference(int socket, double factor)
     if (_interference.size() <= idx)
         _interference.resize(idx + 1, 1.0);
     _interference[idx] = factor;
+    rebuildPageCosts();
 }
 
 void
@@ -77,6 +79,37 @@ MemoryModel::clearInterference()
 {
     for (auto &factor : _interference)
         factor = 1.0;
+    rebuildPageCosts();
+}
+
+void
+MemoryModel::setLlcHitFraction(double fraction)
+{
+    _llcHitFraction = fraction;
+    rebuildPageCosts();
+}
+
+void
+MemoryModel::setRemotePenalty(Tick penalty)
+{
+    _remotePenalty = penalty;
+    rebuildPageCosts();
+}
+
+void
+MemoryModel::rebuildPageCosts()
+{
+    const size_t sockets = _interference.size();
+    _pageCost.assign(_tiers.size() * 2 * sockets, Tick{});
+    for (size_t t = 0; t < _tiers.size(); ++t) {
+        for (const AccessType type : {AccessType::Read, AccessType::Write}) {
+            for (size_t s = 0; s < sockets; ++s) {
+                _pageCost[pageCostIndex(t, type, s)] = computeAccessCost(
+                    TierId{static_cast<int>(t)}, kPageSize, type,
+                    static_cast<int>(s));
+            }
+        }
+    }
 }
 
 } // namespace kloc

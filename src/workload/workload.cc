@@ -115,16 +115,6 @@ Workload::growArena(System &sys, uint64_t count)
 }
 
 void
-Workload::touchArena(System &sys, uint64_t idx, Bytes bytes,
-                     AccessType type)
-{
-    if (_arena.empty())
-        return;
-    Frame *frame = _arena[idx % _arena.size()];
-    sys.mem().touch(frame, bytes, type);
-}
-
-void
 Workload::releaseArena(System &sys)
 {
     for (Frame *frame : _arena)

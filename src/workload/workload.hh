@@ -110,8 +110,13 @@ class Workload
     void growArena(System &sys, uint64_t count);
 
     /** Touch @p bytes of the @p idx-th arena page. */
-    void touchArena(System &sys, uint64_t idx, Bytes bytes,
-                    AccessType type);
+    void
+    touchArena(System &sys, uint64_t idx, Bytes bytes, AccessType type)
+    {
+        if (_arena.empty())
+            return;
+        sys.mem().touch(_arena[idx % _arena.size()], bytes, type);
+    }
 
     uint64_t arenaSize() const { return _arena.size(); }
 

@@ -8,6 +8,7 @@
  *  - object counts in knode trees match a shadow model
  *  - frames' owner back-pointers track their knode
  *  - metadata accounting never underflows
+ *  - the running per-CPU list entry count matches a recount
  *  - every frame is freed by the end (no leaks)
  *
  * The whole run also executes with tracing on and the trace-level
@@ -85,7 +86,20 @@ TEST_P(KlocFuzz, InvariantsHoldUnderChurn)
         return &it->second;
     };
 
+    // metadataBytes() reads a running per-CPU entry count; it must
+    // equal the lists' sizes summed from scratch.
+    auto recount_per_cpu = [&] {
+        uint64_t entries = 0;
+        for (unsigned cpu = 0; cpu < machine.cpuCount(); ++cpu)
+            entries += kloc.perCpuList(cpu).size();
+        return entries;
+    };
+
+    // Steps exit early through `continue`, so each iteration first
+    // checks the state the previous step left.
     for (int step = 0; step < 8000; ++step) {
+        ASSERT_EQ(kloc.perCpuEntries(), recount_per_cpu())
+            << "before step " << step;
         const double action = rng.nextDouble();
         if (action < 0.12) {
             const uint64_t id = next_id++;
@@ -169,6 +183,8 @@ TEST_P(KlocFuzz, InvariantsHoldUnderChurn)
         }
     }
 
+    ASSERT_EQ(kloc.perCpuEntries(), recount_per_cpu());
+
     // Drain: everything must come back.
     for (auto &[id, entry] : model) {
         for (auto &obj : entry.objects) {
@@ -180,6 +196,8 @@ TEST_P(KlocFuzz, InvariantsHoldUnderChurn)
     }
     model.clear();
     EXPECT_EQ(kloc.knodeCount(), 0u);
+    EXPECT_EQ(kloc.perCpuEntries(), 0u);
+    EXPECT_EQ(recount_per_cpu(), 0u);
     // The only frames left are slab empty-pool retention.
     EXPECT_LE(tiers.liveFrames(), 3 * KmemCache::kEmptyRetention);
 

@@ -2,7 +2,8 @@
  * @file
  * LRU engine tests: two-list promotion dynamics, scan aging and
  * demotion candidates, two-scan promotion confirmation, migration
- * list handoff, and scan cost accounting.
+ * list handoff, scan cost accounting, and the poison consults of the
+ * inline access path.
  */
 
 #include <gtest/gtest.h>
@@ -317,6 +318,89 @@ TEST_F(LruTest, MembershipSurvivesTierOffline)
     for (Frame *frame : frames)
         tiers.free(frame);
     EXPECT_EQ(lru.activeCount(fastId) + lru.inactiveCount(fastId), 0u);
+}
+
+/** Arm frame_poison_access to fire on every @p period-th consult. */
+void
+armPoisonAccess(Machine &machine, uint64_t period)
+{
+    FaultSpec spec;
+    FaultRule &rule =
+        spec.rules[static_cast<unsigned>(FaultSite::FramePoisonAccess)];
+    rule.mode = FaultRule::Mode::Period;
+    rule.period = period;
+    machine.faults().configure(spec);
+}
+
+TEST_F(LruTest, ArmedAccessConsultsOncePerTouchOfUnpoisonedFrame)
+{
+    // The MigrationEngine registers the containment hook; every 5th
+    // consult poisons. Pinned frames cannot be evacuated, so they
+    // stay poisoned in place and later touches of them must not
+    // consult.
+    MigrationEngine migrator(machine, tiers, lru);
+    armPoisonAccess(machine, 5);
+    std::vector<Frame *> frames;
+    for (int i = 0; i < 8; ++i) {
+        frames.push_back(alloc(slowId));
+        frames.back()->pinCount = i % 2;
+    }
+    uint64_t unpoisoned_touches = 0;
+    for (int round = 0; round < 4; ++round) {
+        for (Frame *frame : frames) {
+            if (!frame->poisoned)
+                ++unpoisoned_touches;
+            lru.onAccessed(frame);
+        }
+    }
+    const auto &stats =
+        machine.faults().siteStats(FaultSite::FramePoisonAccess);
+    EXPECT_GT(stats.fires, 0u);
+    EXPECT_LT(unpoisoned_touches, 32u) << "no touch reached a poisoned frame";
+    EXPECT_EQ(stats.consults, unpoisoned_touches);
+    for (Frame *frame : frames) {
+        frame->pinCount = 0;
+        tiers.free(frame);
+    }
+}
+
+TEST_F(LruTest, ArmedAccessWithoutHookNeverConsults)
+{
+    armPoisonAccess(machine, 1);
+    Frame *frame = alloc(fastId);
+    for (int i = 0; i < 4; ++i)
+        lru.onAccessed(frame);
+    EXPECT_TRUE(frame->onActiveList);
+    EXPECT_FALSE(frame->poisoned);
+    EXPECT_EQ(machine.faults()
+                  .siteStats(FaultSite::FramePoisonAccess)
+                  .consults,
+              0u);
+    tiers.free(frame);
+}
+
+TEST_F(LruTest, ArmedSecondTouchStillActivates)
+{
+    MigrationEngine migrator(machine, tiers, lru);
+    armPoisonAccess(machine, 1000000);
+    machine.tracer().setEnabled(true);
+    Frame *frame = alloc(fastId);
+    lru.onAccessed(frame);
+    EXPECT_FALSE(frame->onActiveList);
+    lru.onAccessed(frame);
+    EXPECT_TRUE(frame->onActiveList);
+    EXPECT_EQ(lru.activeCount(fastId), 1u);
+    EXPECT_EQ(lru.inactiveCount(fastId), 0u);
+    size_t activations = 0;
+    for (const TraceEvent &event : machine.tracer().events())
+        activations += event.type == TraceEventType::LruActivate;
+    EXPECT_EQ(activations, 1u);
+    EXPECT_EQ(machine.faults()
+                  .siteStats(FaultSite::FramePoisonAccess)
+                  .consults,
+              2u);
+    machine.tracer().setEnabled(false);
+    tiers.free(frame);
 }
 
 } // namespace

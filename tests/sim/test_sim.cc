@@ -142,6 +142,85 @@ TEST(MemoryModel, RemotePenaltyAndInterference)
     EXPECT_EQ(model.rawCost(t, Bytes{64}, AccessType::Read, 0), local);
 }
 
+TEST(MemoryModel, PageCostTableTracksEveryMutator)
+{
+    MemoryModel model;
+    TierSpec dram;
+    dram.name = "dram";
+    dram.capacity = kMiB;
+    dram.readLatency = Tick{81};
+    dram.writeLatency = Tick{93};
+    dram.readBandwidth = 7 * kGiB;
+    dram.writeBandwidth = 3 * kGiB;
+    dram.socket = 0;
+    model.addTier(dram);
+    TierSpec pmem = dram;
+    pmem.name = "pmem";
+    pmem.readLatency = Tick{305};
+    pmem.writeLatency = Tick{391};
+    pmem.readBandwidth = 5 * kGiB;
+    pmem.writeBandwidth = kGiB;
+    pmem.socket = 1;
+    model.addTier(pmem);
+
+    // Every (tier, type, socket) the table holds, remote sockets
+    // included, plus a socket past it (formula fallback).
+    auto expect_exact = [&](const char *when) {
+        for (TierId t{0}; t.value() < static_cast<int>(model.tierCount());
+             ++t) {
+            for (const AccessType type :
+                 {AccessType::Read, AccessType::Write}) {
+                for (int socket = 0; socket < 4; ++socket) {
+                    EXPECT_EQ(model.accessCost(t, kPageSize, type, socket),
+                              model.computeAccessCost(t, kPageSize, type,
+                                                      socket))
+                        << when << ": tier " << t.value() << " type "
+                        << static_cast<int>(type) << " socket " << socket;
+                }
+            }
+        }
+    };
+    const TierId p{1};
+    const auto page_cost = [&] {
+        return model.accessCost(p, kPageSize, AccessType::Write, 0);
+    };
+
+    expect_exact("initial");
+    Tick before = page_cost();
+    model.setInterference(1, 2.5);
+    EXPECT_NE(page_cost(), before);
+    expect_exact("interference on");
+    before = page_cost();
+    model.clearInterference();
+    EXPECT_NE(page_cost(), before);
+    expect_exact("interference off");
+    before = page_cost();
+    model.setLlcHitFraction(0.37);
+    EXPECT_NE(page_cost(), before);
+    expect_exact("llc fraction");
+    before = page_cost();
+    model.setRemotePenalty(Tick{117});
+    EXPECT_NE(page_cost(), before);
+    expect_exact("remote penalty");
+
+    TierSpec late = dram;
+    late.name = "late";
+    late.readLatency = Tick{211};
+    late.socket = 2;
+    const TierId l = model.addTier(late);
+    EXPECT_EQ(model.tierCount(), 3u);
+    expect_exact("tier added late");
+    EXPECT_GT(model.accessCost(l, kPageSize, AccessType::Read, 0),
+              model.accessCost(l, kPageSize, AccessType::Read, 2));
+
+    // Other sizes take the formula, not a page's cost.
+    const Bytes line{64};
+    EXPECT_EQ(model.accessCost(p, line, AccessType::Read, 0),
+              model.computeAccessCost(p, line, AccessType::Read, 0));
+    EXPECT_LT(model.accessCost(p, line, AccessType::Read, 0),
+              model.accessCost(p, kPageSize, AccessType::Read, 0));
+}
+
 TEST(Machine, SocketTopology)
 {
     Machine machine(16, 2);

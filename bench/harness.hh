@@ -28,8 +28,8 @@
 #include "bench/report.hh"
 #include "platform/optane.hh"
 #include "platform/two_tier.hh"
-#include "policy/jenga.hh"
 #include "policy/registry.hh"
+#include "policy/strategy.hh"
 #include "workload/runner.hh"
 #include "workload/workload.hh"
 
@@ -84,7 +84,8 @@ struct RunOutcome
     Bytes klocPeakMetadata{};
     uint64_t kernelRefs = 0;
     uint64_t userRefs = 0;
-    /** Jenga only: promote batch after adaptation, and adaptations. */
+    /** Adaptive-rate rows (Jenga) only: promote batch after
+     *  adaptation, and adaptations. */
     uint64_t finalPromoteBatch = 0;
     uint64_t rateAdaptations = 0;
 };
@@ -127,10 +128,11 @@ runTwoTierPolicy(const std::string &workload_name,
     outcome.klocPeakMetadata = sys.kloc().peakMetadataBytes();
     outcome.kernelRefs = sys.machine().kernelRefs();
     outcome.userRefs = sys.machine().userRefs();
-    if (const auto *jenga =
-            dynamic_cast<const JengaStrategy *>(platform.policy())) {
-        outcome.finalPromoteBatch = jenga->promoteBatch().value();
-        outcome.rateAdaptations = jenga->adaptations();
+    const auto *tiering =
+        dynamic_cast<const TieringStrategy *>(platform.policy());
+    if (tiering != nullptr && tiering->row().adaptiveRate) {
+        outcome.finalPromoteBatch = tiering->promoteBatch().value();
+        outcome.rateAdaptations = tiering->adaptations();
     }
     workload->teardown(sys);
     return outcome;

@@ -23,8 +23,8 @@ System::applyPolicy(std::unique_ptr<Policy> policy)
     _policy->install();
     const bool kloc_on = _policy->usesKloc();
     if (!kloc_on) {
-        // A prior KLOC policy may have left the runtime enabled;
-        // install() of a KLOC-blind policy (e.g. Jenga) can't know.
+        // A prior KLOC policy may have left the runtime enabled, and
+        // a policy built without a KlocManager cannot switch it off.
         setKlocMode(_heap, &_kloc, false, {});
     }
     // The KLOC policies also use the early-demux driver extension.

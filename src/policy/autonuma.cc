@@ -8,25 +8,11 @@ namespace kloc {
 
 AutoNumaPolicy::AutoNumaPolicy(Mode mode, const PolicyContext &ctx,
                                Config config)
-    : Policy(ctx), _mode(mode), _row(policyRow(mode)), _config(config)
+    : Policy(ctx, policyRow(mode)), _mode(mode), _config(config)
 {
     for (size_t t = 0; t < ctx.tiers().tierCount(); ++t)
         _socketTiers.push_back(static_cast<TierId>(t));
     KLOC_ASSERT(_socketTiers.size() >= 2, "AutoNUMA needs >= 2 sockets");
-    KLOC_ASSERT(!_row.kloc || _kloc != nullptr,
-                "KLOC mode requires a KlocManager");
-}
-
-const char *
-AutoNumaPolicy::name() const
-{
-    return _row.name;
-}
-
-bool
-AutoNumaPolicy::usesKloc() const
-{
-    return _row.kloc;
 }
 
 TierId
@@ -72,10 +58,7 @@ AutoNumaPolicy::install()
     _heap.setPolicy(this);
     // Tier order is task-relative; re-pointed every tick.
     setKlocMode(_heap, _kloc, _row.kloc, localFirst());
-    _migrator.setParallelism(
-        _mode == Mode::NimbleApp || _mode == Mode::Kloc
-            ? _config.nimbleParallelism
-            : 1);
+    _migrator.setParallelism(_row.parallelCopy ? kParallelCopyWidth : 1);
 }
 
 void
@@ -92,7 +75,7 @@ AutoNumaPolicy::balanceTick()
     for (const TierId tier : _socketTiers) {
         if (tier == local)
             continue;
-        _lru.collectReferenced(tier, _config.migrateBatch, _hotScratch);
+        _lru.collectReferenced(tier, kMigrateBatch, _hotScratch);
         _movers.clear();
         for (const FrameRef &ref : _hotScratch) {
             if (ref.valid() && ref->objClass == ObjClass::App)
@@ -101,7 +84,7 @@ AutoNumaPolicy::balanceTick()
         _migrator.migrate(_movers, local);
     }
 
-    if (_mode == Mode::Kloc && _kloc) {
+    if (_row.kloc) {
         // KLOC extension (§4.5): for active KLOCs, check member
         // objects' placement and pull remote ones local.
         _kloc->setTierOrder(localFirst());

@@ -27,8 +27,6 @@
 
 namespace kloc {
 
-struct PolicyRow;
-
 /** NUMA balancing policy variants compared in Fig. 5a. */
 class AutoNumaPolicy : public Policy
 {
@@ -38,24 +36,20 @@ class AutoNumaPolicy : public Policy
     struct Config
     {
         Tick scanPeriod = 50 * kMillisecond;
-        FrameCount migrateBatch{8192};
-        unsigned nimbleParallelism = 8;
     };
+
+    /** Pages each remote tier may send per balance tick. */
+    static constexpr FrameCount kMigrateBatch{8192};
 
     /** Balances over every tier of @p ctx: one per socket, in socket
      *  order (@p ctx.fast and @p ctx.slow are unused). */
     AutoNumaPolicy(Mode mode, const PolicyContext &ctx, Config config);
-
-    /** The registry name of this mode (an optanePolicyNames() entry). */
-    const char *name() const override;
 
     /** Install as the heap's policy; configure KLOC and parallelism. */
     void install() override;
 
     void start() override;
     void stop() override;
-
-    bool usesKloc() const override;
 
     /** Tier local to the task's current socket. */
     TierId localTier() const;
@@ -72,8 +66,6 @@ class AutoNumaPolicy : public Policy
     TierPreference localFirst() const;
 
     Mode _mode;
-    /** This mode's registry row: its name and whether it is KLOC. */
-    const PolicyRow &_row;
     /** Tier hosting each socket's memory, indexed by socket. */
     std::vector<TierId> _socketTiers;
     Config _config;

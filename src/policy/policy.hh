@@ -6,7 +6,9 @@
  * start) plus a lifecycle (install / start / stop) driving what
  * migrates when. Platforms own exactly one installed Policy at a
  * time; the registry (policy/registry.hh) constructs policies by
- * name so tests and benches pick up new ones automatically.
+ * name so tests and benches pick up new ones automatically. Every
+ * policy is built from its registry row, which answers its name and
+ * whether it composes KLOC.
  *
  * Every policy is built from a PolicyContext: the subsystems it drives
  * and the tiers it places onto, held by the base for the subclass.
@@ -34,6 +36,7 @@ namespace kloc {
 class KlocManager;
 class LruEngine;
 class MigrationEngine;
+struct PolicyRow;
 
 /** Everything a policy constructor may need. */
 struct PolicyContext
@@ -60,8 +63,12 @@ struct PolicyContext
 class Policy : public PlacementPolicy
 {
   public:
-    /** Stable name used by the registry, benches, and reports. */
-    virtual const char *name() const = 0;
+    /** Stable name used by the registry, benches, and reports: the
+     *  registry row's name. */
+    const char *name() const;
+
+    /** The registry row this policy was built from. */
+    const PolicyRow &row() const { return _row; }
 
     /** Become the heap's policy and configure machinery. */
     virtual void install() = 0;
@@ -73,18 +80,13 @@ class Policy : public PlacementPolicy
     virtual void stop() = 0;
 
     /** Whether the platform should enable KLOC-side plumbing
-     *  (early demux etc.) while this policy is installed. */
-    virtual bool usesKloc() const { return false; }
+     *  (early demux etc.) while this policy is installed: the row's
+     *  KLOC flag. */
+    bool usesKloc() const;
 
   protected:
-    explicit Policy(const PolicyContext &ctx)
-        : _heap(ctx.heap),
-          _lru(ctx.lru),
-          _migrator(ctx.migrator),
-          _kloc(ctx.kloc),
-          _fast(ctx.fast),
-          _slow(ctx.slow)
-    {}
+    /** @p ctx.kloc must be non-null when @p row composes KLOC. */
+    Policy(const PolicyContext &ctx, const PolicyRow &row);
 
     /**
      * Run this policy's @p tick after @p period of virtual time. The
@@ -105,6 +107,7 @@ class Policy : public PlacementPolicy
             });
     }
 
+    const PolicyRow &_row;
     KernelHeap &_heap;
     LruEngine &_lru;
     MigrationEngine &_migrator;

@@ -1,22 +1,20 @@
 #include "policy/strategy.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "policy/registry.hh"
 
 namespace kloc {
 
-void
-setKlocMode(KernelHeap &heap, KlocManager *kloc, bool on,
-            const TierPreference &order)
-{
-    if (kloc == nullptr)
-        return;
-    kloc->setEnabled(on);
-    if (on)
-        kloc->setTierOrder(order);
-    heap.setKlocInterface(on);
-}
+namespace {
 
+/**
+ * KLOC kernel-object placement (§4.2.2), health-blind: KLOC metadata
+ * and classes KLOC does not manage are pinned fast; managed classes
+ * follow knode hotness, unless a sys_kloc_memsize cap diverts them
+ * once their fast-tier residency reaches it.
+ */
 TierPreference
 klocKernelPlacement(const KlocManager *kloc, ObjClass cls, bool knode_active,
                     TierId fast, TierId slow)
@@ -31,59 +29,54 @@ klocKernelPlacement(const KlocManager *kloc, ObjClass cls, bool knode_active,
                         : TierPreference{slow, fast};
 }
 
+} // namespace
+
+void
+setKlocMode(KernelHeap &heap, KlocManager *kloc, bool on,
+            const TierPreference &order)
+{
+    if (kloc == nullptr)
+        return;
+    kloc->setEnabled(on);
+    if (on)
+        kloc->setTierOrder(order);
+    heap.setKlocInterface(on);
+}
+
 TieringStrategy::TieringStrategy(StrategyKind kind, const PolicyContext &ctx,
                                  Config config)
-    : Policy(ctx), _kind(kind), _row(policyRow(kind)), _config(config)
-{
-    KLOC_ASSERT(!_row.kloc || _kloc != nullptr,
-                "strategy %s requires a KlocManager", _row.name);
-}
-
-const char *
-TieringStrategy::name() const
-{
-    return _row.name;
-}
-
-bool
-TieringStrategy::usesKloc() const
-{
-    return _row.kloc;
-}
+    : Policy(ctx, policyRow(kind)), _config(config)
+{}
 
 void
 TieringStrategy::install()
 {
     _heap.setPolicy(this);
     setKlocMode(_heap, _kloc, _row.kloc, {_fast, _slow});
-    _migrator.setParallelism(
-        _kind == StrategyKind::Nimble ||
-        _kind == StrategyKind::NimblePlusPlus ||
-        _kind == StrategyKind::KlocNoMigration ||
-        _kind == StrategyKind::Kloc
-            ? _config.migrationParallelism
-            : 1);
+    _migrator.setParallelism(_row.parallelCopy ? kParallelCopyWidth : 1);
+    if (_row.promotion == Promotion::Transactional) {
+        const double budget =
+            kShadowBudgetFraction *
+            static_cast<double>(
+                _heap.tiers().tier(_slow).totalPages().value());
+        _migrator.setShadowBudget(FrameCount{static_cast<uint64_t>(budget)});
+    }
 }
 
-bool
-TieringStrategy::usesAppMigration() const
+TierPreference
+TieringStrategy::order(Placement where) const
 {
-    // Nimble's app-page tiering is also reused by both KLOC modes
-    // (Table 5: "Original Nimble policies ... for application pages").
-    // AutoNuma migrates app pages too, just with a serial page copy.
-    return _kind == StrategyKind::AutoNuma ||
-           _kind == StrategyKind::Nimble ||
-           _kind == StrategyKind::NimblePlusPlus ||
-           _kind == StrategyKind::KlocNoMigration ||
-           _kind == StrategyKind::Kloc;
-}
-
-bool
-TieringStrategy::usesKernelScanMigration() const
-{
-    // Only Nimble++ migrates kernel pages through LRU scans; the
-    // KLOC strategies migrate them through knodes instead.
-    return _kind == StrategyKind::NimblePlusPlus;
+    switch (where) {
+      case Placement::Fast:
+        return {_fast};
+      case Placement::Slow:
+        return {_slow};
+      case Placement::FastFirst:
+        return {_fast, _slow};
+      case Placement::SlowFirst:
+        return {_slow, _fast};
+    }
+    return {_fast, _slow};
 }
 
 TierPreference
@@ -92,52 +85,79 @@ TieringStrategy::kernelPreference(ObjClass cls, bool knode_active)
     // Health degradation reorders, never replaces, the placement
     // order: degraded tiers fall behind healthy ones and failed
     // tiers become the last resort.
-    return _heap.tiers().preferHealthy(kernelPlacement(cls, knode_active));
-}
-
-TierPreference
-TieringStrategy::kernelPlacement(ObjClass cls, bool knode_active)
-{
-    switch (_kind) {
-      case StrategyKind::AllFast:
-        return {_fast};
-      case StrategyKind::AllSlow:
-        return {_slow};
-      case StrategyKind::Naive:
-      case StrategyKind::AutoNuma:
-      case StrategyKind::NimblePlusPlus:
-        // Greedy: fast until full. Stock NUMA balancing ignores
-        // kernel objects, so AutoNuma places them like Naive.
-        return {_fast, _slow};
-      case StrategyKind::Nimble:
-        // Prior art places kernel objects in slow memory on two-tier
-        // systems (§3.2), except KLOC's own metadata does not exist.
-        return {_slow, _fast};
-      case StrategyKind::KlocNoMigration:
-      case StrategyKind::Kloc:
-        return klocKernelPlacement(_kloc, cls, knode_active, _fast, _slow);
-    }
-    return {_fast, _slow};
+    return _heap.tiers().preferHealthy(
+        _row.kloc
+            ? klocKernelPlacement(_kloc, cls, knode_active, _fast, _slow)
+            : order(_row.kernel));
 }
 
 TierPreference
 TieringStrategy::appPreference()
 {
-    return _heap.tiers().preferHealthy(appPlacement());
+    return _heap.tiers().preferHealthy(order(_row.app));
 }
 
-TierPreference
-TieringStrategy::appPlacement()
+void
+TieringStrategy::selectMovers(const std::vector<FrameRef> &candidates)
 {
-    switch (_kind) {
-      case StrategyKind::AllFast:
-        return {_fast};
-      case StrategyKind::AllSlow:
-        return {_slow};
-      default:
-        // Application pages are prioritised for fast memory by every
-        // dynamic strategy.
-        return {_fast, _slow};
+    const bool kernel_scope = _row.scan == ScanScope::AppAndKernel;
+    _victims.clear();
+    for (const FrameRef &ref : candidates) {
+        if (!ref.valid())
+            continue;
+        const ObjClass cls = ref->objClass;
+        if (cls == ObjClass::App ||
+            (kernel_scope && isKernelClass(cls) &&
+             cls != ObjClass::KlocMeta)) {
+            _victims.push_back(ref);
+        }
+    }
+}
+
+void
+TieringStrategy::gradeReuseWindow()
+{
+    if (_window.empty())
+        return;
+    uint64_t reused = 0;
+    for (const auto &[ref, promoted_at] : _window) {
+        if (ref.valid() && ref->tier == _fast &&
+            ref->lastAccessTick > promoted_at) {
+            ++reused;
+        }
+    }
+    const uint64_t sampled = _window.size();
+    _window.clear();
+    const double ratio =
+        static_cast<double>(reused) / static_cast<double>(sampled);
+
+    if (ratio <= kReuseLow) {
+        ++_lowStreak;
+        _highStreak = 0;
+    } else if (ratio >= kReuseHigh) {
+        ++_highStreak;
+        _lowStreak = 0;
+    } else {
+        _lowStreak = 0;
+        _highStreak = 0;
+    }
+
+    Tracer &tracer = _heap.mem().machine().tracer();
+    if (_lowStreak >= kHysteresis && _promoteBatch > kPromoteBatchMin) {
+        _promoteBatch = std::max(kPromoteBatchMin,
+                                 FrameCount{_promoteBatch.value() / 2});
+        _lowStreak = 0;
+        ++_adaptations;
+        tracer.emit(TraceEventType::PolicyRateAdapt,
+                    _promoteBatch.value(), reused, sampled);
+    } else if (_highStreak >= kHysteresis &&
+               _promoteBatch < kPromoteBatchMax) {
+        _promoteBatch = std::min(kPromoteBatchMax,
+                                 FrameCount{_promoteBatch.value() * 2});
+        _highStreak = 0;
+        ++_adaptations;
+        tracer.emit(TraceEventType::PolicyRateAdapt,
+                    _promoteBatch.value(), reused, sampled);
     }
 }
 
@@ -149,45 +169,49 @@ TieringStrategy::scanTick()
     ++_scanTicks;
     TierManager &tiers = _heap.tiers();
 
-    const bool kernel_scope = usesKernelScanMigration();
+    // Grade last tick's promotions before making new ones.
+    if (_row.adaptiveRate)
+        gradeReuseWindow();
 
-    // Demote cold pages off the fast tier under pressure. The scan
-    // and filter scratch buffers persist across ticks so the
-    // steady-state scan loop allocates nothing.
-    if (tiers.tier(_fast).utilization() > _config.demoteWatermark) {
-        _lru.scanTier(_fast, _config.scanBatch, _scanScratch);
-        _victims.clear();
-        for (const FrameRef &ref : _scanScratch.demoteCandidates) {
-            if (!ref.valid())
-                continue;
-            const ObjClass cls = ref->objClass;
-            if (cls == ObjClass::App ||
-                (kernel_scope && isKernelClass(cls) &&
-                 cls != ObjClass::KlocMeta)) {
-                _victims.push_back(ref);
-            }
-        }
+    // Demote cold pages off the fast tier under pressure, never
+    // throttled. A clean page whose shadow still sits on the slow
+    // tier demotes as a free remap. The scan and filter scratch
+    // buffers persist across ticks so the steady-state scan loop
+    // allocates nothing.
+    if (tiers.tier(_fast).utilization() > kDemoteWatermark) {
+        _lru.scanTier(_fast, kScanBatch, _scanScratch);
+        selectMovers(_scanScratch.demoteCandidates);
         _migrator.migrate(_victims, _slow);
     }
 
     // Promote hot pages from the slow tier when there is headroom.
-    if (tiers.tier(_fast).utilization() < _config.promoteWatermark) {
-        _lru.collectHot(_slow, _config.promoteBatch, _hotScratch);
-        _victims.clear();
-        for (const FrameRef &ref : _hotScratch) {
-            if (!ref.valid())
-                continue;
-            const ObjClass cls = ref->objClass;
-            if (cls == ObjClass::App ||
-                (kernel_scope && isKernelClass(cls) &&
-                 cls != ObjClass::KlocMeta)) {
-                _victims.push_back(ref);
+    if (tiers.tier(_fast).utilization() < kPromoteWatermark) {
+        _lru.collectHot(_slow, _promoteBatch, _hotScratch);
+        selectMovers(_hotScratch);
+        if (_row.promotion == Promotion::Transactional)
+            _migrator.promoteTransactional(_victims, _fast,
+                                           kWriteRecencyWindow);
+        else
+            _migrator.migrate(_victims, _fast);
+        if (_row.adaptiveRate) {
+            // Sample what actually landed for next tick's grading.
+            const Tick now = _heap.mem().machine().now();
+            for (const FrameRef &ref : _victims) {
+                if (_window.size() >= kReuseSampleCap)
+                    break;
+                if (ref.valid() && ref->tier == _fast)
+                    _window.emplace_back(ref, now);
             }
         }
-        _migrator.migrate(_victims, _fast);
     }
 
-    scheduleTick(_config.scanPeriod, &TieringStrategy::scanTick);
+    // Fully throttled promotion also stretches the scan period —
+    // scanning costs background traffic the workload is not earning.
+    // Only an adaptive row's batch ever reaches the floor.
+    const Tick period = _promoteBatch == kPromoteBatchMin
+                            ? 2 * _config.scanPeriod
+                            : _config.scanPeriod;
+    scheduleTick(period, &TieringStrategy::scanTick);
 }
 
 void
@@ -195,11 +219,11 @@ TieringStrategy::start()
 {
     if (_running)
         return;
-    if (usesAppMigration()) {
+    if (_row.scan != ScanScope::None) {
         _running = true;
         scheduleTick(_config.scanPeriod, &TieringStrategy::scanTick);
     }
-    if (_kind == StrategyKind::Kloc && _kloc)
+    if (_row.klocDaemon && _kloc)
         _kloc->startDaemon(_config.klocDaemonPeriod);
 }
 
@@ -207,8 +231,15 @@ void
 TieringStrategy::stop()
 {
     _running = false;
-    if (_kloc)
+    _window.clear();
+    if (_row.klocDaemon && _kloc)
         _kloc->stopDaemon();
+    if (_row.promotion == Promotion::Transactional) {
+        // Shadows are policy-private state: release them so the slow
+        // tier's capacity is whole for whatever policy follows.
+        _heap.tiers().dropAllShadows(ShadowDropReason::PolicyStop);
+        _migrator.setShadowBudget(FrameCount{~0ULL});
+    }
 }
 
 } // namespace kloc

@@ -1,6 +1,7 @@
 /**
  * @file
- * The Table 5 tiering strategies for the two-tier platform.
+ * The two-tier tiering strategies: the Table 5 kinds plus the thrash
+ * competitors Nomad and Jenga, one class driven by registry rows.
  *
  * Each strategy answers (i) where allocations of each class start
  * (PlacementPolicy) and (ii) what migrates when (its periodic tick).
@@ -20,10 +21,32 @@
  *  - Kloc: the full system — direct allocation, immediate demotion
  *    of inactive KLOCs, promotion on re-activation, watermark
  *    pressure handling, plus Nimble's app-page tiering.
+ *  - Nomad (after Nomad, PAPERS.md): Nimble whose promotions are
+ *    transactional copies. A page written within the write-recency
+ *    window aborts the copy cheaply, and a committed promotion keeps
+ *    the slow-tier source as a shadow, so demoting a still-clean
+ *    page later is a free remap. Shadows are capped by a budget
+ *    (a fraction of the slow tier); past it promotions move
+ *    exclusively. KlocNomad adds KLOC's kernel-object placement and
+ *    daemon.
+ *  - Jenga (after Jenga, PAPERS.md): Nimble whose promotion batch
+ *    follows reuse. Each tick samples what it promoted and the next
+ *    tick grades how much of it was re-referenced in fast memory;
+ *    after a hysteresis streak of low-reuse windows the batch halves
+ *    (down to a floor, where the scan period also doubles), after a
+ *    streak of high-reuse windows it doubles (up to a cap). Every
+ *    change emits a PolicyRateAdapt trace event. Demotion is never
+ *    throttled.
+ *
+ * What distinguishes the kinds lives in their PolicyRow
+ * (policy/registry.cc); every kind runs the one scanTick.
  */
 
 #ifndef KLOC_POLICY_STRATEGY_HH
 #define KLOC_POLICY_STRATEGY_HH
+
+#include <utility>
+#include <vector>
 
 #include "core/kloc_manager.hh"
 #include "mem/lru.hh"
@@ -32,10 +55,10 @@
 
 namespace kloc {
 
-/** The strategies of Table 5 (two-tier platform), plus AutoNuma:
- *  stock NUMA-balancing semantics mapped onto two tiers (app pages
+/** The two-tier strategies: Table 5, plus AutoNuma (stock
+ *  NUMA-balancing semantics mapped onto two tiers: app pages
  *  fast-first with serial scan-driven migration, kernel objects
- *  greedy like Naive). */
+ *  greedy like Naive) and the thrash competitors. */
 enum class StrategyKind {
     AllFast,
     AllSlow,
@@ -45,69 +68,96 @@ enum class StrategyKind {
     NimblePlusPlus,
     KlocNoMigration,
     Kloc,
+    Nomad,
+    Jenga,
+    KlocNomad,
 };
 
-struct PolicyRow;
+/** Where a two-tier strategy starts allocations of one kind. */
+enum class Placement : uint8_t {
+    Fast,       ///< the fast tier only
+    Slow,       ///< the slow tier only
+    FastFirst,  ///< fast until full, then slow
+    SlowFirst,  ///< slow until full, then fast
+};
+
+/** Which pages a two-tier strategy's scan tick migrates. */
+enum class ScanScope : uint8_t {
+    None,          ///< no scan tick: placement is final
+    App,           ///< application pages
+    AppAndKernel,  ///< and kernel pages other than KLOC metadata
+};
+
+/** How a two-tier strategy commits a promotion. */
+enum class Promotion : uint8_t {
+    Exclusive,      ///< MigrationEngine::migrate: the source is freed
+    Transactional,  ///< promoteTransactional: the source stays a shadow
+};
 
 /**
  * Switch the KLOC runtime and the heap's KLOC interface on (with
  * tier order @p order) or off. A no-op without a KlocManager. The
- * KLOC-capable policies' install() and the platform lifecycle use it.
+ * policies' install() and the platform lifecycle use it.
  */
 void setKlocMode(KernelHeap &heap, KlocManager *kloc, bool on,
                  const TierPreference &order);
 
-/**
- * KLOC kernel-object placement (§4.2.2), health-blind: KLOC metadata
- * and classes KLOC does not manage are pinned fast; managed classes
- * follow knode hotness, unless a sys_kloc_memsize cap diverts them
- * once their fast-tier residency reaches it. Shared by the KLOC
- * strategies and the KLOC-composed Nomad.
- */
-TierPreference klocKernelPlacement(const KlocManager *kloc, ObjClass cls,
-                                   bool knode_active, TierId fast,
-                                   TierId slow);
-
-/** One configured tiering strategy. */
+/** One configured two-tier strategy. */
 class TieringStrategy : public Policy
 {
   public:
     struct Config
     {
         Tick scanPeriod = 100 * kMillisecond;
-        FrameCount scanBatch{32768};
-        FrameCount promoteBatch{4096};
-        /** Fast-tier utilization that triggers demotion. */
-        double demoteWatermark = 0.85;
-        /** Fast-tier utilization below which promotion is allowed. */
-        double promoteWatermark = 0.90;
-        /** Nimble's parallel page-copy width. */
-        unsigned migrationParallelism = 8;
         /** KLOC daemon wakeup period. */
         Tick klocDaemonPeriod = 2 * kMillisecond;
     };
 
-    /** @p ctx.kloc may be null except for the KLOC strategies. */
+    /** Frames one demotion scan may visit. */
+    static constexpr FrameCount kScanBatch{32768};
+    /** Pages promoted per tick, and an adaptive row's first batch. */
+    static constexpr FrameCount kPromoteBatch{4096};
+    /** Fast-tier utilization that triggers demotion. */
+    static constexpr double kDemoteWatermark = 0.85;
+    /** Fast-tier utilization below which promotion is allowed. */
+    static constexpr double kPromoteWatermark = 0.90;
+
+    /** Transactional promotion: writes younger than this abort the
+     *  copy. */
+    static constexpr Tick kWriteRecencyWindow = 100 * kMillisecond;
+    /** Transactional promotion: shadow budget as a fraction of the
+     *  slow tier's pages. */
+    static constexpr double kShadowBudgetFraction = 0.25;
+
+    /** Adaptive rate: the batch's floor and cap. */
+    static constexpr FrameCount kPromoteBatchMin{64};
+    static constexpr FrameCount kPromoteBatchMax{8192};
+    /** Adaptive rate: reuse ratio at or above which the batch grows,
+     *  and at or below which it shrinks. */
+    static constexpr double kReuseHigh = 0.5;
+    static constexpr double kReuseLow = 0.2;
+    /** Adaptive rate: consecutive windows on one side before a
+     *  change. */
+    static constexpr unsigned kHysteresis = 2;
+    /** Adaptive rate: promoted pages sampled per window. */
+    static constexpr size_t kReuseSampleCap = 512;
+
+    /** @p ctx.kloc may be null except for the KLOC kinds. */
     TieringStrategy(StrategyKind kind, const PolicyContext &ctx,
                     Config config);
-
-    /** The registry name of this strategy's kind. */
-    const char *name() const override;
 
     /**
      * Apply the strategy: installs itself as the heap's placement
      * policy, flips the KLOC interface / manager state, and sets
-     * migration parallelism.
+     * migration parallelism and the shadow budget.
      */
     void install() override;
 
-    /** Begin periodic scan/migration work. */
+    /** Begin periodic scan/migration work and the KLOC daemon. */
     void start() override;
 
-    /** Stop periodic work. */
+    /** Stop periodic work; a transactional row drops its shadows. */
     void stop() override;
-
-    bool usesKloc() const override;
 
     // -- PlacementPolicy ----------------------------------------------------
     TierPreference kernelPreference(ObjClass cls,
@@ -117,22 +167,33 @@ class TieringStrategy : public Policy
     /** Scan ticks executed (diagnostics). */
     uint64_t scanTicks() const { return _scanTicks; }
 
+    /** Current promotion batch (pages per tick). */
+    FrameCount promoteBatch() const { return _promoteBatch; }
+
+    /** Adaptive-rate changes applied so far (halvings + doublings). */
+    uint64_t adaptations() const { return _adaptations; }
+
   private:
-    bool usesAppMigration() const;
-    bool usesKernelScanMigration() const;
     void scanTick();
+    /** Adaptive rate: grade last tick's promotions, adapt the batch. */
+    void gradeReuseWindow();
+    /** Fill _victims with the valid frames of @p candidates in this
+     *  row's scan scope. */
+    void selectMovers(const std::vector<FrameRef> &candidates);
 
-    /** Health-blind placement order; the public preference methods
-     *  reorder it with TierManager::preferHealthy. */
-    TierPreference kernelPlacement(ObjClass cls, bool knode_active);
-    TierPreference appPlacement();
+    /** The health-blind tier order of @p where. */
+    TierPreference order(Placement where) const;
 
-    StrategyKind _kind;
-    /** This kind's registry row: its name and whether it is KLOC. */
-    const PolicyRow &_row;
     Config _config;
     bool _running = false;
     uint64_t _scanTicks = 0;
+
+    FrameCount _promoteBatch = kPromoteBatch;
+    unsigned _lowStreak = 0;
+    unsigned _highStreak = 0;
+    uint64_t _adaptations = 0;
+    /** Adaptive rate: last tick's promotions (page, promotion time). */
+    std::vector<std::pair<FrameRef, Tick>> _window;
 
     /** Per-tick scratch buffers, reused so scans don't allocate. */
     ScanResult _scanScratch;

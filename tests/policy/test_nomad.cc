@@ -3,7 +3,7 @@
  * Nomad shadow-copy mechanics: transactional promotion, write-recency
  * aborts, shadow-served free demotion, budget fallback, and offline
  * reclamation — plus a golden trace of the thrash pattern under
- * NomadStrategy (byte-identical across runs and RunPool worker
+ * the registry's "nomad" (byte-identical across runs and RunPool worker
  * counts) and a seeded fuzz interleaving transactional copies with
  * fault injection.
  *
@@ -27,7 +27,7 @@
 #include "fault/fault.hh"
 #include "kobj/kernel_heap.hh"
 #include "mem/placement.hh"
-#include "policy/nomad.hh"
+#include "policy/registry.hh"
 #include "sim/machine.hh"
 #include "trace/invariants.hh"
 
@@ -246,7 +246,7 @@ struct GoldenOutcome
 };
 
 /**
- * A miniature deterministic thrash run under NomadStrategy: app
+ * A miniature deterministic thrash run under Nomad: app
  * pages overflow the fast tier, a sliding window oscillates around
  * its capacity, and the policy's scan ticks drive transactional
  * promotions and shadow demotions. Small enough that the serialized
@@ -283,12 +283,12 @@ runThrashNomad()
     machine.tracer().setEnabled(true);
     InvariantChecker checker(machine.tracer(), /*strict=*/true);
 
-    NomadStrategy policy(PolicyContext{heap, lru, migrator, &kloc, fast, slow},
-                         NomadStrategy::Config{});
-    policy.install();
+    const std::unique_ptr<Policy> policy = makePolicy(
+        "nomad", PolicyContext{heap, lru, migrator, &kloc, fast, slow});
+    policy->install();
     kloc.setEnabled(false);
     heap.setKlocInterface(false);
-    policy.start();
+    policy->start();
 
     std::vector<Frame *> pages;
     for (int i = 0; i < 180; ++i) {
@@ -314,8 +314,8 @@ runThrashNomad()
         machine.charge(10 * kMillisecond);
     }
 
-    policy.stop();
-    if (policy.scanTicks() == 0)
+    policy->stop();
+    if (dynamic_cast<const TieringStrategy &>(*policy).scanTicks() == 0)
         out.errors.push_back("no scan ticks fired");
     if (migrator.stats().shadowMakes == 0)
         out.errors.push_back("thrash never made a shadow copy");

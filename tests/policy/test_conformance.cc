@@ -8,6 +8,8 @@
  *
  * The contract:
  *  - install() exposes valid, non-empty tier preferences;
+ *  - a degraded tier never comes before a healthy one in any of
+ *    those preferences (TierManager::preferHealthy);
  *  - no page ever arrives on an offline tier, even while the policy
  *    keeps scanning through an offline/online storm (checker rule);
  *  - pins balance and the trace stays invariant-clean across aborted
@@ -239,6 +241,51 @@ TEST_P(PolicyConformance, InstallExposesValidPreferences)
             EXPECT_TRUE(tier == s.fast || tier == s.slow);
     }
     s.policy->stop();
+}
+
+TEST_P(PolicyConformance, DegradedTierNeverPrecedesAHealthyOne)
+{
+    // The preferHealthy contract (docs/POLICIES.md): whichever tier
+    // degrades, every preference the policy hands out lists it after
+    // the healthy tier.
+    constexpr uint64_t kErrorsToDegrade =
+        TierManager::kDegradeScore / TierManager::kErrorScore;
+    for (const bool degrade_fast : {true, false}) {
+        PolicyStack s(GetParam());
+        ASSERT_NE(s.policy, nullptr);
+        s.policy->install();
+        const TierId degraded = degrade_fast ? s.fast : s.slow;
+        for (uint64_t i = 0; i < kErrorsToDegrade; ++i)
+            s.tiers.recordTierError(degraded);
+        ASSERT_EQ(s.tiers.health(degraded), TierHealth::Degraded);
+
+        auto healthy_first = [degraded](const TierPreference &pref) {
+            bool seen_degraded = false;
+            for (const TierId tier : pref) {
+                if (tier == degraded)
+                    seen_degraded = true;
+                else if (seen_degraded)
+                    return false;
+            }
+            return true;
+        };
+        const char *tier_name = degrade_fast ? "fast" : "slow";
+        EXPECT_TRUE(healthy_first(s.policy->appPreference()))
+            << "app preference puts the degraded " << tier_name
+            << " tier first";
+        for (unsigned c = 0; c < kNumObjClasses; ++c) {
+            const auto cls = static_cast<ObjClass>(c);
+            for (const bool active : {false, true}) {
+                EXPECT_TRUE(healthy_first(
+                    s.policy->kernelPreference(cls, active)))
+                    << objClassName(cls) << " (knode "
+                    << (active ? "active" : "inactive")
+                    << ") puts the degraded " << tier_name
+                    << " tier first";
+            }
+        }
+        s.policy->stop();
+    }
 }
 
 TEST_P(PolicyConformance, NoMigrationToOfflineTiers)

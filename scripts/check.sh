@@ -72,19 +72,34 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 # Each entry is workload:strategy. rocksdb drives the fs data path
 # and KLOC knode migration; varmail drives the fs metadata path
 # (create, fsync, unlink, readdir) and the journal's per-inode
-# detach; thrash under nomad is almost all app-page touches through
-# the poison-hooked access path, plus Nomad's shadow migrations.
-RUNS="rocksdb:klocs varmail:klocs thrash:nomad"
+# detach. thrash is almost all app-page touches through the
+# poison-hooked access path plus the thrash policies' migrations:
+# Nomad's transactional promotions and shadow demotions, Jenga's
+# adapted promotion batch, and both under KLOC+Nomad.
+RUNS="rocksdb:klocs varmail:klocs thrash:nomad thrash:jenga thrash:kloc_nomad"
 tracedir=$(mktemp -d)
 trap 'rm -rf "$tracedir"' EXIT
+# Arguments: workload. Prints the run size for it: thrash needs
+# 10000 ops at 1:256 before its working set outgrows the fast tier
+# and pages migrate (2000 ops at 1:16 migrate none).
+run_size() {
+    if [ "$1" = thrash ]; then
+        echo "--ops 10000 --scale 256"
+    else
+        echo "--ops 2000 --scale 16"
+    fi
+}
 # Arguments: workload, strategy, trace path.
 run_traced() {
+    # shellcheck disable=SC2046  # run_size prints a flag list
     "$BUILD_DIR"/tools/klocsim run --workload "$1" --strategy "$2" \
-        --ops 2000 --scale 16 --trace "$3" --check > "$3.out"
+        $(run_size "$1") --trace "$3" --check > "$3.out"
 }
 # A bare `wait` returns 0 whatever its jobs returned, so each run's
 # status (klocsim --check exits 2 on a violation) is collected by pid.
-# Arguments: the two job pids, then their trace paths.
+# A thrash run must also migrate pages, or it checks no migration.
+# Arguments: the two job pids, then their trace paths, then the
+# workload.
 wait_both() {
     local rc=0
     wait "$1" || rc=1
@@ -94,15 +109,21 @@ wait_both() {
         echo "FAIL: klocsim run failed or reported invariant violations" >&2
         exit 1
     fi
+    if [ "$5" = thrash ] &&
+        grep -q '^  migrations  *0 pages' "$3.out" "$4.out"; then
+        grep '^  migrations' "$3.out" "$4.out" >&2
+        echo "FAIL: klocsim thrash run migrated no pages" >&2
+        exit 1
+    fi
 }
 for run in $RUNS; do
     workload=${run%:*}
     strategy=${run#*:}
-    a="$tracedir/$workload.a.trace"
-    b="$tracedir/$workload.b.trace"
+    a="$tracedir/$workload.$strategy.a.trace"
+    b="$tracedir/$workload.$strategy.b.trace"
     run_traced "$workload" "$strategy" "$a" & pa=$!
     run_traced "$workload" "$strategy" "$b" & pb=$!
-    wait_both "$pa" "$pb" "$a" "$b"
+    wait_both "$pa" "$pb" "$a" "$b" "$workload"
     cmp "$a" "$b" || {
         echo "FAIL: klocsim $workload/$strategy traces differ between" \
             "identical runs" >&2
@@ -128,18 +149,19 @@ frame_poison_copy prob 0.0001
 EOF
 # Arguments: workload, strategy, trace path.
 run_faulted() {
+    # shellcheck disable=SC2046  # run_size prints a flag list
     "$BUILD_DIR"/tools/klocsim run --workload "$1" --strategy "$2" \
-        --ops 2000 --scale 16 --fault-spec "$tracedir/faults.txt" \
+        $(run_size "$1") --fault-spec "$tracedir/faults.txt" \
         --trace "$3" --check > "$3.out"
 }
 for run in $RUNS; do
     workload=${run%:*}
     strategy=${run#*:}
-    a="$tracedir/$workload.fa.trace"
-    b="$tracedir/$workload.fb.trace"
+    a="$tracedir/$workload.$strategy.fa.trace"
+    b="$tracedir/$workload.$strategy.fb.trace"
     run_faulted "$workload" "$strategy" "$a" & pa=$!
     run_faulted "$workload" "$strategy" "$b" & pb=$!
-    wait_both "$pa" "$pb" "$a" "$b"
+    wait_both "$pa" "$pb" "$a" "$b" "$workload"
     cmp "$a" "$b" || {
         echo "FAIL: klocsim $workload/$strategy traces differ between" \
             "identical faulted runs" >&2

@@ -4,8 +4,10 @@
  * (both platforms' policy names and every workload), both run commands
  * accept a registry name through --strategy, both reject an unknown
  * one with a nonzero exit, --stats exports every MigrationStats
- * counter, and a fault spec naming a tier the platform lacks is
- * refused with the tier number in the message.
+ * counter, malformed or out-of-range numeric flags are usage errors
+ * rather than silent misreads or panics, and a fault spec naming a
+ * tier the platform lacks is refused with the tier number in the
+ * message.
  */
 
 #include <gtest/gtest.h>
@@ -114,6 +116,64 @@ TEST(KlocsimCli, UnknownStrategyExitsNonzero)
         EXPECT_NE(r.code, 0) << command << ":\n" << r.out;
         EXPECT_NE(r.out.find("bogus"), std::string::npos) << r.out;
     }
+}
+
+/** Run `klocsim run` with @p flags after a small valid size. */
+CliResult
+klocsimRun(const std::string &flags)
+{
+    return klocsim("run --ops 200 --scale 256 " + flags);
+}
+
+/** A usage error: exit 1 (fatal, not a panic), naming @p flag. */
+void
+expectUsageError(const CliResult &r, const std::string &flag)
+{
+    EXPECT_EQ(r.code, 1) << r.out;
+    EXPECT_NE(r.out.find("flag " + flag + " "), std::string::npos)
+        << r.out;
+    EXPECT_EQ(r.out.find("panic"), std::string::npos) << r.out;
+}
+
+TEST(KlocsimCli, NumericFlagWithJunkIsAUsageError)
+{
+    for (const char *flags : {"--ops abc", "--ops 12x", "--ops ''",
+                              "--ops ' 5'", "--ops +5", "--ops 0x10"}) {
+        SCOPED_TRACE(flags);
+        expectUsageError(klocsimRun(flags), "--ops");
+    }
+    expectUsageError(klocsimRun("--fault-seed 7x"), "--fault-seed");
+}
+
+TEST(KlocsimCli, NegativeNumericFlagIsAUsageError)
+{
+    for (const char *flag :
+         {"--ops", "--scale", "--ratio", "--fast-gb", "--fault-seed"}) {
+        SCOPED_TRACE(flag);
+        expectUsageError(klocsimRun(std::string(flag) + " -3"), flag);
+    }
+}
+
+TEST(KlocsimCli, ZeroDivisorOrCapacityIsAUsageError)
+{
+    for (const char *flag : {"--scale", "--ratio", "--fast-gb"}) {
+        SCOPED_TRACE(flag);
+        expectUsageError(klocsimRun(std::string(flag) + " 0"), flag);
+    }
+}
+
+TEST(KlocsimCli, OutOfRangeNumericFlagIsAUsageError)
+{
+    expectUsageError(klocsimRun("--scale 4294967296"), "--scale");
+    expectUsageError(klocsimRun("--fast-gb 17179869184"), "--fast-gb");
+    expectUsageError(klocsimRun("--ops 18446744073709551616"), "--ops");
+}
+
+TEST(KlocsimCli, ZeroIsValidWhereNothingDividesByIt)
+{
+    const CliResult r = klocsimRun("--ops 0 --fault-seed 0");
+    EXPECT_EQ(r.code, 0) << r.out;
+    EXPECT_NE(r.out.find("(0 ops,"), std::string::npos) << r.out;
 }
 
 TEST(KlocsimCli, FaultSpecNamingAMissingTierExitsNonzero)

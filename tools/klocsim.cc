@@ -10,10 +10,11 @@
  *
  * --stats appends the full system snapshot to a run's summary.
  *
- * --strategy takes a registry name (`klocsim list` prints them all):
- *   run:    policyNames() — all_fast all_slow naive autonuma nimble
- *           nimble++ klocs_nomigration klocs nomad jenga kloc_nomad
- *   optane: optanePolicyNames() — static autonuma nimble klocs
+ * --workload and --strategy take registry names; `klocsim list`
+ * prints the workloads and both platforms' policies.
+ *
+ * Numeric flags take plain decimal digits; --scale, --ratio and
+ * --fast-gb must be at least 1.
  *
  * All run commands also accept --trace FILE (dump the event trace),
  * --check (enforce cross-subsystem invariants; exit 2 on violation),
@@ -21,11 +22,14 @@
  * docs/FAULTS.md) and --fault-seed N (override the spec's seed).
  */
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -56,9 +60,34 @@ struct Args
     uint64_t faultSeed = 0;  ///< 0 = keep the spec file's seed
 };
 
+/**
+ * The value @p text of numeric flag @p flag: decimal digits only (no
+ * sign, space or suffix) within [@p min, @p max]. Anything else is a
+ * usage error.
+ */
+uint64_t
+parseNumber(const std::string &flag, const char *text, uint64_t min,
+            uint64_t max)
+{
+    const bool digits = std::isdigit(static_cast<unsigned char>(*text));
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long value =
+        digits ? std::strtoull(text, &end, 10) : 0;
+    if (!digits || *end != '\0')
+        fatal("flag %s takes a decimal whole number, not '%s'",
+              flag.c_str(), text);
+    if (errno == ERANGE || value < min || value > max)
+        fatal("flag %s must be from %llu to %llu, not %s", flag.c_str(),
+              (unsigned long long)min, (unsigned long long)max, text);
+    return value;
+}
+
 Args
 parseArgs(int argc, char **argv, int first)
 {
+    constexpr uint64_t kAny = std::numeric_limits<uint64_t>::max();
+    constexpr uint64_t kUnsigned = std::numeric_limits<unsigned>::max();
     Args args;
     for (int i = first; i < argc; ++i) {
         const std::string flag = argv[i];
@@ -72,15 +101,15 @@ parseArgs(int argc, char **argv, int first)
         else if (flag == "--strategy")
             args.strategy = value();
         else if (flag == "--ops")
-            args.ops = std::strtoull(value(), nullptr, 10);
-        else if (flag == "--scale")
+            args.ops = parseNumber(flag, value(), 0, kAny);
+        else if (flag == "--scale")  // a divisor of every tier
             args.scale = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
-        else if (flag == "--ratio")
+                parseNumber(flag, value(), 1, kUnsigned));
+        else if (flag == "--ratio")  // a divisor of the slow bandwidth
             args.ratio = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
-        else if (flag == "--fast-gb")
-            args.fastGb = std::strtoull(value(), nullptr, 10);
+                parseNumber(flag, value(), 1, kUnsigned));
+        else if (flag == "--fast-gb")  // a tier capacity, in bytes
+            args.fastGb = parseNumber(flag, value(), 1, kAny / kGiB.value());
         else if (flag == "--huge-pages")
             args.hugePages = true;
         else if (flag == "--stats")
@@ -92,7 +121,7 @@ parseArgs(int argc, char **argv, int first)
         else if (flag == "--fault-spec")
             args.faultSpecPath = value();
         else if (flag == "--fault-seed")
-            args.faultSeed = std::strtoull(value(), nullptr, 10);
+            args.faultSeed = parseNumber(flag, value(), 0, kAny);
         else
             fatal("unknown flag '%s'", flag.c_str());
     }

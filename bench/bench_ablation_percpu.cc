@@ -32,9 +32,8 @@ struct LookupResult
 LookupResult
 driveLookups(const BenchConfig &config, bool use_per_cpu)
 {
-    TwoTierPlatform platform(twoTierConfig(config));
+    TwoTierPlatform platform(twoTierConfig(config), "klocs");
     System &sys = platform.sys();
-    platform.applyPolicyByName("klocs");
     KlocManager &kloc = sys.kloc();
     kloc.setUsePerCpuLists(use_per_cpu);
 
@@ -75,9 +74,8 @@ driveLookups(const BenchConfig &config, bool use_per_cpu)
 std::pair<double, double>
 driveTreeShape(const BenchConfig &config, bool split)
 {
-    TwoTierPlatform platform(twoTierConfig(config));
+    TwoTierPlatform platform(twoTierConfig(config), "klocs");
     System &sys = platform.sys();
-    platform.applyPolicyByName("klocs");
     KlocManager &kloc = sys.kloc();
     kloc.setSplitTrees(split);
 

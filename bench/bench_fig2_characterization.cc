@@ -48,16 +48,12 @@ Characterization
 characterize(const BenchConfig &bench_config,
              const std::string &workload_name, bool small_input)
 {
-    TwoTierPlatform platform(twoTierConfig(bench_config));
+    TwoTierPlatform platform(twoTierConfig(bench_config), "naive");
     System &sys = platform.sys();
-    platform.applyPolicyByName("naive");
-    sys.fs().startDaemons();
 
     WorkloadConfig config = workloadConfig(bench_config);
     config.smallInput = small_input;
-    auto workload = makeWorkload(workload_name, config);
-    runMeasured(sys, *workload);
-    workload->teardown(sys);
+    runMeasured(sys, workload_name, config);
 
     Characterization result;
     result.pagesByClass[static_cast<unsigned>(ObjClass::App)] =
@@ -96,13 +92,9 @@ characterize(const BenchConfig &bench_config,
 std::vector<LifetimeDetailRow>
 lifetimeDetail(const BenchConfig &bench_config)
 {
-    TwoTierPlatform platform(twoTierConfig(bench_config));
+    TwoTierPlatform platform(twoTierConfig(bench_config), "naive");
     System &sys = platform.sys();
-    platform.applyPolicyByName("naive");
-    sys.fs().startDaemons();
-    auto workload = makeWorkload("rocksdb", workloadConfig(bench_config));
-    runMeasured(sys, *workload);
-    workload->teardown(sys);
+    runMeasured(sys, "rocksdb", workloadConfig(bench_config));
     const struct
     {
         const char *label;

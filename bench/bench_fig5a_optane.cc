@@ -32,18 +32,10 @@ runOptane(const BenchConfig &bench_config,
 {
     OptanePlatform::Config config;
     config.scale = bench_config.scale;
-    OptanePlatform platform(config);
-    System &sys = platform.sys();
-    platform.setInterference(true);
-    platform.applyPolicyByName(policy);
-    sys.fs().startDaemons();
-
-    auto workload =
-        makeWorkload(workload_name, workloadConfig(bench_config));
-    const WorkloadResult result =
-        runOptaneMeasured(platform, *workload, ideal_local);
-    workload->teardown(sys);
-    return result.throughput();
+    OptanePlatform platform(config, policy);
+    return runOptaneMeasured(platform, workload_name,
+                             workloadConfig(bench_config), ideal_local)
+        .result.throughput();
 }
 
 } // namespace

@@ -24,15 +24,11 @@ double
 runWithMask(const BenchConfig &config, const std::string &workload_name,
             uint32_t mask)
 {
-    TwoTierPlatform platform(twoTierConfig(config));
+    TwoTierPlatform platform(twoTierConfig(config), "klocs");
     System &sys = platform.sys();
-    platform.applyPolicyByName("klocs");
     sys.kloc().setManagedClasses(mask);
-    sys.fs().startDaemons();
-    auto workload = makeWorkload(workload_name, workloadConfig(config));
-    const WorkloadResult result = runMeasured(sys, *workload);
-    workload->teardown(sys);
-    return result.throughput();
+    return runMeasured(sys, workload_name, workloadConfig(config))
+        .result.throughput();
 }
 
 constexpr uint32_t

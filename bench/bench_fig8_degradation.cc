@@ -60,9 +60,8 @@ runCell(const std::string &policy, unsigned level,
         TwoTierPlatform::Config platform_config,
         WorkloadConfig workload_config)
 {
-    TwoTierPlatform platform(platform_config);
+    TwoTierPlatform platform(platform_config, policy);
     System &sys = platform.sys();
-    platform.applyPolicyByName(policy);
 
     const std::string spec_text = faultSpecFor(level);
     if (!spec_text.empty()) {
@@ -76,13 +75,11 @@ runCell(const std::string &policy, unsigned level,
         sys.migrator().scheduleTierEvents();
     }
 
-    sys.fs().startDaemons();
-    auto workload = makeWorkload("rocksdb", workload_config);
-    const WorkloadResult result = runMeasured(sys, *workload);
+    const MeasuredRun run = runMeasured(sys, "rocksdb", workload_config);
 
     DegradationOutcome out;
-    out.run.throughput = result.throughput();
-    out.run.result = result;
+    out.run.throughput = run.result.throughput();
+    out.run.result = run.result;
     out.run.migration = sys.migrator().stats();
     out.poison = sys.migrator().poisonStats();
     out.quarantined = sys.tiers().quarantinedPages();
@@ -90,7 +87,6 @@ runCell(const std::string &policy, unsigned level,
         static_cast<int>(sys.tiers().health(platform.fastTier()));
     out.slowHealth =
         static_cast<int>(sys.tiers().health(platform.slowTier()));
-    workload->teardown(sys);
     return out;
 }
 

@@ -7,6 +7,10 @@
  *
  * where policy is any two-tier name `klocsim list` prints (default
  * klocs) and workload any workload it lists (default rocksdb).
+ *
+ * The run is the shared protocol (workload/runner.hh): load, quiesce,
+ * measure. It has no hook between quiesce and measurement, so the
+ * reference and device totals below cover the load phase too.
  */
 
 #include <cstdio>
@@ -29,7 +33,7 @@ main(int argc, char **argv)
     // 1:64 scale, slow tier at a quarter of fast bandwidth.
     TwoTierPlatform::Config config;
     config.scale = 64;
-    TwoTierPlatform platform(config.forPolicy(policy));
+    TwoTierPlatform platform(config, policy);
     System &sys = platform.sys();
 
     std::printf("two-tier platform: fast %llu MiB / slow %llu MiB\n",
@@ -40,32 +44,17 @@ main(int argc, char **argv)
                     sys.tiers().tier(platform.slowTier()).spec().capacity /
                     kMiB));
 
-    platform.applyPolicyByName(policy);
-    sys.fs().startDaemons();
     std::printf("strategy: %s\n", policy.c_str());
 
-    // Run a small RocksDB-like workload.
+    // Run a small workload; `run` tears it down when main returns.
     WorkloadConfig wl_config;
     wl_config.scale = 64;
     wl_config.operations = 100000;
-    auto workload = makeWorkload(workload_name, wl_config);
-    workload->setup(sys);
-    sys.fs().syncAll();
-    sys.machine().charge(kQuiesceWindow);
-    const Tick k0 = sys.machine().kernelRefTicks();
-    const Tick u0 = sys.machine().userRefTicks();
-    const uint64_t d0 = sys.fs().device().requests();
-    const WorkloadResult result = workload->run(sys);
-    std::printf("run-phase: kernel-ref %.1f ms, user-ref %.1f ms, "
-                "device reqs %llu\n",
-                (double)(sys.machine().kernelRefTicks() - k0) /
-                    kMillisecond,
-                (double)(sys.machine().userRefTicks() - u0) /
-                    kMillisecond,
-                (unsigned long long)(sys.fs().device().requests() - d0));
+    const MeasuredRun run = runMeasured(sys, workload_name, wl_config);
+    const WorkloadResult &result = run.result;
 
     std::printf("\n%s: %llu ops in %.1f ms virtual -> %.0f ops/s\n",
-                workload->name(),
+                workload_name.c_str(),
                 static_cast<unsigned long long>(result.operations),
                 static_cast<double>(result.elapsed) / kMillisecond,
                 result.throughput());
@@ -116,7 +105,5 @@ main(int argc, char **argv)
     std::printf("kloc metadata: %.1f MiB peak\n",
                 static_cast<double>(sys.kloc().peakMetadataBytes()) /
                 static_cast<double>(kMiB));
-
-    workload->teardown(sys);
     return 0;
 }

@@ -42,7 +42,18 @@ class OptanePlatform
         System::Config system;
     };
 
+    /** The platform at @p config with no policy applied yet. */
     explicit OptanePlatform(const Config &config);
+
+    /**
+     * The platform at @p config with the optanePolicyNames() entry
+     * @p policy applied.
+     */
+    OptanePlatform(const Config &config, const std::string &policy)
+        : OptanePlatform(config)
+    {
+        applyPolicyByName(policy);
+    }
 
     OptanePlatform() : OptanePlatform(Config{}) {}
 

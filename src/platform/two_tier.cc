@@ -4,6 +4,20 @@
 
 namespace kloc {
 
+namespace {
+
+/** @p config sized for @p policy: all_fast's fast tier holds all. */
+TwoTierPlatform::Config
+sizedFor(const TwoTierPlatform::Config &config, const std::string &policy)
+{
+    TwoTierPlatform::Config sized = config;
+    if (policy == "all_fast")
+        sized.fastCapacity += config.slowCapacity;
+    return sized;
+}
+
+} // namespace
+
 TwoTierPlatform::TwoTierPlatform(const Config &config) : _config(config)
 {
     KLOC_ASSERT(config.scale >= 1, "scale must be >= 1");
@@ -34,13 +48,11 @@ TwoTierPlatform::TwoTierPlatform(const Config &config) : _config(config)
     _system->buildSubsystems();
 }
 
-TwoTierPlatform::Config
-TwoTierPlatform::Config::forPolicy(const std::string &policy) const
+TwoTierPlatform::TwoTierPlatform(const Config &config,
+                                 const std::string &policy)
+    : TwoTierPlatform(sizedFor(config, policy))
 {
-    Config sized = *this;
-    if (policy == "all_fast")
-        sized.fastCapacity += slowCapacity;
-    return sized;
+    applyPolicyByName(policy);
 }
 
 } // namespace kloc

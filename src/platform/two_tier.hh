@@ -38,16 +38,17 @@ class TwoTierPlatform
         unsigned bandwidthRatio = 8;
         Tick dramLatency{80};
         System::Config system;
-
-        /**
-         * This config sized for @p policy: the all_fast bound gets a
-         * fast tier that holds everything (fast + slow capacity).
-         * Every run that takes a policy name builds its platform
-         * from this.
-         */
-        Config forPolicy(const std::string &policy) const;
     };
 
+    /**
+     * The platform sized for the policyNames() entry @p policy, with
+     * that policy applied. Sizing gives the all_fast bound a fast
+     * tier that holds everything (fast + slow capacity); every other
+     * policy gets @p config as is.
+     */
+    TwoTierPlatform(const Config &config, const std::string &policy);
+
+    /** The platform at @p config with no policy applied yet. */
     explicit TwoTierPlatform(const Config &config);
 
     /** Convenience: default configuration. */

@@ -368,9 +368,8 @@ runStorm(const std::string &workload_name)
     StormRun run;
     TwoTierPlatform::Config platform_config;
     platform_config.scale = 256;
-    TwoTierPlatform platform(platform_config);
+    TwoTierPlatform platform(platform_config, "klocs");
     System &sys = platform.sys();
-    platform.applyPolicyByName("klocs");
 
     // Poison chaos only: per-access/scan/copy poisoning plus storm
     // bursts on both tiers, timed to land while the workload runs.
@@ -390,7 +389,6 @@ runStorm(const std::string &workload_name)
     }
     sys.machine().faults().configure(fspec);
     sys.migrator().scheduleTierEvents();
-    sys.fs().startDaemons();
     sys.machine().tracer().setEnabled(true);
     InvariantChecker checker(sys.machine().tracer(), /*strict=*/true);
 
@@ -398,10 +396,12 @@ runStorm(const std::string &workload_name)
     wl_config.scale = 1024;
     wl_config.operations = 1200;
     wl_config.seed = 7;
-    auto workload = makeWorkload(workload_name, wl_config);
-    runMeasured(sys, *workload);
-    sys.machine().faults().clear();
-    workload->teardown(sys);
+    {
+        // Teardown, at the end of this scope, runs fault-free.
+        const MeasuredRun measured =
+            runMeasured(sys, workload_name, wl_config);
+        sys.machine().faults().clear();
+    }
 
     run.trace = sys.machine().tracer().serialize();
     run.poison = sys.migrator().poisonStats();

@@ -15,9 +15,7 @@ makePlatform()
 {
     TwoTierPlatform::Config config;
     config.scale = 256;
-    auto platform = std::make_unique<TwoTierPlatform>(config);
-    platform->applyPolicyByName("klocs");
-    return platform;
+    return std::make_unique<TwoTierPlatform>(config, "klocs");
 }
 
 TEST(Truncate, ShrinkFreesPagesAndExtents)

@@ -19,9 +19,7 @@ makePlatform()
 {
     TwoTierPlatform::Config config;
     config.scale = 256;
-    auto platform = std::make_unique<TwoTierPlatform>(config);
-    platform->applyPolicyByName("klocs");
-    return platform;
+    return std::make_unique<TwoTierPlatform>(config, "klocs");
 }
 
 TEST(VfsExtended, ReaddirListsEverythingAndAllocatesDirBuffers)
@@ -66,15 +64,11 @@ TEST(VfsExtended, HugePageArenaWorkloadRuns)
 {
     auto platform = makePlatform();
     System &sys = platform->sys();
-    sys.fs().startDaemons();
     WorkloadConfig config;
     config.scale = 1024;
     config.operations = 1500;
     config.hugePages = true;
-    auto workload = makeWorkload("redis", config);
-    const WorkloadResult result = runMeasured(sys, *workload);
-    EXPECT_GT(result.throughput(), 0.0);
-    workload->teardown(sys);
+    EXPECT_GT(runMeasured(sys, "redis", config).result.throughput(), 0.0);
     EXPECT_EQ(sys.heap().liveAppPages(), 0u);
 }
 

@@ -46,12 +46,9 @@ runStrategy(const std::string &workload_name, const std::string &policy,
             MigrationStats *migration = nullptr,
             uint64_t *slow_cache_allocs = nullptr)
 {
-    TwoTierPlatform platform(midPlatform().forPolicy(policy));
+    TwoTierPlatform platform(midPlatform(), policy);
     System &sys = platform.sys();
-    platform.applyPolicyByName(policy);
-    sys.fs().startDaemons();
-    auto workload = makeWorkload(workload_name, midConfig());
-    const WorkloadResult result = runMeasured(sys, *workload);
+    const MeasuredRun run = runMeasured(sys, workload_name, midConfig());
     if (migration)
         *migration = sys.migrator().stats();
     if (slow_cache_allocs) {
@@ -59,18 +56,14 @@ runStrategy(const std::string &workload_name, const std::string &policy,
             sys.tiers().tier(platform.slowTier())
                 .cumulativeAllocPages(ObjClass::PageCache);
     }
-    workload->teardown(sys);
-    return result.throughput();
+    return run.result.throughput();
 }
 
 TEST(Fig2Shape, KernelObjectsDominateFootprint)
 {
-    TwoTierPlatform platform(midPlatform());
+    TwoTierPlatform platform(midPlatform(), "naive");
     System &sys = platform.sys();
-    platform.applyPolicyByName("naive");
-    sys.fs().startDaemons();
-    auto workload = makeWorkload("rocksdb", midConfig());
-    runMeasured(sys, *workload);
+    const MeasuredRun run = runMeasured(sys, "rocksdb", midConfig());
 
     uint64_t kernel_pages = 0;
     for (unsigned c = 1; c < kNumObjClasses; ++c) {
@@ -81,35 +74,27 @@ TEST(Fig2Shape, KernelObjectsDominateFootprint)
     EXPECT_GT(kernel_pages, app_pages)
         << "I/O-intensive workloads allocate more kernel pages than "
            "app pages (Fig. 2a)";
-    workload->teardown(sys);
 }
 
 TEST(Fig2Shape, KernelReferencesAreMajor)
 {
-    TwoTierPlatform platform(midPlatform());
+    TwoTierPlatform platform(midPlatform(), "naive");
     System &sys = platform.sys();
-    platform.applyPolicyByName("naive");
-    sys.fs().startDaemons();
-    auto workload = makeWorkload("filebench", midConfig());
-    runMeasured(sys, *workload);
+    const MeasuredRun run = runMeasured(sys, "filebench", midConfig());
     const double kernel_share =
         static_cast<double>(sys.machine().kernelRefs()) /
         static_cast<double>(sys.machine().kernelRefs() +
                             sys.machine().userRefs());
     EXPECT_GT(kernel_share, 0.5)
         << "filebench spends most references in the kernel (Fig. 2c)";
-    workload->teardown(sys);
 }
 
 TEST(Fig2Shape, LifetimeOrderingSlabCacheApp)
 {
-    TwoTierPlatform platform(midPlatform());
+    TwoTierPlatform platform(midPlatform(), "naive");
     System &sys = platform.sys();
-    platform.applyPolicyByName("naive");
-    sys.fs().startDaemons();
-    auto workload = makeWorkload("redis", midConfig());
-    runMeasured(sys, *workload);
-    workload->teardown(sys);  // frees the arena -> app lifetimes
+    // Discarded at once: teardown frees the arena -> app lifetimes.
+    runMeasured(sys, "redis", midConfig());
 
     const double skb_ms =
         sys.heap().objLifetimeHist(KobjKind::SkbuffHead).dist().mean();
@@ -164,16 +149,9 @@ TEST(Fig5aShape, KlocsFollowsTheTaskAcrossSockets)
     auto run_optane = [](const char *policy) {
         OptanePlatform::Config config;
         config.scale = 256;
-        OptanePlatform platform(config);
-        System &sys = platform.sys();
-        platform.setInterference(true);
-        platform.applyPolicyByName(policy);
-        sys.fs().startDaemons();
-        auto workload = makeWorkload("filebench", midConfig());
-        const WorkloadResult result =
-            runOptaneMeasured(platform, *workload);
-        workload->teardown(sys);
-        return result.throughput();
+        OptanePlatform platform(config, policy);
+        return runOptaneMeasured(platform, "filebench", midConfig())
+            .result.throughput();
     };
     const double remote = run_optane("static");
     const double klocs = run_optane("klocs");
@@ -183,27 +161,22 @@ TEST(Fig5aShape, KlocsFollowsTheTaskAcrossSockets)
 
 TEST(Table6Shape, MetadataBelowOnePercent)
 {
-    TwoTierPlatform platform(midPlatform());
+    TwoTierPlatform platform(midPlatform(), "klocs");
     System &sys = platform.sys();
-    platform.applyPolicyByName("klocs");
-    sys.fs().startDaemons();
-    auto workload = makeWorkload("rocksdb", midConfig());
-    runMeasured(sys, *workload);
+    const MeasuredRun run = runMeasured(sys, "rocksdb", midConfig());
     const Bytes total_memory =
         sys.tiers().tier(platform.fastTier()).spec().capacity +
         sys.tiers().tier(platform.slowTier()).spec().capacity;
     EXPECT_LT(sys.kloc().peakMetadataBytes(), total_memory / 100)
         << "KLOC metadata must stay below 1% of memory (Table 6)";
     EXPECT_GT(sys.kloc().peakMetadataBytes(), 0u);
-    workload->teardown(sys);
 }
 
 TEST(AblationShape, PerCpuListsCutTreeAccesses)
 {
     auto drive = [](bool lists) {
-        TwoTierPlatform platform(midPlatform());
+        TwoTierPlatform platform(midPlatform(), "klocs");
         System &sys = platform.sys();
-        platform.applyPolicyByName("klocs");
         sys.kloc().setUsePerCpuLists(lists);
         std::vector<Knode *> knodes;
         for (unsigned i = 0; i < 64; ++i)

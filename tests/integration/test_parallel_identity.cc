@@ -61,18 +61,15 @@ runCell(const Cell &cell)
 {
     TwoTierPlatform::Config platform_config;
     platform_config.scale = 256;
-    TwoTierPlatform platform(platform_config);
+    TwoTierPlatform platform(platform_config, cell.policy);
     System &sys = platform.sys();
     sys.machine().tracer().setEnabled(true);
-    platform.applyPolicyByName(cell.policy);
-    sys.fs().startDaemons();
 
     WorkloadConfig workload_config;
     workload_config.scale = 256;
     workload_config.operations = 2000;
-    auto workload = makeWorkload(cell.workload, workload_config);
-    const WorkloadResult result = runMeasured(sys, *workload);
-    workload->teardown(sys);
+    const WorkloadResult result =
+        runMeasured(sys, cell.workload, workload_config).result;
 
     CellOutput out;
     char row[160];

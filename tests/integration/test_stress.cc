@@ -34,15 +34,11 @@ TEST(Stress, DaemonStormStaysConsistent)
         PolicyContext{sys.heap(), sys.lru(), sys.migrator(), &sys.kloc(),
                       platform.fastTier(), platform.slowTier()},
         strat_config));
-    sys.fs().startDaemons();
 
     WorkloadConfig wl_config;
     wl_config.scale = 1024;
     wl_config.operations = 3000;
-    auto workload = makeWorkload("varmail", wl_config);
-    const WorkloadResult result = runMeasured(sys, *workload);
-    EXPECT_GT(result.operations, 0u);
-    workload->teardown(sys);
+    EXPECT_GT(runMeasured(sys, "varmail", wl_config).result.operations, 0u);
 
     // Everything drained and balanced.
     EXPECT_EQ(sys.fs().liveInodes(), 0u);
@@ -57,9 +53,8 @@ TEST(Stress, RxPathSurvivesMemoryExhaustion)
     config.scale = 1;
     config.fastCapacity = 2 * kMiB;
     config.slowCapacity = 4 * kMiB;
-    TwoTierPlatform platform(config);
+    TwoTierPlatform platform(config, "naive");
     System &sys = platform.sys();
-    platform.applyPolicyByName("naive");
 
     const int sd = sys.net().socket();
     // Flood far beyond memory; drops must be counted, not crashed.
@@ -81,9 +76,8 @@ TEST(Stress, FsWriteUnderTotalExhaustionBypassesCache)
     config.scale = 1;
     config.fastCapacity = 2 * kMiB;
     config.slowCapacity = 4 * kMiB;
-    TwoTierPlatform platform(config);
+    TwoTierPlatform platform(config, "naive");
     System &sys = platform.sys();
-    platform.applyPolicyByName("naive");
     const int fd = sys.fs().create("big");
     // Write 4x the total memory; the FS must keep going through
     // reclaim + cache bypass.
@@ -114,9 +108,8 @@ TEST(StressDeath, DoubleCloseIsTolerated)
 {
     TwoTierPlatform::Config config;
     config.scale = 1024;
-    TwoTierPlatform platform(config);
+    TwoTierPlatform platform(config, "naive");
     System &sys = platform.sys();
-    platform.applyPolicyByName("naive");
     const int fd = sys.fs().create("f");
     sys.fs().close(fd);
     sys.fs().close(fd);  // stale fd: must be a no-op, not a crash
@@ -127,9 +120,8 @@ TEST(StressDeath, FreeingUntrackedObjectDies)
 {
     TwoTierPlatform::Config config;
     config.scale = 1024;
-    TwoTierPlatform platform(config);
+    TwoTierPlatform platform(config, "klocs");
     System &sys = platform.sys();
-    platform.applyPolicyByName("klocs");
     EXPECT_DEATH(
         {
             KernelObject obj(KobjKind::Inode);
@@ -142,9 +134,8 @@ TEST(StressDeath, UnmapWithLiveObjectsDies)
 {
     TwoTierPlatform::Config config;
     config.scale = 1024;
-    TwoTierPlatform platform(config);
+    TwoTierPlatform platform(config, "klocs");
     System &sys = platform.sys();
-    platform.applyPolicyByName("klocs");
     EXPECT_DEATH(
         {
             Knode *knode = sys.kloc().mapKnode(424242);

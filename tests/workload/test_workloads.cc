@@ -55,10 +55,7 @@ makePlatform()
 {
     TwoTierPlatform::Config config;
     config.scale = 256;
-    auto platform = std::make_unique<TwoTierPlatform>(config);
-    platform->applyPolicyByName("klocs");
-    platform->sys().fs().startDaemons();
-    return platform;
+    return std::make_unique<TwoTierPlatform>(config, "klocs");
 }
 
 /** Every workload driver: Table 3 plus the thrash extension. */
@@ -96,10 +93,8 @@ runTraced(const std::string &name,
     sys.machine().tracer().setEnabled(true);
     InvariantChecker checker(sys.machine().tracer(), /*strict=*/true);
 
-    auto workload = makeWorkload(name, config);
     TracedRun run;
-    run.result = runMeasured(sys, *workload);
-    workload->teardown(sys);
+    run.result = runMeasured(sys, name, config).result;
     run.trace = sys.machine().tracer().serialize();
     run.report = checker.report();
     run.clean = checker.clean();
@@ -158,13 +153,11 @@ class WorkloadParam : public ::testing::TestWithParam<const char *>
 TEST_P(WorkloadParam, RunsAndProducesThroughput)
 {
     auto platform = makePlatform();
-    System &sys = platform->sys();
-    auto workload = makeWorkload(GetParam(), tinyConfig());
-    const WorkloadResult result = runMeasured(sys, *workload);
+    const WorkloadResult result =
+        runMeasured(platform->sys(), GetParam(), tinyConfig()).result;
     EXPECT_GT(result.operations, 0u);
     EXPECT_GT(result.elapsed, 0);
     EXPECT_GT(result.throughput(), 0.0);
-    workload->teardown(sys);
 }
 
 TEST_P(WorkloadParam, DeterministicForSeed)
@@ -172,9 +165,9 @@ TEST_P(WorkloadParam, DeterministicForSeed)
     Tick elapsed[2];
     for (int i = 0; i < 2; ++i) {
         auto platform = makePlatform();
-        auto workload = makeWorkload(GetParam(), tinyConfig());
-        elapsed[i] = runMeasured(platform->sys(), *workload).elapsed;
-        workload->teardown(platform->sys());
+        elapsed[i] =
+            runMeasured(platform->sys(), GetParam(), tinyConfig())
+                .result.elapsed;
     }
     EXPECT_EQ(elapsed[0], elapsed[1])
         << "same seed must give bit-identical virtual time";
@@ -184,9 +177,7 @@ TEST_P(WorkloadParam, TeardownReleasesMemory)
 {
     auto platform = makePlatform();
     System &sys = platform->sys();
-    auto workload = makeWorkload(GetParam(), tinyConfig());
-    runMeasured(sys, *workload);
-    workload->teardown(sys);
+    runMeasured(sys, GetParam(), tinyConfig());
     EXPECT_EQ(sys.heap().liveAppPages(), 0u) << "app arena leaked";
     EXPECT_EQ(sys.fs().cachedPages(), 0u) << "page cache leaked";
     EXPECT_EQ(sys.fs().liveInodes(), 0u) << "inodes leaked";
@@ -243,10 +234,7 @@ TEST_P(WorkloadParam, TeardownReleasesMemoryOnPoolWorkers)
         pool, kPoolSeeds.size(), [&name](size_t i) {
             auto platform = makePlatform();
             System &sys = platform->sys();
-            auto workload =
-                makeWorkload(name, seededConfig(kPoolSeeds[i]));
-            runMeasured(sys, *workload);
-            workload->teardown(sys);
+            runMeasured(sys, name, seededConfig(kPoolSeeds[i]));
             Leaks left;
             left.appPages = sys.heap().liveAppPages();
             left.cachedPages = sys.fs().cachedPages();
@@ -271,23 +259,19 @@ TEST(WorkloadShape, WebserverChurnsSocketKlocs)
 {
     auto platform = makePlatform();
     System &sys = platform->sys();
-    auto workload = makeWorkload("webserver", tinyConfig());
-    runMeasured(sys, *workload);
+    const MeasuredRun run = runMeasured(sys, "webserver", tinyConfig());
     const KlocStats &stats = sys.kloc().stats();
     // Most requests create and destroy a whole socket KLOC.
     EXPECT_GT(stats.knodesDeleted, 500u);
     EXPECT_GT(sys.net().stats().packetsDelivered, 0u);
     EXPECT_GT(sys.fs().stats().reads, 0u);
-    workload->teardown(sys);
 }
 
 TEST(WorkloadShape, VarmailChurnsKnodes)
 {
     auto platform = makePlatform();
     System &sys = platform->sys();
-    WorkloadConfig config = tinyConfig();
-    auto workload = makeWorkload("varmail", config);
-    runMeasured(sys, *workload);
+    const MeasuredRun run = runMeasured(sys, "varmail", tinyConfig());
     const KlocStats &stats = sys.kloc().stats();
     EXPECT_GT(stats.knodesCreated, 100u)
         << "varmail must create many KLOCs";
@@ -300,60 +284,50 @@ TEST(WorkloadShape, VarmailChurnsKnodes)
               0u);
     EXPECT_GT(sys.heap().objLifetimeHist(KobjKind::Dentry).dist().count(),
               0u);
-    workload->teardown(sys);
 }
 
 TEST(WorkloadShape, RocksDbIsFilesystemIntensive)
 {
     auto platform = makePlatform();
     System &sys = platform->sys();
-    auto workload = makeWorkload("rocksdb", tinyConfig());
-    runMeasured(sys, *workload);
+    const MeasuredRun run = runMeasured(sys, "rocksdb", tinyConfig());
     EXPECT_GT(sys.fs().stats().writes, 0u);
     EXPECT_GT(sys.fs().stats().reads, 0u);
     EXPECT_GT(sys.fs().journal().committedTxs(), 0u);
     EXPECT_GT(sys.tiers().cumulativeAllocPages(ObjClass::PageCache), 0u);
-    workload->teardown(sys);
 }
 
 TEST(WorkloadShape, RedisIsNetworkIntensive)
 {
     auto platform = makePlatform();
     System &sys = platform->sys();
-    auto workload = makeWorkload("redis", tinyConfig());
-    runMeasured(sys, *workload);
+    const MeasuredRun run = runMeasured(sys, "redis", tinyConfig());
     EXPECT_GT(sys.net().stats().packetsDelivered, 0u);
     EXPECT_GT(sys.net().stats().packetsSent, 0u);
     EXPECT_GT(sys.tiers().cumulativeAllocPages(ObjClass::SockBuf), 0u);
     // ...and periodically checkpoints to disk.
     EXPECT_GT(sys.fs().stats().writes, 0u);
-    workload->teardown(sys);
 }
 
 TEST(WorkloadShape, CassandraHitsItsRowCache)
 {
     auto platform = makePlatform();
     System &sys = platform->sys();
-    WorkloadConfig config = tinyConfig();
-    auto workload = makeWorkload("cassandra", config);
-    runMeasured(sys, *workload);
+    const MeasuredRun run = runMeasured(sys, "cassandra", tinyConfig());
     // The app cache absorbs reads: user references dominate compared
     // to a pure filesystem workload's read-miss traffic.
     EXPECT_GT(sys.machine().userRefs(), 0u);
     EXPECT_GT(sys.net().stats().packetsDelivered, 0u);
-    workload->teardown(sys);
 }
 
 TEST(WorkloadShape, SparkWritesAndReadsItsPartitions)
 {
     auto platform = makePlatform();
     System &sys = platform->sys();
-    auto workload = makeWorkload("spark", tinyConfig());
-    const WorkloadResult result = runMeasured(sys, *workload);
+    const MeasuredRun run = runMeasured(sys, "spark", tinyConfig());
     // generate writes + sort reads every partition.
     EXPECT_GT(sys.fs().stats().creates, 16u);
-    EXPECT_GT(result.operations, 0u);
-    workload->teardown(sys);
+    EXPECT_GT(run.result.operations, 0u);
 }
 
 TEST(WorkloadShape, SmallInputShrinksFootprint)

@@ -106,7 +106,7 @@ wait_both() {
     wait "$2" || rc=1
     if [ "$rc" != 0 ]; then
         tail -n 20 "$3.out" "$4.out" >&2
-        echo "FAIL: klocsim run failed or reported invariant violations" >&2
+        echo "FAIL: klocsim failed or reported invariant violations" >&2
         exit 1
     fi
     if [ "$5" = thrash ] &&
@@ -127,6 +127,33 @@ for run in $RUNS; do
     cmp "$a" "$b" || {
         echo "FAIL: klocsim $workload/$strategy traces differ between" \
             "identical runs" >&2
+        exit 1
+    }
+done
+
+# The optane and characterize commands run the other protocols (the
+# Fig. 5a socket move and warm-up pass; the characterization run,
+# whose trace ends before teardown): one clean pair each.
+# Arguments: trace path, then the klocsim command and its flags.
+run_command() {
+    local trace=$1
+    shift
+    "$BUILD_DIR"/tools/klocsim "$@" --ops 2000 --scale 16 \
+        --trace "$trace" --check > "$trace.out"
+}
+for command in "optane --workload filebench --strategy klocs" \
+               "characterize --workload redis"; do
+    name=${command%% *}
+    a="$tracedir/$name.a.trace"
+    b="$tracedir/$name.b.trace"
+    # shellcheck disable=SC2086  # $command is a command and flag list
+    run_command "$a" $command & pa=$!
+    # shellcheck disable=SC2086
+    run_command "$b" $command & pb=$!
+    wait_both "$pa" "$pb" "$a" "$b" "$name"
+    cmp "$a" "$b" || {
+        echo "FAIL: klocsim $command traces differ between identical" \
+            "runs" >&2
         exit 1
     }
 done

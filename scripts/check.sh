@@ -70,15 +70,23 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 # fresh processes, identical serialized traces, zero violations. The
 # two runs are independent processes, so they run concurrently.
 # Each entry is workload:strategy. rocksdb drives the fs data path
-# and KLOC knode migration; varmail drives the fs metadata path
-# (create, fsync, unlink, readdir) and the journal's per-inode
-# detach. thrash is almost all app-page touches through the
-# poison-hooked access path plus the thrash policies' migrations:
-# Nomad's transactional promotions and shadow demotions, Jenga's
-# adapted promotion batch, and both under KLOC+Nomad.
-RUNS="rocksdb:klocs varmail:klocs thrash:nomad thrash:jenga thrash:kloc_nomad"
+# and KLOC knode migration; filebench drives KLOC knode migration
+# over many files, varmail the fs metadata path (create, fsync,
+# unlink, readdir) and the journal's per-inode detach. thrash is
+# almost all app-page touches through the poison-hooked access path
+# plus the thrash policies' migrations: Nomad's transactional
+# promotions and shadow demotions, Jenga's adapted promotion batch,
+# and both under KLOC+Nomad.
+RUNS="rocksdb:klocs filebench:klocs varmail:klocs thrash:nomad"
+RUNS="$RUNS thrash:jenga thrash:kloc_nomad"
 tracedir=$(mktemp -d)
 trap 'rm -rf "$tracedir"' EXIT
+# Every klocsim runs under a 4 GiB address-space cap, so a run that
+# allocates without bound fails this script instead of exhausting
+# the machine's memory.
+klocsim() {
+    (ulimit -v 4194304 && exec "$BUILD_DIR"/tools/klocsim "$@")
+}
 # Arguments: workload. Prints the run size for it: thrash needs
 # 10000 ops at 1:256 before its working set outgrows the fast tier
 # and pages migrate (2000 ops at 1:16 migrate none).
@@ -88,12 +96,6 @@ run_size() {
     else
         echo "--ops 2000 --scale 16"
     fi
-}
-# Arguments: workload, strategy, trace path.
-run_traced() {
-    # shellcheck disable=SC2046  # run_size prints a flag list
-    "$BUILD_DIR"/tools/klocsim run --workload "$1" --strategy "$2" \
-        $(run_size "$1") --trace "$3" --check > "$3.out"
 }
 # A bare `wait` returns 0 whatever its jobs returned, so each run's
 # status (klocsim --check exits 2 on a violation) is collected by pid.
@@ -116,54 +118,47 @@ wait_both() {
         exit 1
     fi
 }
+# Runs one klocsim command twice at once, each with --trace and
+# --check, and fails unless both exit 0 and their traces match.
+# Arguments: a name for the pair, the workload, then the klocsim
+# command and its flags.
+check_pair() {
+    local name=$1 workload=$2
+    shift 2
+    local a="$tracedir/$name.a.trace" b="$tracedir/$name.b.trace"
+    local pa pb
+    klocsim "$@" --trace "$a" --check > "$a.out" & pa=$!
+    klocsim "$@" --trace "$b" --check > "$b.out" & pb=$!
+    wait_both "$pa" "$pb" "$a" "$b" "$workload"
+    cmp "$a" "$b" || {
+        echo "FAIL: klocsim $* traces differ between identical runs" >&2
+        exit 1
+    }
+}
 for run in $RUNS; do
     workload=${run%:*}
     strategy=${run#*:}
-    a="$tracedir/$workload.$strategy.a.trace"
-    b="$tracedir/$workload.$strategy.b.trace"
-    run_traced "$workload" "$strategy" "$a" & pa=$!
-    run_traced "$workload" "$strategy" "$b" & pb=$!
-    wait_both "$pa" "$pb" "$a" "$b" "$workload"
-    cmp "$a" "$b" || {
-        echo "FAIL: klocsim $workload/$strategy traces differ between" \
-            "identical runs" >&2
-        exit 1
-    }
+    # shellcheck disable=SC2046  # run_size prints a flag list
+    check_pair "$workload.$strategy" "$workload" run \
+        --workload "$workload" --strategy "$strategy" \
+        $(run_size "$workload")
 done
 
 # The optane and characterize commands run the other protocols (the
 # Fig. 5a socket move and warm-up pass; the characterization run,
 # whose trace ends before teardown): one clean pair each.
-# Arguments: trace path, then the klocsim command and its flags.
-run_command() {
-    local trace=$1
-    shift
-    "$BUILD_DIR"/tools/klocsim "$@" --ops 2000 --scale 16 \
-        --trace "$trace" --check > "$trace.out"
-}
-for command in "optane --workload filebench --strategy klocs" \
-               "characterize --workload redis"; do
-    name=${command%% *}
-    a="$tracedir/$name.a.trace"
-    b="$tracedir/$name.b.trace"
-    # shellcheck disable=SC2086  # $command is a command and flag list
-    run_command "$a" $command & pa=$!
-    # shellcheck disable=SC2086
-    run_command "$b" $command & pb=$!
-    wait_both "$pa" "$pb" "$a" "$b" "$name"
-    cmp "$a" "$b" || {
-        echo "FAIL: klocsim $command traces differ between identical" \
-            "runs" >&2
-        exit 1
-    }
-done
+check_pair optane filebench optane --workload filebench \
+    --strategy klocs --ops 2000 --scale 16
+check_pair characterize redis characterize --workload redis \
+    --ops 2000 --scale 16
 
 # Same check with fault injection armed: injected faults, retries,
 # and recovery must land on the same virtual ticks in both runs. The
-# poison sites send hwpoison containment, and the checker's rule that
-# a poisoned block leaves its frame only into quarantine, through
-# every run, and journal_commit_crash sends varmail's unlinks through
-# detach-during-crashed-transaction and replay.
+# poison sites send hwpoison containment and KLOC soft-offline, and
+# the checker's rule that a poisoned block leaves its frame only into
+# quarantine, through every run, and journal_commit_crash sends
+# varmail's unlinks through detach-during-crashed-transaction and
+# replay. The optane pair runs soft-offline on the Optane platform.
 cat > "$tracedir/faults.txt" <<'EOF'
 seed 11
 device_write prob 0.02
@@ -174,27 +169,17 @@ journal_commit_crash prob 0.1
 frame_poison_access prob 0.00001
 frame_poison_copy prob 0.0001
 EOF
-# Arguments: workload, strategy, trace path.
-run_faulted() {
-    # shellcheck disable=SC2046  # run_size prints a flag list
-    "$BUILD_DIR"/tools/klocsim run --workload "$1" --strategy "$2" \
-        $(run_size "$1") --fault-spec "$tracedir/faults.txt" \
-        --trace "$3" --check > "$3.out"
-}
 for run in $RUNS; do
     workload=${run%:*}
     strategy=${run#*:}
-    a="$tracedir/$workload.$strategy.fa.trace"
-    b="$tracedir/$workload.$strategy.fb.trace"
-    run_faulted "$workload" "$strategy" "$a" & pa=$!
-    run_faulted "$workload" "$strategy" "$b" & pb=$!
-    wait_both "$pa" "$pb" "$a" "$b" "$workload"
-    cmp "$a" "$b" || {
-        echo "FAIL: klocsim $workload/$strategy traces differ between" \
-            "identical faulted runs" >&2
-        exit 1
-    }
+    # shellcheck disable=SC2046  # run_size prints a flag list
+    check_pair "$workload.$strategy.faulted" "$workload" run \
+        --workload "$workload" --strategy "$strategy" \
+        $(run_size "$workload") --fault-spec "$tracedir/faults.txt"
 done
+check_pair optane.faulted filebench optane --workload filebench \
+    --strategy klocs --ops 2000 --scale 16 \
+    --fault-spec "$tracedir/faults.txt"
 
 # The randomized fault fuzz must be invariant-clean on every seed;
 # the sweep fans the seeds out over KLOC_JOBS RunPool workers.

@@ -126,6 +126,7 @@ KlocManager::unmapKnode(Knode *knode)
     if (knode->backing.valid())
         _knodeCache->free(knode->backing);
     ++_stats.knodesDeleted;
+    ++_unmaps;
     delete knode;
 }
 
@@ -145,8 +146,8 @@ KlocManager::findKnode(uint64_t inode_id)
                 // otherwise mutate the list under our index and turn
                 // the rotation into a duplicating wrong-element
                 // erase (then unmap leaves a dangling entry).
-                list.erase(list.begin() + static_cast<ptrdiff_t>(i));
-                list.insert(list.begin(), knode);
+                const auto hit = list.begin() + static_cast<ptrdiff_t>(i);
+                std::rotate(list.begin(), hit, hit + 1);
                 ++_stats.perCpuHits;
                 _machine.cpuWork(static_cast<int64_t>(i + 1) *
                                  kListStepCost);
@@ -185,6 +186,8 @@ KlocManager::cacheOnCpu(Knode *knode)
     if (!_usePerCpuLists)
         return;
     auto &list = _perCpu[_machine.currentCpu()];
+    if (!list.empty() && list.front() == knode)
+        return;  // already most recent; the list holds no duplicates
     _perCpuEntries -= dropFromList(list, knode);
     list.insert(list.begin(), knode);
     ++_perCpuEntries;
@@ -362,6 +365,18 @@ KlocManager::markInactive(Knode *knode)
 uint64_t
 KlocManager::migrateKnodeObjects(Knode *knode, TierId dst)
 {
+    // Nothing can have come off dst since a walk left nothing there
+    // (Knode::WalkStamp): charge the walk's visits and skip it. This
+    // needs a tracked object never to get new backing, which
+    // allocBacking asserts.
+    const Knode::WalkStamp stamp{dst,
+                                 _heap.tiers().tier(dst).kernelDepartures(),
+                                 knode->nextObjId, _managedClasses};
+    if (knode->settled == stamp) {
+        _machine.backgroundTraffic(static_cast<int64_t>(knode->objectCount()) *
+                                   kObjVisitCost);
+        return 0;
+    }
     std::unordered_set<Frame *> seen;
     std::vector<FrameRef> batch;
     uint64_t visited = 0;
@@ -375,10 +390,24 @@ KlocManager::migrateKnodeObjects(Knode *knode, TierId dst)
     };
     forEachCacheObj(knode, collect);
     forEachSlabObj(knode, collect);
+    // Stamp before charging: the charge runs due events, which may
+    // unmap the knode.
+    if (batch.empty())
+        knode->settled = stamp;
     _machine.backgroundTraffic(static_cast<int64_t>(visited) * kObjVisitCost);
     if (batch.empty())
         return 0;
-    return _migrator.migrate(batch, dst);
+    const uint64_t unmaps = _unmaps;
+    const uint64_t moved = _migrator.migrate(batch, dst);
+    // Settled when every batch frame is now freed or on dst, and the
+    // knode outlived the migration's charges.
+    const bool settled =
+        std::all_of(batch.begin(), batch.end(), [dst](const FrameRef &ref) {
+            return !ref.valid() || ref->tier == dst;
+        });
+    if (settled && _unmaps == unmaps)
+        knode->settled = stamp;
+    return moved;
 }
 
 void
@@ -398,30 +427,42 @@ KlocManager::onFramePoisoned(Frame *frame, TierId origin_tier,
     // containment hook fires mid-access or mid-scan, so the bulk
     // migration is deferred to the event queue; the knode is
     // re-looked-up by inode id in case it died meanwhile.
+    //
+    // One soft-offline per knode, pending or running: the running
+    // one's migration charges time, and a poisoning met there would
+    // otherwise schedule the next one at now() inside it, nesting
+    // without bound.
     const uint64_t inode = knode->id;
+    if (!_softOfflineInodes.insert(inode).second)
+        return;
     std::weak_ptr<int> alive = _alive;
     _machine.events().schedule(
         _machine.now(), [this, alive, inode, origin_tier] {
             if (alive.expired())
                 return;
-            Knode *target = findKnode(inode);
-            if (target == nullptr || _tierOrder.empty())
-                return;
-            const TierPreference order =
-                _heap.tiers().preferHealthy(_tierOrder);
-            TierId dst = kInvalidTier;
-            for (const TierId t : order) {
-                if (t != origin_tier && _heap.tiers().tier(t).online()) {
-                    dst = t;
-                    break;
-                }
-            }
-            if (dst == kInvalidTier)
-                return;  // nowhere to shelter the siblings
-            const uint64_t moved = migrateKnodeObjects(target, dst);
-            _machine.tracer().emit(TraceEventType::SoftOffline, inode,
-                                   moved);
+            softOffline(inode, origin_tier);
+            _softOfflineInodes.erase(inode);
         });
+}
+
+void
+KlocManager::softOffline(uint64_t inode, TierId origin_tier)
+{
+    Knode *target = findKnode(inode);
+    if (target == nullptr || _tierOrder.empty())
+        return;
+    const TierPreference order = _heap.tiers().preferHealthy(_tierOrder);
+    TierId dst = kInvalidTier;
+    for (const TierId t : order) {
+        if (t != origin_tier && _heap.tiers().tier(t).online()) {
+            dst = t;
+            break;
+        }
+    }
+    if (dst == kInvalidTier)
+        return;  // nowhere to shelter the siblings
+    const uint64_t moved = migrateKnodeObjects(target, dst);
+    _machine.tracer().emit(TraceEventType::SoftOffline, inode, moved);
 }
 
 uint64_t

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <unordered_set>
 #include <vector>
 
 #include "base/intrusive_list.hh"
@@ -220,7 +221,11 @@ class KlocManager
      */
     uint64_t runWatermarkPass();
 
-    /** Migrate every object of @p knode to @p dst; returns pages moved. */
+    /**
+     * Migrate every object of @p knode to @p dst; returns pages moved.
+     * A repeat call that cannot find anything to move (Knode::settled)
+     * charges the walk without making it.
+     */
     uint64_t migrateKnodeObjects(Knode *knode, TierId dst);
 
     // -- accounting ---------------------------------------------------------
@@ -270,6 +275,8 @@ class KlocManager
      */
     void onFramePoisoned(Frame *frame, TierId origin_tier,
                          bool data_lost);
+    /** The deferred half: move inode @p inode's KLOC off @p origin_tier. */
+    void softOffline(uint64_t inode, TierId origin_tier);
 
     KernelHeap &_heap;
     MigrationEngine &_migrator;
@@ -301,6 +308,9 @@ class KlocManager
     /** Per-tier KLOC page caps (0 = uncapped). */
     std::vector<Bytes> _memLimits;
 
+    /** Inodes with a soft-offline pending or running (at most one). */
+    std::unordered_set<uint64_t> _softOfflineInodes;
+
     /** Liveness token for scheduled daemon lambdas. */
     std::shared_ptr<int> _alive = std::make_shared<int>(0);
 
@@ -309,6 +319,7 @@ class KlocManager
     bool _usePerCpuLists = true;
     bool _splitTrees = true;
     uint64_t _knodeTreeVisitsRetired = 0;  ///< from deleted knodes
+    uint64_t _unmaps = 0;  ///< knodes deleted; tells a walk its knode lives
     KlocStats _stats;
     uint64_t _trackedObjects = 0;   ///< live tracked objects
     Bytes _peakMetadata{};

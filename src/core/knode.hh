@@ -81,6 +81,25 @@ struct Knode
      */
     bool damaged = false;
 
+    /**
+     * What a migrateKnodeObjects() walk depends on, taken before it.
+     * A knode whose walk left nothing off `dst` keeps the stamp in
+     * `settled`. While a later call's stamp still matches, no object
+     * was added, no kernel frame left `dst` and no class was newly
+     * managed, so a new walk would find nothing to move either.
+     */
+    struct WalkStamp
+    {
+        TierId dst = kInvalidTier;
+        uint64_t dstDepartures = 0;   ///< Tier::kernelDepartures()
+        uint64_t nextObjId = 0;
+        uint32_t managedClasses = 0;
+
+        bool operator==(const WalkStamp &) const = default;
+    };
+
+    WalkStamp settled;
+
     uint64_t objectCount() const { return rbCache.size() + rbSlab.size(); }
 };
 

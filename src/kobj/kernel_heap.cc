@@ -62,6 +62,10 @@ KernelHeap::allocBacking(KernelObject &obj, bool knode_active,
     KLOC_ASSERT(_policy != nullptr, "KernelHeap used without a policy");
     KLOC_ASSERT(!obj.backed(), "double allocation of %s",
                 kobjKindName(obj.kind));
+    // KlocManager's walk memo relies on this: a tracked object's
+    // frame changes only by migration, never by new backing.
+    KLOC_ASSERT(obj.knode == nullptr, "new backing for a tracked %s",
+                kobjKindName(obj.kind));
 
     const auto pref =
         _policy->kernelPreference(kobjClass(obj.kind), knode_active);

@@ -131,13 +131,11 @@ Workload::teardown(System &sys)
 int
 FdCache::get(System &sys, const std::string &name)
 {
-    for (size_t i = 0; i < _entries.size(); ++i) {
-        if (_entries[i].first == name) {
-            auto entry = _entries[i];
-            _entries.erase(_entries.begin() +
-                           static_cast<ptrdiff_t>(i));
-            _entries.insert(_entries.begin(), entry);
-            return entry.second;
+    for (auto it = _entries.begin(); it != _entries.end(); ++it) {
+        if (it->first == name) {
+            // Move the hit to the front without copying its name.
+            std::rotate(_entries.begin(), it, it + 1);
+            return _entries.front().second;
         }
     }
     const int fd = sys.fs().open(name);

@@ -336,5 +336,172 @@ TEST_F(KlocTest, UnmapReleasesKnodeBacking)
     EXPECT_EQ(kloc.stats().knodesDeleted, 1u);
 }
 
+TEST_F(KlocTest, TrackedObjectNeverGetsNewBacking)
+{
+    // The walk memo below relies on it: a tracked object's frame
+    // changes only by migration. The object is a slab one because
+    // removeObject picks a page's tree by its backing.
+    Knode *knode = kloc.mapKnode(1);
+    Dentry dentry;
+    ASSERT_TRUE(heap.allocBacking(dentry, true, knode->id));
+    kloc.addObject(knode, &dentry);
+    heap.freeBacking(dentry);
+    EXPECT_DEATH(heap.allocBacking(dentry, true, knode->id),
+                 "new backing for a tracked");
+    kloc.removeObject(&dentry);
+    kloc.unmapKnode(knode);
+}
+
+/** Count events of @p type in the tracer's ring. */
+uint64_t
+countEvents(const Tracer &tracer, TraceEventType type)
+{
+    uint64_t n = 0;
+    for (const TraceEvent &event : tracer.events()) {
+        if (event.type == type)
+            ++n;
+    }
+    return n;
+}
+
+TEST_F(KlocTest, OneSoftOfflinePerKnodeAtATime)
+{
+    machine.tracer().setEnabled(true);
+    Knode *knode = kloc.mapKnode(1);
+    std::vector<PageCachePage *> pages;
+    for (int i = 0; i < 4; ++i)
+        pages.push_back(makePage(knode));
+
+    // Three poisonings at one tick: each marks the KLOC damaged, but
+    // only the first schedules a soft-offline.
+    for (int i = 0; i < 3; ++i)
+        migrator.poisonFrame(pages[i]->frame(), PoisonOrigin::Access);
+    EXPECT_EQ(countEvents(machine.tracer(), TraceEventType::KlocDamaged), 3u);
+    machine.charge(Tick{1});
+    EXPECT_EQ(countEvents(machine.tracer(), TraceEventType::SoftOffline), 1u);
+    EXPECT_EQ(pages[3]->frame()->tier, slowId)
+        << "the healthy sibling shelters on the other tier";
+
+    // Once it has run, a new poisoning schedules the next one.
+    migrator.poisonFrame(pages[3]->frame(), PoisonOrigin::Access);
+    machine.charge(Tick{1});
+    EXPECT_EQ(countEvents(machine.tracer(), TraceEventType::SoftOffline), 2u);
+
+    for (PageCachePage *page : pages)
+        destroyPage(page);
+    kloc.unmapKnode(knode);
+}
+
+/**
+ * migrateKnodeObjects() skips the walk of a knode whose last walk
+ * left nothing off the destination, until something could have put
+ * an object off it again. Each case below changes one of those
+ * things and expects the next call to move the object it concerns.
+ */
+class KlocMigrateMemo : public KlocTest
+{
+  protected:
+    /** A knode of @p n pages, all demoted to the slow tier. */
+    Knode *
+    demotedKnode(int n)
+    {
+        Knode *knode = kloc.mapKnode(1);
+        for (int i = 0; i < n; ++i)
+            pages.push_back(makePage(knode));
+        EXPECT_EQ(kloc.migrateKnodeObjects(knode, slowId),
+                  static_cast<uint64_t>(n));
+        EXPECT_EQ(knode->settled.dst, slowId) << "no stamp after the move";
+        return knode;
+    }
+
+    void
+    TearDown() override
+    {
+        for (PageCachePage *page : pages)
+            destroyPage(page);
+        if (Knode *knode = kloc.findKnode(1))
+            kloc.unmapKnode(knode);
+    }
+
+    std::vector<PageCachePage *> pages;
+};
+
+TEST_F(KlocMigrateMemo, RepeatCallChargesTheWalkAndMovesNothing)
+{
+    Knode *knode = demotedKnode(8);
+    // Time a walk that finds nothing: forget the stamp first.
+    knode->settled = {};
+    Tick before = machine.now();
+    EXPECT_EQ(kloc.migrateKnodeObjects(knode, slowId), 0u);
+    const Tick walk = machine.now() - before;
+    EXPECT_GT(walk, Tick{});
+    EXPECT_EQ(knode->settled.dst, slowId) << "an empty walk stamps too";
+
+    const uint64_t visits = kloc.treeNodesVisited();
+    before = machine.now();
+    EXPECT_EQ(kloc.migrateKnodeObjects(knode, slowId), 0u);
+    EXPECT_EQ(machine.now() - before, walk);
+    EXPECT_EQ(kloc.treeNodesVisited(), visits);
+    for (PageCachePage *page : pages)
+        EXPECT_EQ(page->frame()->tier, slowId);
+}
+
+TEST_F(KlocMigrateMemo, PromotedSiblingMovesBack)
+{
+    Knode *knode = demotedKnode(4);
+    ASSERT_TRUE(migrator.migrateOne(pages[1]->frame(), fastId));
+    EXPECT_EQ(kloc.migrateKnodeObjects(knode, slowId), 1u);
+    EXPECT_EQ(pages[1]->frame()->tier, slowId);
+}
+
+TEST_F(KlocMigrateMemo, NewObjectMoves)
+{
+    Knode *knode = demotedKnode(4);
+    pages.push_back(makePage(knode));
+    ASSERT_EQ(pages.back()->frame()->tier, fastId);
+    EXPECT_EQ(kloc.migrateKnodeObjects(knode, slowId), 1u);
+    EXPECT_EQ(pages.back()->frame()->tier, slowId);
+}
+
+TEST_F(KlocMigrateMemo, WidenedClassMaskMovesTheNewClass)
+{
+    Knode *knode = kloc.mapKnode(1);
+    pages.push_back(makePage(knode));
+    auto *dentry = new Dentry();
+    ASSERT_TRUE(heap.allocBacking(*dentry, true, knode->id));
+    kloc.addObject(knode, dentry);
+
+    // Page-cache pages unmanaged: only the dentry's slab page moves,
+    // and the walk leaves nothing managed behind.
+    kloc.setManagedClasses(
+        ~(1u << static_cast<unsigned>(ObjClass::PageCache)));
+    EXPECT_EQ(kloc.migrateKnodeObjects(knode, slowId), 1u);
+    EXPECT_EQ(dentry->frame()->tier, slowId);
+    EXPECT_EQ(pages[0]->frame()->tier, fastId);
+
+    kloc.setManagedClasses(~0u);
+    EXPECT_EQ(kloc.migrateKnodeObjects(knode, slowId), 1u);
+    EXPECT_EQ(pages[0]->frame()->tier, slowId);
+
+    kloc.removeObject(dentry);
+    heap.freeBacking(*dentry);
+    delete dentry;
+}
+
+TEST_F(KlocMigrateMemo, PinnedFrameIsNotSettled)
+{
+    Knode *knode = kloc.mapKnode(1);
+    for (int i = 0; i < 4; ++i)
+        pages.push_back(makePage(knode));
+    Frame *pinned = pages[2]->frame();
+    ++pinned->pinCount;
+    EXPECT_EQ(kloc.migrateKnodeObjects(knode, slowId), 3u);
+    EXPECT_EQ(pinned->tier, fastId);
+
+    --pinned->pinCount;
+    EXPECT_EQ(kloc.migrateKnodeObjects(knode, slowId), 1u);
+    EXPECT_EQ(pinned->tier, slowId);
+}
+
 } // namespace
 } // namespace kloc

@@ -1,6 +1,6 @@
 /**
  * @file
- * Figure 4: overall performance on the two-tier memory platform.
+ * Figure 4, Figure 5b and Table 6: the two-tier platform grid.
  *
  * For every workload, runs all Table 5 strategies plus the AllFast /
  * AllSlow bounds and prints speedup relative to AllSlow — the same
@@ -10,13 +10,25 @@
  * everywhere except Cassandra (where it ties Nimble++); AllFast is
  * the upper bound.
  *
+ * The same runs feed two more sections:
+ *  - Fig. 5b: where RocksDB's pages land and how many migrate. Per
+ *    strategy, pages allocated in slow memory for page-cache and
+ *    slab objects, plus fast->slow (demote) and slow->fast (promote)
+ *    migration counts. The paper's claim: KLOCs allocates in slow
+ *    memory far less than Naive/Nimble/Nimble++ and needs fewer
+ *    migrations than Nimble++ while migrating the *right* pages
+ *    (demotions dominate, ~88%).
+ *  - Table 6: peak KLOC metadata footprint per workload (knodes,
+ *    per-object rbtree pointers, per-CPU lists, the demote queue),
+ *    scaled back to paper scale for comparison with Table 6's
+ *    12-101 MB (<1% of memory).
+ *
  * The (workload x strategy) grid runs on the RunPool (see
  * bench/parallel.hh); rows are printed and reported from the ordered
  * result vector, so the JSON artifact is identical at any KLOC_JOBS.
  */
 
 #include <algorithm>
-#include <ctime>
 
 #include "bench/harness.hh"
 #include "bench/parallel.hh"
@@ -26,25 +38,12 @@ using namespace kloc::bench;
 
 namespace {
 
-/**
- * Process-CPU milliseconds of one (workload, Kloc) run. CPU time
- * rather than wall clock: on shared (or single-core) runners, wall
- * time includes whatever the host steals, and the trace-overhead
- * delta is a few percent — well under that noise. Runs serially
- * (after the pool has drained): a timing probe must not share the
- * machine with concurrent runs.
- */
-double
-cpuMs(const BenchConfig &config, const std::string &workload, bool trace)
+/** Position of @p name in @p names. */
+size_t
+indexOf(const std::vector<std::string> &names, const std::string &name)
 {
-    timespec start{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &start);
-    runTwoTierPolicy(workload, "klocs", twoTierConfig(config),
-                     workloadConfig(config), trace);
-    timespec end{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &end);
-    return 1e3 * (static_cast<double>(end.tv_sec - start.tv_sec)) +
-           1e-6 * (static_cast<double>(end.tv_nsec - start.tv_nsec));
+    return static_cast<size_t>(
+        std::find(names.begin(), names.end(), name) - names.begin());
 }
 
 } // namespace
@@ -69,6 +68,12 @@ main()
             return runTwoTierPolicy(workload, policy, twoTierConfig(config),
                                     workloadConfig(config), config.trace);
         });
+    const auto outcome_of = [&](const std::string &workload,
+                                const std::string &policy)
+        -> const RunOutcome & {
+        return outcomes[indexOf(workloads, workload) * strategies.size() +
+                        indexOf(strategies, policy)];
+    };
 
     section("Figure 4: two-tier speedup vs All Slow Mem");
     std::printf("platform: fast %llu MiB @ 1:%u bandwidth ratio, "
@@ -116,39 +121,67 @@ main()
     }
     std::printf("\nvalues: ops/s (speedup vs all_slow)\n");
 
-    // --trace overhead: the same run, stopwatch-timed, with the event
-    // ring off and on. CPU time varies by host and compiler, so it
-    // never gates — it exists for before/after comparison of the
-    // emit fast path.
-    section("--trace overhead (process CPU time, klocs strategy)");
-    const std::string overhead_wl = workloads.front();
-    cpuMs(config, overhead_wl, false);  // warm-up
-    // Run off/on back-to-back pairs and take the median per-pair
-    // overhead: the two halves of a pair share the host's frequency
-    // regime, so drift across the binary's lifetime cancels, and the
-    // median discards pairs a regime change split down the middle.
-    std::vector<double> off_samples, on_samples, pct_samples;
-    for (int rep = 0; rep < 5; ++rep) {
-        const double off = cpuMs(config, overhead_wl, false);
-        const double on = cpuMs(config, overhead_wl, true);
-        off_samples.push_back(off);
-        on_samples.push_back(on);
-        pct_samples.push_back(off > 0 ? 100.0 * (on - off) / off : 0.0);
-    }
-    const auto median = [](std::vector<double> v) {
-        std::sort(v.begin(), v.end());
-        return v[v.size() / 2];
+    section("Figure 5b: RocksDB slow-memory allocations and migrations");
+    const std::vector<std::string> breakdown = {
+        "naive", "nimble", "nimble++", "klocs_nomigration", "klocs",
     };
-    const double off_ms = median(off_samples);
-    const double on_ms = median(on_samples);
-    const double overhead_pct = median(pct_samples);
-    std::printf("%s: trace off %.1f ms, trace on %.1f ms "
-                "(overhead %.1f%%)\n",
-                overhead_wl.c_str(), off_ms, on_ms, overhead_pct);
-    report.add("trace_overhead.cpu_ms_off", off_ms, "ms", "lower",
-               false);
-    report.add("trace_overhead.cpu_ms_on", on_ms, "ms", "lower", false);
-    report.add("trace_overhead.pct", overhead_pct, "%", "lower", false);
+    std::printf("%-18s %14s %12s %10s %10s %9s\n", "strategy",
+                "slow pagecache", "slow slab", "demoted", "promoted",
+                "demote%");
+    for (const std::string &policy : breakdown) {
+        const RunOutcome &outcome = outcome_of("rocksdb", policy);
+        const uint64_t total = outcome.migration.demotedPages +
+                               outcome.migration.promotedPages;
+        std::printf("%-18s %14llu %12llu %10llu %10llu %8.1f%%\n",
+                    policy.c_str(),
+                    (unsigned long long)outcome.slowPageCacheAllocPages,
+                    (unsigned long long)outcome.slowSlabAllocPages,
+                    (unsigned long long)outcome.migration.demotedPages,
+                    (unsigned long long)outcome.migration.promotedPages,
+                    total ? 100.0 *
+                            static_cast<double>(
+                                outcome.migration.demotedPages) /
+                            static_cast<double>(total)
+                          : 0.0);
+        const std::string prefix = "rocksdb." + policy;
+        report.add(prefix + ".slow_pagecache_pages",
+                   static_cast<double>(outcome.slowPageCacheAllocPages),
+                   "pages", "lower", true);
+        report.add(prefix + ".slow_slab_pages",
+                   static_cast<double>(outcome.slowSlabAllocPages),
+                   "pages", "lower", true);
+        report.add(prefix + ".demoted_pages",
+                   static_cast<double>(outcome.migration.demotedPages),
+                   "pages", "lower", true);
+        report.add(prefix + ".promoted_pages",
+                   static_cast<double>(outcome.migration.promotedPages),
+                   "pages", "lower", true);
+    }
+
+    section("Table 6: KLOC metadata memory increase");
+    const struct
+    {
+        const char *name;
+        int paperMb;
+    } paper[] = {{"rocksdb", 101},
+                 {"redis", 83},
+                 {"filebench", 44},
+                 {"cassandra", 12},
+                 {"spark", 43}};
+    std::printf("%-11s %16s %22s %10s\n", "workload", "sim peak (KiB)",
+                "at paper scale (MiB)", "paper (MB)");
+    for (const auto &row : paper) {
+        const Bytes peak = outcome_of(row.name, "klocs").klocPeakMetadata;
+        const double sim_kib = static_cast<double>(peak) / kKiB;
+        const double paper_scale_mib = static_cast<double>(peak) *
+                                       config.scale /
+                                       static_cast<double>(kMiB);
+        std::printf("%-11s %16.1f %22.1f %10d\n", row.name, sim_kib,
+                    paper_scale_mib, row.paperMb);
+        report.add(std::string(row.name) + ".kloc_metadata_kib", sim_kib,
+                   "KiB", "lower", true);
+    }
+    std::printf("\nexpected: tens of MB at paper scale, <1%% of memory\n");
 
     report.write();
     return 0;

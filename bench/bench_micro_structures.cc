@@ -208,13 +208,15 @@ BM_LruScanRate(benchmark::State &state)
         scanned += result.scanned;
     }
     // sim_time is charged at 1/4 (background); undo that and convert
-    // ns -> us, normalised to one million pages. Expect ~2e6 (the
-    // paper's 2 seconds per million pages).
+    // ns -> us, normalised to one million pages: x * 4 / 1000 * 1e6.
+    // Integer ticks keep the result exact at any iteration count;
+    // expect 2e6 (the paper's 2 seconds per million pages).
+    const uint64_t us_per_mpages =
+        scanned ? static_cast<uint64_t>(sim_time.value()) * 4 * 1000 /
+                      scanned
+                : 0;
     state.counters["sim_us_per_Mpages"] = benchmark::Counter(
-        scanned ? static_cast<double>(sim_time) * 4.0 / 1000.0 *
-                  (1e6 / static_cast<double>(scanned))
-                : 0,
-        benchmark::Counter::kDefaults);
+        static_cast<double>(us_per_mpages), benchmark::Counter::kDefaults);
     for (Frame *frame : frames)
         tiers.free(frame);
 }

@@ -4,10 +4,11 @@
  *
  * Each figure binary builds fresh platforms per configuration, runs
  * the measured protocol (setup -> quiesce -> measure), and prints
- * the same rows/series the paper reports. Environment knobs (parsed
- * ONCE into a BenchConfig at startup — see BenchConfig::fromEnv):
+ * the same rows/series the paper reports. Runs default to the size
+ * EXPERIMENTS.md quotes and the baseline gates: 60000 operations at
+ * 1:64. Environment knobs (parsed ONCE into a BenchConfig at
+ * startup — see BenchConfig::fromEnv):
  *
- *   KLOC_BENCH_QUICK=1   quarter-size runs for smoke testing
  *   KLOC_BENCH_OPS=N     override measured operations per run
  *   KLOC_BENCH_SCALE=N   override the 1:N platform scale
  *   KLOC_BENCH_TRACE=1   run with event tracing enabled
@@ -47,7 +48,6 @@ namespace bench {
  */
 struct BenchConfig
 {
-    bool quick = false;       ///< quarter-size smoke runs
     uint64_t ops = 60000;     ///< measured operations per run
     unsigned scale = 64;      ///< 1:N platform/dataset scale divisor
     bool trace = false;       ///< run with event tracing enabled
@@ -63,11 +63,8 @@ struct BenchConfig
     fromEnv()
     {
         BenchConfig config;
-        config.quick = std::getenv("KLOC_BENCH_QUICK") != nullptr;
-        config.ops = config.quick ? 15000 : 60000;
         if (const char *env = std::getenv("KLOC_BENCH_OPS"))
             config.ops = parseNumber("KLOC_BENCH_OPS", env, 1);
-        config.scale = config.quick ? 256 : 64;
         if (const char *env = std::getenv("KLOC_BENCH_SCALE")) {
             config.scale = static_cast<unsigned>(
                 parseNumber("KLOC_BENCH_SCALE", env, 1,

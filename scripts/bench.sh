@@ -4,8 +4,6 @@
 # bench/report.hh) into BENCH_results.json, and optionally gate the
 # deterministic metrics against the checked-in baseline.
 #
-#   --quick            quarter-size smoke runs (KLOC_BENCH_QUICK=1,
-#                      short google-benchmark iterations)
 #   --compare          fail if any gate:true metric regresses more
 #                      than the tolerance vs bench/BENCH_baseline.json
 #   --update-baseline  rewrite bench/BENCH_baseline.json from this run
@@ -16,11 +14,14 @@
 #   KLOC_BENCH_OUTDIR     artifact directory
 #                         (default: BUILD_DIR/bench-results)
 #   KLOC_BENCH_TOLERANCE  relative regression tolerance (default 0.10)
+#   KLOC_BENCH_OPS, KLOC_BENCH_SCALE
+#                         resize every run (bench/harness.hh); refused
+#                         with --compare and --update-baseline
 #
-# The baseline records its run mode; compare requires the same mode.
-# CI gates with `bench.sh --quick --compare`, so the checked-in
-# baseline is a --quick baseline: refresh it with
-# `scripts/bench.sh --quick --update-baseline`.
+# The baseline is recorded at the default size (60000 operations at
+# 1:64), the size EXPERIMENTS.md quotes. CI gates with
+# `bench.sh --compare`; refresh the baseline with
+# `scripts/bench.sh --update-baseline`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,18 +32,16 @@ OUTDIR=${KLOC_BENCH_OUTDIR:-$BUILD_DIR/bench-results}
 BASELINE=bench/BENCH_baseline.json
 TOLERANCE=${KLOC_BENCH_TOLERANCE:-0.10}
 
-QUICK=0
 COMPARE=0
 UPDATE=0
 ONLY=()
 while [ $# -gt 0 ]; do
     case "$1" in
-      --quick) QUICK=1 ;;
       --compare) COMPARE=1 ;;
       --update-baseline) UPDATE=1 ;;
       --only) shift; ONLY+=("$1") ;;
       *)
-        echo "usage: bench.sh [--quick] [--compare] [--update-baseline]" \
+        echo "usage: bench.sh [--compare] [--update-baseline]" \
              "[--only NAME]..." >&2
         exit 2
         ;;
@@ -50,13 +49,21 @@ while [ $# -gt 0 ]; do
     shift
 done
 
+# The baseline holds default-size numbers only: a resized run can
+# neither be gated against it nor replace it.
+if { [ "$COMPARE" = 1 ] || [ "$UPDATE" = 1 ]; } &&
+   { [ -n "${KLOC_BENCH_OPS+x}" ] || [ -n "${KLOC_BENCH_SCALE+x}" ]; }; then
+    echo "bench.sh: --compare and --update-baseline run at the default" \
+         "size; unset KLOC_BENCH_OPS and KLOC_BENCH_SCALE" >&2
+    exit 2
+fi
+
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
 BENCHES=(micro_structures fig2_characterization fig4_twotier
-         fig5a_optane fig5b_breakdown fig5c_objtypes fig6_sensitivity
-         fig7_policies fig8_degradation table6_memusage
-         ablation_percpu ablation_prefetch ablation_thp)
+         fig5a_optane fig5c_objtypes fig6_sensitivity fig7_policies
+         fig8_degradation ablation_percpu ablation_prefetch ablation_thp)
 if [ ${#ONLY[@]} -gt 0 ]; then
     BENCHES=("${ONLY[@]}")
 fi
@@ -64,9 +71,6 @@ fi
 mkdir -p "$OUTDIR"
 rm -f "$OUTDIR"/BENCH_*.json
 export KLOC_BENCH_OUTDIR="$OUTDIR"
-if [ "$QUICK" = 1 ]; then
-    export KLOC_BENCH_QUICK=1
-fi
 
 for bench in "${BENCHES[@]}"; do
     bin="$BUILD_DIR/bench/bench_$bench"
@@ -74,19 +78,12 @@ for bench in "${BENCHES[@]}"; do
         echo "bench.sh: missing binary $bin" >&2
         exit 1
     fi
-    args=()
-    if [ "$bench" = micro_structures ] && [ "$QUICK" = 1 ]; then
-        args+=(--benchmark_min_time=0.02)
-    fi
     echo "== bench_$bench"
-    "$bin" "${args[@]}" > "$OUTDIR/bench_$bench.out"
+    "$bin" > "$OUTDIR/bench_$bench.out"
 done
 
-AGG_ARGS=(--outdir "$OUTDIR" --output "$OUTDIR/BENCH_results.json")
-if [ "$QUICK" = 1 ]; then
-    AGG_ARGS+=(--quick)
-fi
-python3 scripts/bench_json.py aggregate "${AGG_ARGS[@]}"
+python3 scripts/bench_json.py aggregate --outdir "$OUTDIR" \
+    --output "$OUTDIR/BENCH_results.json"
 
 if [ "$UPDATE" = 1 ]; then
     cp "$OUTDIR/BENCH_results.json" "$BASELINE"

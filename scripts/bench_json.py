@@ -6,18 +6,13 @@ Every bench binary writes a BENCH_<name>.json artifact (schema
 run-level BENCH_results.json and compares deterministic metrics
 against the checked-in baseline:
 
-  bench_json.py aggregate --outdir DIR [--quick] --output FILE
+  bench_json.py aggregate --outdir DIR --output FILE
   bench_json.py compare --results FILE --baseline FILE [--tolerance F]
 
 Only metrics with "gate": true participate in the compare. Those are
 derived from virtual (simulated) time, so they are bit-identical
-across machines for the same code and run mode; wall-clock metrics
+across machines for the same code and run size; wall-clock metrics
 are carried along for human before/after reading but never gate.
-
-The baseline records the run mode ("quick": true/false). Comparing a
-quick run against a full baseline (or vice versa) is an error, not a
-regression: the workload sizes differ, so the numbers are
-incomparable.
 """
 
 import argparse
@@ -58,7 +53,6 @@ def aggregate(options):
         benches.append(data)
     results = {
         "schema": RESULTS_SCHEMA,
-        "quick": bool(options.quick),
         "benches": benches,
     }
     with open(options.output, "w", encoding="utf-8") as handle:
@@ -90,13 +84,6 @@ def compare(options):
     for name, data in (("results", results), ("baseline", baseline)):
         if data.get("schema") != RESULTS_SCHEMA:
             fail(f"{name}: unexpected schema {data.get('schema')!r}")
-    if bool(results.get("quick")) != bool(baseline.get("quick")):
-        fail(
-            "run mode mismatch: results quick="
-            f"{bool(results.get('quick'))} vs baseline quick="
-            f"{bool(baseline.get('quick'))}; regenerate the baseline "
-            "with the same mode (scripts/bench.sh --update-baseline)"
-        )
 
     tolerance = options.tolerance
     current = gated_metrics(results)
@@ -165,7 +152,6 @@ def main():
     )
     agg.add_argument("--outdir", required=True)
     agg.add_argument("--output", required=True)
-    agg.add_argument("--quick", action="store_true")
     agg.set_defaults(func=aggregate)
 
     cmp_cmd = commands.add_parser(

@@ -9,8 +9,8 @@
 # Stages (default is the pooled soak grid + poison fuzz sweep):
 #   --sanitize   build with -DKLOC_SANITIZE=ON (ASan+UBSan) in
 #                BUILD_DIR-asan and soak there instead
-#   --bench      also run bench_fig8_degradation (quick mode) and
-#                print the degradation table
+#   --bench      also run bench_fig8_degradation at the default
+#                size and print the degradation table
 #   --repeat N   run the soak grid N times (default 1); every
 #                repetition must produce the same verdict
 #
@@ -73,8 +73,7 @@ if [ "$DO_BENCH" = 1 ]; then
     # Degradation shape check: throughput under escalating poison load
     # must decline gracefully, never collapse. The binary prints the
     # table and records degradation.<policy>.graceful in its report.
-    KLOC_BENCH_QUICK=1 \
-        KLOC_BENCH_OUTDIR="$SOAK_DIR/bench-results" \
+    KLOC_BENCH_OUTDIR="$SOAK_DIR/bench-results" \
         "$SOAK_DIR"/bench/bench_fig8_degradation
 fi
 

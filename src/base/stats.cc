@@ -24,14 +24,6 @@ Histogram::percentileUpperBound(double fraction) const
     return ~0ULL;
 }
 
-void
-Histogram::reset()
-{
-    for (auto &bucket : _buckets)
-        bucket = 0;
-    _dist.reset();
-}
-
 double
 StatSet::get(const std::string &name) const
 {

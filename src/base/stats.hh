@@ -86,8 +86,6 @@ class Histogram
     /** Value below which @p fraction of samples fall (bucket upper bound). */
     uint64_t percentileUpperBound(double fraction) const;
 
-    void reset();
-
   private:
     uint64_t _buckets[kBuckets] = {};
     Distribution _dist;

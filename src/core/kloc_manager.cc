@@ -351,7 +351,6 @@ KlocManager::markInactive(Knode *knode)
     if (knode->inuse)
         _machine.tracer().emit(TraceEventType::KnodeInactivate, knode->id);
     knode->inuse = false;
-    knode->pendingPromote = false;
     _machine.cpuWork(kListStepCost);
     if (!knode->pendingDemote) {
         // The whole KLOC is cold: queue immediate demotion without
@@ -511,43 +510,6 @@ KlocManager::runDemotePass()
 }
 
 uint64_t
-KlocManager::runPromotePass()
-{
-    ++_stats.promotePasses;
-    uint64_t moved = 0;
-    size_t budget = kQueueBatch;
-    while (budget-- > 0 && !_promoteQueue.empty()) {
-        const uint64_t id = _promoteQueue.front();
-        _promoteQueue.pop_front();
-        Knode *knode = _kmap.find(id);
-        if (!knode || !knode->pendingPromote)
-            continue;
-        knode->pendingPromote = false;
-        if (!knode->inuse)
-            continue;  // went cold again while queued
-
-        // Respect the fast tier's KLOC capacity cap, if configured.
-        const Tier &fast = _heap.tiers().tier(fastTier());
-        const Bytes cap = _memLimits[static_cast<size_t>(fastTier())];
-        if (cap > 0) {
-            Bytes kloc_bytes{};
-            for (unsigned c = 0; c < kNumObjClasses; ++c) {
-                const auto cls = static_cast<ObjClass>(c);
-                if (isKernelClass(cls))
-                    kloc_bytes += fast.residentPages(cls) * kPageSize;
-            }
-            if (kloc_bytes >= cap)
-                continue;
-        }
-        if (fast.utilization() >= kPromoteCeiling)
-            continue;  // stop short of the demotion trigger
-        moved += migrateKnodeObjects(knode, fastTier());
-    }
-    _stats.promotedPages += moved;
-    return moved;
-}
-
-uint64_t
 KlocManager::runWatermarkPass()
 {
     const Tier &fast = _heap.tiers().tier(fastTier());
@@ -581,7 +543,6 @@ KlocManager::daemonTick(Tick period)
     if (!_daemonRunning)
         return;
     runDemotePass();
-    runPromotePass();
     runWatermarkPass();
     _machine.events().schedule(
         _machine.now() + period,
@@ -612,7 +573,7 @@ KlocManager::metadataBytes() const
     return _kmap.size() * kKnodeSize +            // knode structures
            Bytes{_trackedObjects * 8} +           // rbtree pointers
            Bytes{_perCpuEntries * 16} +           // per-CPU list nodes
-           Bytes{(_demoteQueue.size() + _promoteQueue.size()) * 8};
+           Bytes{_demoteQueue.size() * 8};
 }
 
 void

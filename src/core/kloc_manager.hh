@@ -8,7 +8,7 @@
  * inode is created, markActive()/markInactive() from their system
  * call paths, and addObject()/removeObject() from every kernel
  * object allocation site. Policies drive tiering through
- * runDemotePass()/runPromotePass() or let the built-in daemon do it.
+ * runDemotePass() or let the built-in daemon do it.
  */
 
 #ifndef KLOC_CORE_KLOC_MANAGER_HH
@@ -36,7 +36,6 @@ struct KlocStats
     uint64_t perCpuHits = 0;         ///< fast-path lookups (§4.3)
     uint64_t perCpuMisses = 0;       ///< fell through to the kmap
     uint64_t demotePasses = 0;
-    uint64_t promotePasses = 0;
     uint64_t demotedPages = 0;
     uint64_t promotedPages = 0;
 };
@@ -178,9 +177,9 @@ class KlocManager
     // -- hotness transitions ------------------------------------------------
 
     /**
-     * A system call touched the file/socket: mark hot, refresh the
-     * per-CPU fast path, and queue promotion if objects sit in slow
-     * memory.
+     * A system call touched the file/socket: mark hot and refresh the
+     * per-CPU fast path. Objects in slow memory come back one at a
+     * time through maybePromoteOnTouch().
      */
     void markActive(Knode *knode);
 
@@ -203,7 +202,7 @@ class KlocManager
 
     /**
      * Start the asynchronous daemon with the given wakeup period.
-     * It drains the demote/promote queues and enforces watermarks.
+     * It drains the demote queue and enforces watermarks.
      */
     void startDaemon(Tick period);
 
@@ -211,9 +210,6 @@ class KlocManager
 
     /** One demote pass (also callable directly by policies/tests). */
     uint64_t runDemotePass();
-
-    /** One promote pass. */
-    uint64_t runPromotePass();
 
     /**
      * Watermark pass: when the fast tier is above the high
@@ -240,7 +236,7 @@ class KlocManager
     /**
      * Current KLOC metadata footprint in bytes (Table 6): knode
      * structures, 8-byte rbtree pointers per tracked object, per-CPU
-     * list entries, and migration queue entries.
+     * list entries, and demote queue entries.
      */
     Bytes metadataBytes() const;
 
@@ -301,9 +297,8 @@ class KlocManager
     /** Slab cache backing knode structures (always fast memory). */
     std::unique_ptr<KmemCache> _knodeCache;
 
-    /** Demote/promote work queues (by inode id; ids survive frees). */
+    /** Demote work queue (by inode id; ids survive frees). */
     std::deque<uint64_t> _demoteQueue;
-    std::deque<uint64_t> _promoteQueue;
 
     /** Per-tier KLOC page caps (0 = uncapped). */
     std::vector<Bytes> _memLimits;

@@ -72,8 +72,6 @@ struct Knode
 
     /** Queued for the migration daemon's demote pass. */
     bool pendingDemote = false;
-    /** Queued for the migration daemon's promote pass. */
-    bool pendingPromote = false;
     /**
      * An uncorrectable memory error destroyed one of this KLOC's
      * objects (SIGBUS surfaced to the owner). Sticky: subsystems may

@@ -818,30 +818,6 @@ FileSystem::reclaimPages(FrameCount target)
     return FrameCount{freed};
 }
 
-FrameCount
-FileSystem::reclaimTierPages(TierId tier, FrameCount target)
-{
-    Machine &machine = _heap.mem().machine();
-    uint64_t freed = 0;
-    uint64_t examined = 0;
-    const uint64_t max_examine = target * 8 + 64;
-    PageCachePage *page = _globalLru.back();
-    while (page && freed < target && examined < max_examine) {
-        PageCachePage *next = _globalLru.prev(page);
-        ++examined;
-        machine.cpuWork(Tick{200});
-        if (!page->dirty && page->frame() &&
-            page->frame()->tier == tier) {
-            dropFromGlobalLru(page);
-            page->owner->removeAndFree(page);
-            ++freed;
-            ++_stats.reclaimedPages;
-        }
-        page = next;
-    }
-    return FrameCount{freed};
-}
-
 bool
 FileSystem::exists(const std::string &name) const
 {

@@ -162,14 +162,6 @@ class FileSystem
      */
     FrameCount reclaimPages(FrameCount target);
 
-    /**
-     * kswapd-style per-tier reclaim: free up to @p target clean
-     * page-cache pages resident on @p tier, coldest first. Dirty
-     * pages are skipped (the writeback daemon handles them).
-     * @return pages freed.
-     */
-    FrameCount reclaimTierPages(TierId tier, FrameCount target);
-
     // -- introspection ------------------------------------------------------
 
     const FsStats &stats() const { return _stats; }

@@ -36,25 +36,6 @@ KernelHeap::cache(KobjKind kind)
     return *ptr;
 }
 
-void
-KernelHeap::maybeKswapd(const TierPreference &pref, bool hot)
-{
-    if (!_reclaim || !hot || pref.size() < 2)
-        return;
-    if (_reclaimBackoff > 0) {
-        --_reclaimBackoff;
-        return;
-    }
-    Tier &preferred = _tiers.tier(pref.front());
-    if (preferred.freePages() >= kKswapdLowWater)
-        return;
-    if (_reclaim(pref.front(), kKswapdBatch) == 0) {
-        // Nothing evictable: back off so full tiers don't pay a
-        // fruitless LRU walk on every allocation.
-        _reclaimBackoff = 64;
-    }
-}
-
 bool
 KernelHeap::allocBacking(KernelObject &obj, bool knode_active,
                          uint64_t group_key)
@@ -69,7 +50,6 @@ KernelHeap::allocBacking(KernelObject &obj, bool knode_active,
 
     const auto pref =
         _policy->kernelPreference(kobjClass(obj.kind), knode_active);
-    maybeKswapd(pref, knode_active);
     obj.allocTick = _mem.machine().now();
 
     if (kobjIsSlab(obj.kind)) {
@@ -121,7 +101,6 @@ KernelHeap::allocAppPages(unsigned order)
 {
     KLOC_ASSERT(_policy != nullptr, "KernelHeap used without a policy");
     const auto pref = _policy->appPreference();
-    maybeKswapd(pref, true);
     Frame *frame = _tiers.alloc(order, ObjClass::App, true, pref);
     if (frame) {
         _liveAppPages += frame->pages();

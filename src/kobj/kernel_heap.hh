@@ -17,7 +17,6 @@
 #define KLOC_KOBJ_KERNEL_HEAP_HH
 
 #include <array>
-#include <functional>
 #include <memory>
 
 #include "alloc/slab.hh"
@@ -45,17 +44,6 @@ class KernelHeap
      * relocatable backing pages, grouped by knode.
      */
     void setKlocInterface(bool enabled);
-
-    /**
-     * Reclaim callback: free up to @p pages on @p tier (second arg),
-     * returning pages actually freed. When set, allocations for
-     * *active* knodes that cannot get their preferred tier first try
-     * evicting cold clean page-cache pages from it — the kswapd-
-     * style deallocation path KLOCs-nomigration depends on (§7.1).
-     */
-    using ReclaimHook = std::function<uint64_t(TierId, uint64_t)>;
-
-    void setReclaimHook(ReclaimHook hook) { _reclaim = std::move(hook); }
 
     bool klocInterface() const { return _klocInterface; }
 
@@ -124,18 +112,10 @@ class KernelHeap
     uint64_t allocInodeId() { return _nextInodeId++; }
 
   private:
-    /** kswapd low-watermark: free pages below this trigger reclaim. */
-    static constexpr uint64_t kKswapdLowWater = 256;
-    static constexpr uint64_t kKswapdBatch = 512;
-
-    void maybeKswapd(const TierPreference &pref, bool hot);
-
     MemAccessor &_mem;
     TierManager &_tiers;
     PlacementPolicy *_policy = nullptr;
     bool _klocInterface = false;
-    ReclaimHook _reclaim;
-    unsigned _reclaimBackoff = 0;
 
     std::array<std::unique_ptr<KmemCache>, kNumKobjKinds> _caches;
     std::array<Histogram, kNumKobjKinds> _objLifetimes;

@@ -533,13 +533,4 @@ TierManager::addFreeObserver(void (*fn)(void *, Frame *), void *ctx)
     _freeObservers.push_back(FrameObserver{fn, ctx});
 }
 
-void
-TierManager::resetCumulativeStats()
-{
-    for (auto &count : _cumAllocPagesByClass)
-        count = 0;
-    for (auto &hist : _lifetimes)
-        hist.reset();
-}
-
 } // namespace kloc

@@ -301,9 +301,6 @@ class TierManager
         return _lifetimes[static_cast<unsigned>(cls)];
     }
 
-    /** Reset cumulative counters (between experiment phases). */
-    void resetCumulativeStats();
-
   private:
     /** Per-tier health machinery state. */
     struct HealthState

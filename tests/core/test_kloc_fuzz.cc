@@ -147,7 +147,6 @@ TEST_P(KlocFuzz, InvariantsHoldUnderChurn)
             machine.charge(
                 static_cast<int64_t>(rng.nextBounded(30)) * kMillisecond);
             kloc.runDemotePass();
-            kloc.runPromotePass();
             kloc.runWatermarkPass();
         } else if (action < 0.88) {
             Shadow *entry = random_entry();

@@ -310,18 +310,30 @@ TEST_F(KlocTest, DaemonRunsOnSchedule)
 TEST_F(KlocTest, MemLimitCapsFastTierUse)
 {
     applyPressure();
-    kloc.setMemLimit(fastId, kPageSize);  // absurdly small cap
-    // The promote pass respects the cap (indirect check: call the
-    // pass with a queued knode and verify nothing is pulled up).
     Knode *knode = kloc.mapKnode(1);
     PageCachePage *page = makePage(knode);
     kloc.markInactive(knode);
     machine.charge(KlocManager::kDemoteGrace + kMillisecond);
     kloc.runDemotePass();
     ASSERT_EQ(page->frame()->tier, slowId);
+
+    // Headroom below the promotion ceiling, but the sys_kloc_memsize
+    // cap is already met: only the cap can hold the page back.
+    kloc.setMemLimit(fastId, kPageSize);  // absurdly small cap
+    ASSERT_LT(tiers.tier(fastId).utilization(),
+              KlocManager::kPromoteCeiling);
+    ASSERT_TRUE(kloc.overMemLimit(fastId));
     kloc.markActive(knode);
-    kloc.runPromotePass();
+    mem.touch(page->frame(), kPageSize, AccessType::Read);
+    mem.touch(page->frame(), kPageSize, AccessType::Read);
+    kloc.maybePromoteOnTouch(page->frame(), knode);
     EXPECT_EQ(page->frame()->tier, slowId) << "promoted past the cap";
+
+    // Lifting the cap lets the same touch promote.
+    kloc.setMemLimit(fastId, Bytes{});
+    kloc.maybePromoteOnTouch(page->frame(), knode);
+    EXPECT_EQ(page->frame()->tier, fastId);
+
     destroyPage(page);
     kloc.unmapKnode(knode);
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Kernel-object taxonomy and KernelHeap tests: Table 1 kinds, slab
- * vs page backing, relocatability rules, placement-policy use, app
- * pages, and the kswapd reclaim hook.
+ * vs page backing, relocatability rules, placement-policy use and app
+ * pages.
  */
 
 #include <gtest/gtest.h>
@@ -171,44 +171,6 @@ TEST_F(KernelHeapTest, TouchObjectChargesAndMarksDirty)
     EXPECT_TRUE(page.frame()->dirty);
     EXPECT_EQ(machine.kernelRefs(), 1u);
     heap.freeBacking(page);
-}
-
-TEST_F(KernelHeapTest, ReclaimHookFiresUnderPressure)
-{
-    int hook_calls = 0;
-    heap.setReclaimHook([&](TierId tier, uint64_t) -> uint64_t {
-        EXPECT_EQ(tier, fastId);
-        ++hook_calls;
-        return 1;  // pretend progress so no backoff
-    });
-    // Drain the fast tier below the kswapd watermark (64 pages).
-    std::vector<Frame *> hogs;
-    for (int i = 0; i < 60; ++i)
-        hogs.push_back(tiers.alloc(0, ObjClass::App, true, {fastId}));
-    KernelObject obj(KobjKind::PageCachePage);
-    ASSERT_TRUE(heap.allocBacking(obj, /*knode_active=*/true, 0));
-    EXPECT_GT(hook_calls, 0) << "kswapd hook never invoked";
-    heap.freeBacking(obj);
-    for (Frame *f : hogs)
-        tiers.free(f);
-}
-
-TEST_F(KernelHeapTest, ReclaimHookSkippedForInactive)
-{
-    int hook_calls = 0;
-    heap.setReclaimHook([&](TierId, uint64_t) -> uint64_t {
-        ++hook_calls;
-        return 1;
-    });
-    std::vector<Frame *> hogs;
-    for (int i = 0; i < 60; ++i)
-        hogs.push_back(tiers.alloc(0, ObjClass::App, true, {fastId}));
-    KernelObject obj(KobjKind::PageCachePage);
-    ASSERT_TRUE(heap.allocBacking(obj, /*knode_active=*/false, 0));
-    EXPECT_EQ(hook_calls, 0) << "cold allocation triggered reclaim";
-    heap.freeBacking(obj);
-    for (Frame *f : hogs)
-        tiers.free(f);
 }
 
 } // namespace

@@ -68,17 +68,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 # Golden-style determinism check on the CLI path: same command, two
 # fresh processes, identical serialized traces, zero violations. The
-# two runs are independent processes, so they run concurrently.
-# Each entry is workload:strategy. rocksdb drives the fs data path
-# and KLOC knode migration; filebench drives KLOC knode migration
-# over many files, varmail the fs metadata path (create, fsync,
-# unlink, readdir) and the journal's per-inode detach. thrash is
-# almost all app-page touches through the poison-hooked access path
-# plus the thrash policies' migrations: Nomad's transactional
-# promotions and shadow demotions, Jenga's adapted promotion batch,
-# and both under KLOC+Nomad.
-RUNS="rocksdb:klocs filebench:klocs varmail:klocs thrash:nomad"
-RUNS="$RUNS thrash:jenga thrash:kloc_nomad"
+# two runs are independent processes, so they run concurrently. The
+# runs (RUNS, OPTANE_ARGS, CHARACTERIZE_ARGS, run_size) and the fault
+# spec come from scripts/trace_runs.sh, which scripts/trace_diff.sh
+# shares.
+# shellcheck source=scripts/trace_runs.sh
+. scripts/trace_runs.sh
 tracedir=$(mktemp -d)
 trap 'rm -rf "$tracedir"' EXIT
 # Every klocsim runs under a 4 GiB address-space cap, so a run that
@@ -86,16 +81,6 @@ trap 'rm -rf "$tracedir"' EXIT
 # the machine's memory.
 klocsim() {
     (ulimit -v 4194304 && exec "$BUILD_DIR"/tools/klocsim "$@")
-}
-# Arguments: workload. Prints the run size for it: thrash needs
-# 10000 ops at 1:256 before its working set outgrows the fast tier
-# and pages migrate (2000 ops at 1:16 migrate none).
-run_size() {
-    if [ "$1" = thrash ]; then
-        echo "--ops 10000 --scale 256"
-    else
-        echo "--ops 2000 --scale 16"
-    fi
 }
 # A bare `wait` returns 0 whatever its jobs returned, so each run's
 # status (klocsim --check exits 2 on a violation) is collected by pid.
@@ -144,31 +129,14 @@ for run in $RUNS; do
         $(run_size "$workload")
 done
 
-# The optane and characterize commands run the other protocols (the
-# Fig. 5a socket move and warm-up pass; the characterization run,
-# whose trace ends before teardown): one clean pair each.
-check_pair optane filebench optane --workload filebench \
-    --strategy klocs --ops 2000 --scale 16
-check_pair characterize redis characterize --workload redis \
-    --ops 2000 --scale 16
+# The optane and characterize protocols: one clean pair each.
+check_pair optane filebench "${OPTANE_ARGS[@]}"
+check_pair characterize redis "${CHARACTERIZE_ARGS[@]}"
 
 # Same check with fault injection armed: injected faults, retries,
 # and recovery must land on the same virtual ticks in both runs. The
-# poison sites send hwpoison containment and KLOC soft-offline, and
-# the checker's rule that a poisoned block leaves its frame only into
-# quarantine, through every run, and journal_commit_crash sends
-# varmail's unlinks through detach-during-crashed-transaction and
-# replay. The optane pair runs soft-offline on the Optane platform.
-cat > "$tracedir/faults.txt" <<'EOF'
-seed 11
-device_write prob 0.02
-device_read prob 0.01
-device_timeout prob 0.005
-migration_no_space prob 0.1
-journal_commit_crash prob 0.1
-frame_poison_access prob 0.00001
-frame_poison_copy prob 0.0001
-EOF
+# optane pair runs soft-offline on the Optane platform.
+write_fault_spec "$tracedir/faults.txt"
 for run in $RUNS; do
     workload=${run%:*}
     strategy=${run#*:}
@@ -177,8 +145,7 @@ for run in $RUNS; do
         --workload "$workload" --strategy "$strategy" \
         $(run_size "$workload") --fault-spec "$tracedir/faults.txt"
 done
-check_pair optane.faulted filebench optane --workload filebench \
-    --strategy klocs --ops 2000 --scale 16 \
+check_pair optane.faulted filebench "${OPTANE_ARGS[@]}" \
     --fault-spec "$tracedir/faults.txt"
 
 # The randomized fault fuzz must be invariant-clean on every seed;

@@ -6,13 +6,19 @@
  * Allocation returns the lowest-addressed suitable block so runs are
  * deterministic. Orders range 0..kMaxOrder (4 KB .. 4 MB), matching
  * MAX_ORDER-1 = 10 in the kernel.
+ *
+ * Each order's free blocks live in a hierarchical bitmap indexed by
+ * block number (pfn >> order), so the lowest free block is one
+ * find-first-set per summary level and insert/erase are bit
+ * operations: no per-block heap node (docs/PERF.md).
  */
 
 #ifndef KLOC_MEM_BUDDY_ALLOCATOR_HH
 #define KLOC_MEM_BUDDY_ALLOCATOR_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "base/units.hh"
@@ -26,7 +32,11 @@ class BuddyAllocator
   public:
     static constexpr unsigned kMaxOrder = 10;
 
-    /** @param frames Total frames managed; rounded down to even. */
+    /**
+     * @param frames Total frames managed. Every frame is allocatable:
+     * frames past the last aligned max-order block are covered by
+     * smaller blocks, down to order 0.
+     */
     explicit BuddyAllocator(FrameCount frames);
 
     /**
@@ -35,12 +45,16 @@ class BuddyAllocator
      */
     Pfn alloc(unsigned order);
 
-    /** Free the block at @p pfn previously allocated with @p order. */
+    /**
+     * Free the block at @p pfn previously allocated with @p order.
+     * Panics if a free block of @p order or larger already covers
+     * @p pfn (a double free, also after the block coalesced).
+     */
     void free(Pfn pfn, unsigned order);
 
     /**
      * Retire the allocated block at @p pfn: it leaves the used
-     * accounting but never re-enters the free lists, so it can never
+     * accounting but never re-enters the free sets, so it can never
      * be handed out again (hwpoison containment). Irreversible for
      * the allocator's lifetime.
      */
@@ -64,7 +78,12 @@ class BuddyAllocator
     /** Largest order that can currently be satisfied; -1 if none. */
     int maxAvailableOrder() const;
 
-    /** Verify internal consistency; panics on corruption (tests). */
+    /**
+     * Verify internal consistency; panics on corruption (tests): free
+     * blocks are inside the frame space and disjoint, the summary
+     * levels match their bitmaps, and used + free + quarantined
+     * frames add up to the total.
+     */
     void validate() const;
 
     /** Route split/coalesce events to @p tracer, tagged @p tier. */
@@ -76,20 +95,53 @@ class BuddyAllocator
     }
 
   private:
-    static constexpr uint8_t kNotFreeHead = 0xFF;
+    /**
+     * The free blocks of one order: a bit per block number, plus
+     * summary levels of 64-bit words above it. A summary bit is set
+     * iff the word below it is nonzero, and the top level is one
+     * word.
+     */
+    class FreeSet
+    {
+      public:
+        FreeSet(FrameCount frames, unsigned order);
 
-    void insertFree(Pfn pfn, unsigned order);
-    void removeFree(Pfn pfn, unsigned order);
+        bool empty() const { return _words.back() == 0; }
+        /** True when a free block of this order contains @p pfn. */
+        bool covers(Pfn pfn) const;
+        void insert(Pfn head);
+        void erase(Pfn head);
+        /** Head of the lowest free block; the set must be nonempty. */
+        Pfn lowest() const;
+
+        /** Heads of every free block, lowest first (validate). */
+        std::vector<Pfn> heads() const;
+        /** Panic unless each summary level matches the one below. */
+        void validateSummaries() const;
+
+      private:
+        /** Levels that 2^64 blocks could need: 64^11 > 2^64. */
+        static constexpr unsigned kMaxLevels = 11;
+
+        unsigned _order;
+        unsigned _levels = 0;
+        /** Block count of level 0; padding bits past it stay zero. */
+        uint64_t _blocks;
+        /** Offset of each level in _words; level 0 starts at 0. */
+        std::array<size_t, kMaxLevels> _levelStart{};
+        std::vector<uint64_t> _words;
+    };
+
+    /** Panic if a free block of @p order or larger covers @p pfn. */
+    void assertNotFree(Pfn pfn, unsigned order, const char *what) const;
 
     Tracer *_trace = nullptr;
     int _traceTier = -1;
     FrameCount _totalFrames;
     FrameCount _usedFrames{};
     FrameCount _quarantinedFrames{};
-    /** Per-order ordered sets of free block base pfns. */
-    std::set<Pfn> _freeLists[kMaxOrder + 1];
-    /** freeOrder[pfn] = order when a free block starts there. */
-    std::vector<uint8_t> _freeOrder;
+    /** Per-order free sets, indexed by order. */
+    std::vector<FreeSet> _free;
 };
 
 } // namespace kloc

@@ -10,6 +10,7 @@
  *  - metadata accounting never underflows
  *  - the running per-CPU list entry count matches a recount
  *  - every frame is freed by the end (no leaks)
+ *  - each tier's buddy allocator validates at the end
  *
  * The whole run also executes with tracing on and the trace-level
  * InvariantChecker attached in strict mode, so the cross-subsystem
@@ -199,6 +200,15 @@ TEST_P(KlocFuzz, InvariantsHoldUnderChurn)
     EXPECT_EQ(recount_per_cpu(), 0u);
     // The only frames left are slab empty-pool retention.
     EXPECT_LE(tiers.liveFrames(), 3 * KmemCache::kEmptyRetention);
+    // Each tier's buddy is consistent after the churn, and its pages
+    // (pcp-cached blocks count as free) add up to its total.
+    for (const TierId id : {fast, slow}) {
+        const Tier &tier = tiers.tier(id);
+        tier.buddy().validate();
+        EXPECT_EQ(tier.usedPages() + tier.freePages() +
+                      tier.buddy().quarantinedFrames(),
+                  tier.totalPages());
+    }
 
     EXPECT_GT(checker.eventsChecked(), 0u);
     EXPECT_TRUE(checker.clean()) << checker.report();

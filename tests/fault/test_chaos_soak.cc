@@ -67,6 +67,7 @@ struct SoakResult
  * One soak cell: a registry-built policy hosts a faulted filesystem
  * workload with the whole chaos menu armed. Shared-nothing and
  * deterministic — same (policy, seed) always yields the same trace.
+ * At the end each tier's buddy allocator must validate.
  */
 SoakResult
 runSoakCell(const std::string &policy_name, uint64_t seed)
@@ -271,6 +272,16 @@ runSoakCell(const std::string &policy_name, uint64_t seed)
 
     check(tiers.liveFrames() <= 16 * KmemCache::kEmptyRetention,
           "frames leaked past slab empty-pool retention");
+    // validate() panics on a corrupt buddy; pcp-cached blocks count
+    // as free pages.
+    for (const TierId id : {fast, slow}) {
+        const Tier &tier = tiers.tier(id);
+        tier.buddy().validate();
+        check(tier.usedPages() + tier.freePages() +
+                      tier.buddy().quarantinedFrames() ==
+                  tier.totalPages(),
+              "tier used + free + quarantined pages != total");
+    }
     check(tiers.shadowPages() == 0, "shadow pages leaked at teardown");
     check(checker.outstandingPins() == 0, "outstanding pins at teardown");
     check(checker.eventsChecked() > 0, "checker saw no events");

@@ -66,7 +66,7 @@ main()
             const std::string &workload = workloads[i / strategies.size()];
             const std::string &policy = strategies[i % strategies.size()];
             return runTwoTierPolicy(workload, policy, twoTierConfig(config),
-                                    workloadConfig(config), config.trace);
+                                    workloadConfig(config));
         });
     const auto outcome_of = [&](const std::string &workload,
                                 const std::string &policy)

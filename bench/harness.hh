@@ -11,7 +11,6 @@
  *
  *   KLOC_BENCH_OPS=N     override measured operations per run
  *   KLOC_BENCH_SCALE=N   override the 1:N platform scale
- *   KLOC_BENCH_TRACE=1   run with event tracing enabled
  *   KLOC_BENCH_OUTDIR=D  where BENCH_<name>.json artifacts land
  *   KLOC_JOBS=N          run-executor worker count (bench/parallel.hh)
  */
@@ -50,7 +49,6 @@ struct BenchConfig
 {
     uint64_t ops = 60000;     ///< measured operations per run
     unsigned scale = 64;      ///< 1:N platform/dataset scale divisor
-    bool trace = false;       ///< run with event tracing enabled
     unsigned jobs = 1;        ///< run-executor worker threads
     std::string outdir = "."; ///< BENCH_<name>.json destination
 
@@ -70,7 +68,6 @@ struct BenchConfig
                 parseNumber("KLOC_BENCH_SCALE", env, 1,
                             std::numeric_limits<unsigned>::max()));
         }
-        config.trace = std::getenv("KLOC_BENCH_TRACE") != nullptr;
         config.jobs = RunPool::defaultWorkers();
         if (const char *env = std::getenv("KLOC_BENCH_OUTDIR"))
             config.outdir = env;
@@ -106,12 +103,10 @@ inline RunOutcome
 runTwoTierPolicy(const std::string &workload_name,
                  const std::string &policy_name,
                  const TwoTierPlatform::Config &platform_config,
-                 const WorkloadConfig &workload_config, bool trace = false)
+                 const WorkloadConfig &workload_config)
 {
     TwoTierPlatform platform(platform_config, policy_name);
     System &sys = platform.sys();
-    if (trace)
-        sys.machine().tracer().setEnabled(true);
     const MeasuredRun run =
         runMeasured(sys, workload_name, workload_config);
     const WorkloadResult &result = run.result;

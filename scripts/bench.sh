@@ -4,16 +4,16 @@
 # bench/report.hh) into BENCH_results.json, and optionally gate the
 # deterministic metrics against the checked-in baseline.
 #
-#   --compare          fail if any gate:true metric regresses more
-#                      than the tolerance vs bench/BENCH_baseline.json
+#   --compare          fail if any gate:true metric moves more than
+#                      10% either way from bench/BENCH_baseline.json
 #   --update-baseline  rewrite bench/BENCH_baseline.json from this run
-#   --only NAME        run just bench_<NAME> (repeatable)
+#   --only NAME        run just bench_<NAME> (repeatable); refused
+#                      with --compare and --update-baseline
 #
 # Environment:
 #   BUILD_DIR             build tree (default: build)
 #   KLOC_BENCH_OUTDIR     artifact directory
 #                         (default: BUILD_DIR/bench-results)
-#   KLOC_BENCH_TOLERANCE  relative regression tolerance (default 0.10)
 #   KLOC_BENCH_OPS, KLOC_BENCH_SCALE
 #                         resize every run (bench/harness.hh); refused
 #                         with --compare and --update-baseline
@@ -30,7 +30,6 @@ BUILD_DIR=${BUILD_DIR:-build}
 JOBS=${JOBS:-$(nproc)}
 OUTDIR=${KLOC_BENCH_OUTDIR:-$BUILD_DIR/bench-results}
 BASELINE=bench/BENCH_baseline.json
-TOLERANCE=${KLOC_BENCH_TOLERANCE:-0.10}
 
 COMPARE=0
 UPDATE=0
@@ -49,21 +48,23 @@ while [ $# -gt 0 ]; do
     shift
 done
 
-# The baseline holds default-size numbers only: a resized run can
-# neither be gated against it nor replace it.
+# The baseline holds every bench at the default size only: a resized
+# or partial run can neither be gated against it nor replace it.
 if { [ "$COMPARE" = 1 ] || [ "$UPDATE" = 1 ]; } &&
-   { [ -n "${KLOC_BENCH_OPS+x}" ] || [ -n "${KLOC_BENCH_SCALE+x}" ]; }; then
-    echo "bench.sh: --compare and --update-baseline run at the default" \
-         "size; unset KLOC_BENCH_OPS and KLOC_BENCH_SCALE" >&2
+   { [ -n "${KLOC_BENCH_OPS+x}" ] || [ -n "${KLOC_BENCH_SCALE+x}" ] ||
+     [ ${#ONLY[@]} -gt 0 ]; }; then
+    echo "bench.sh: --compare and --update-baseline run every bench at" \
+         "the default size; drop --only and unset KLOC_BENCH_OPS and" \
+         "KLOC_BENCH_SCALE" >&2
     exit 2
 fi
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
-BENCHES=(micro_structures fig2_characterization fig4_twotier
-         fig5a_optane fig5c_objtypes fig6_sensitivity fig7_policies
-         fig8_degradation ablation_percpu ablation_prefetch ablation_thp)
+BENCHES=(fig2_characterization fig4_twotier fig5a_optane fig5c_objtypes
+         fig6_sensitivity fig7_policies fig8_degradation ablation_percpu
+         ablation_prefetch ablation_thp)
 if [ ${#ONLY[@]} -gt 0 ]; then
     BENCHES=("${ONLY[@]}")
 fi
@@ -98,7 +99,7 @@ if [ "$COMPARE" = 1 ]; then
     fi
     python3 scripts/bench_json.py compare \
         --results "$OUTDIR/BENCH_results.json" \
-        --baseline "$BASELINE" --tolerance "$TOLERANCE"
+        --baseline "$BASELINE"
 fi
 
 echo "bench.sh: artifacts in $OUTDIR"

@@ -7,12 +7,15 @@ run-level BENCH_results.json and compares deterministic metrics
 against the checked-in baseline:
 
   bench_json.py aggregate --outdir DIR --output FILE
-  bench_json.py compare --results FILE --baseline FILE [--tolerance F]
+  bench_json.py compare --results FILE --baseline FILE
 
 Only metrics with "gate": true participate in the compare. Those are
 derived from virtual (simulated) time, so they are bit-identical
 across machines for the same code and run size; wall-clock metrics
 are carried along for human before/after reading but never gate.
+The compare is two-sided: a gated metric that moves more than
+TOLERANCE either way is a behaviour change that needs a baseline
+refresh, whichever way "better" points.
 """
 
 import argparse
@@ -22,6 +25,7 @@ from pathlib import Path
 
 SCHEMA = "kloc-bench-v1"
 RESULTS_SCHEMA = "kloc-bench-results-v1"
+TOLERANCE = 0.10
 
 
 def fail(message):
@@ -85,10 +89,9 @@ def compare(options):
         if data.get("schema") != RESULTS_SCHEMA:
             fail(f"{name}: unexpected schema {data.get('schema')!r}")
 
-    tolerance = options.tolerance
     current = gated_metrics(results)
     expected = gated_metrics(baseline)
-    regressions = []
+    moved = []
     missing = []
     for key, base in expected.items():
         metric = current.get(key)
@@ -99,12 +102,10 @@ def compare(options):
         new_value = float(metric["value"])
         if base_value == 0.0:
             delta = 0.0 if new_value == 0.0 else float("inf")
-        elif base.get("better") == "higher":
-            delta = (base_value - new_value) / abs(base_value)
         else:
             delta = (new_value - base_value) / abs(base_value)
-        if delta > tolerance:
-            regressions.append((key, base_value, new_value, delta))
+        if abs(delta) > TOLERANCE:
+            moved.append((key, base_value, new_value, delta))
 
     added = sorted(set(current) - set(expected))
     if added:
@@ -122,14 +123,14 @@ def compare(options):
         print("bench_json: baseline metrics missing from this run:")
         for bench, name in sorted(missing):
             print(f"  - {bench}:{name}")
-    if regressions:
+    if moved:
         ok = False
         print(
-            "bench_json: regressions beyond "
-            f"{tolerance:.0%} tolerance:"
+            f"bench_json: gated metrics moved beyond {TOLERANCE:.0%} "
+            "(refresh the baseline if the change is intended):"
         )
         for (bench, name), base_value, new_value, delta in sorted(
-            regressions, key=lambda row: -row[3]
+            moved, key=lambda row: -abs(row[3])
         ):
             print(
                 f"  ! {bench}:{name}: {base_value:g} -> {new_value:g} "
@@ -139,7 +140,7 @@ def compare(options):
         sys.exit(1)
     print(
         f"bench_json: {len(expected)} gated metrics within "
-        f"{tolerance:.0%} of baseline"
+        f"{TOLERANCE:.0%} of baseline"
     )
 
 
@@ -159,7 +160,6 @@ def main():
     )
     cmp_cmd.add_argument("--results", required=True)
     cmp_cmd.add_argument("--baseline", required=True)
-    cmp_cmd.add_argument("--tolerance", type=float, default=0.10)
     cmp_cmd.set_defaults(func=compare)
 
     options = parser.parse_args()

@@ -108,6 +108,39 @@ TEST_F(LruTest, ScanChargesPaperCalibratedCost)
     EXPECT_EQ(lru.totalScanned(), 100u);
 }
 
+// §3.3: an LRU scan of one million pages costs about two seconds,
+// which is why scan-driven tiering cannot follow kernel objects.
+// 125 full scans of an 8,000-frame tier visit exactly 1,000,000 pages;
+// undoing the background factor of 4 must give 2 s to the tick.
+TEST_F(LruTest, MillionPageScanCostsTwoSeconds)
+{
+    constexpr uint64_t kFrames = 8000;
+    constexpr uint64_t kPages = 1000000;
+    TierSpec spec;
+    spec.name = "scan";
+    spec.capacity = kFrames * kPageSize;
+    spec.readLatency = Tick{80};
+    spec.writeLatency = Tick{80};
+    spec.readBandwidth = 10 * kGiB;
+    spec.writeBandwidth = 10 * kGiB;
+    const TierId scanId = tiers.addTier(spec);
+    std::vector<Frame *> frames;
+    for (uint64_t i = 0; i < kFrames; ++i)
+        frames.push_back(alloc(scanId));
+
+    const Tick before = machine.now();
+    uint64_t scanned = 0;
+    ScanResult result;
+    while (scanned < kPages) {
+        lru.scanTier(scanId, FrameCount{kFrames}, result);
+        scanned += result.scanned;
+    }
+    ASSERT_EQ(scanned, kPages);
+    EXPECT_EQ((machine.now() - before) * 4, 2 * kSecond);
+    for (Frame *frame : frames)
+        tiers.free(frame);
+}
+
 TEST_F(LruTest, CollectHotRequiresTwoScans)
 {
     Frame *frame = alloc(slowId);

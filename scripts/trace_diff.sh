@@ -25,29 +25,14 @@ if [ $# != 1 ]; then
     exit 2
 fi
 rev=$1
-sha=$(git rev-parse --verify --quiet "$rev^{commit}") || {
-    echo "trace_diff.sh: unknown revision '$rev'" >&2
-    exit 2
-}
 BUILD_DIR=${BUILD_DIR:-build}
 JOBS=${JOBS:-$(nproc)}
 # shellcheck source=scripts/trace_runs.sh
 . scripts/trace_runs.sh
+# shellcheck source=scripts/worktree.sh
+. scripts/worktree.sh
 
-base="build-$(printf '%s' "$rev" | tr -c 'A-Za-z0-9._-' _)"
-if [ -e "$base" ]; then
-    echo "trace_diff.sh: $base exists; remove it first" >&2
-    exit 2
-fi
-outdir=$(mktemp -d)
-cleanup() {
-    rm -rf "$outdir"
-    git worktree remove --force "$base/src" 2>/dev/null || true
-    rm -rf "$base"
-}
-trap cleanup EXIT
-
-git worktree add --quiet --detach "$base/src" "$sha"
+worktree_checkout trace_diff.sh build- "$rev"
 cmake -B "$base/build" -S "$base/src" -DCMAKE_BUILD_TYPE=Release \
     > /dev/null
 cmake --build "$base/build" -j "$JOBS" --target klocsim > /dev/null

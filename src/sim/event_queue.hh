@@ -39,20 +39,17 @@ class EventQueue
      * Run every event with deadline <= @p now, in deadline order.
      * Events scheduled while draining run too if already due.
      * @return number of events executed.
+     *
+     * Called on every Machine::charge, and most charges find nothing
+     * due, so only the test is inline; the drain, with its callback
+     * move, call and destroy, stays out of the charging loops.
      */
     size_t
     runDue(Tick now)
     {
-        size_t ran = 0;
-        while (!_events.empty() && _events.top().when <= now) {
-            // Move the callback out before popping so an event that
-            // schedules new events doesn't invalidate the top().
-            Callback fn = std::move(_events.top().fn);
-            _events.pop();
-            fn();
-            ++ran;
-        }
-        return ran;
+        if (_events.empty() || _events.top().when > now)
+            return 0;
+        return drainDue(now);
     }
 
     /** Drop all pending events (between experiment runs). */
@@ -64,6 +61,9 @@ class EventQueue
     }
 
   private:
+    /** runDue's loop, entered with at least one event due. */
+    size_t drainDue(Tick now);
+
     struct Event
     {
         Tick when;

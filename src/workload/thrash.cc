@@ -52,13 +52,12 @@ ThrashWorkload::run(System &sys)
         // Sweep the window cyclically, a chunk per op, so every
         // resident page is touched once per lap; pages the slide
         // abandons go cold until the window wraps back around.
-        for (uint64_t j = 0; j < kChunkPages; ++j) {
-            const uint64_t pos = (cursor + j) % ws;
-            const bool write = pos * kWriteBandDiv < ws;
-            touchArena(sys, (base + pos) % arena, 4 * kKiB,
-                       write ? AccessType::Write : AccessType::Read);
-        }
-        cursor = (cursor + kChunkPages) % ws;
+        cursor = sweepChunk(base, ws, arena, cursor, kChunkPages,
+                            [&](uint64_t page, bool write) {
+                                touchArena(sys, page, 4 * kKiB,
+                                           write ? AccessType::Write
+                                                 : AccessType::Read);
+                            });
         if (op % kLogInterval == 0) {
             const int fd =
                 _fdCache.get(sys, _logs[(op / kLogInterval) % kLogFiles]);

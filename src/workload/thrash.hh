@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "base/logging.hh"
 #include "workload/workload.hh"
 
 namespace kloc {
@@ -75,6 +76,43 @@ class ThrashWorkload : public Workload
 
     /** Working-set size (pages) at operation @p op; deterministic. */
     uint64_t workingSetAt(uint64_t op) const;
+
+    /**
+     * One operation's sweep: @p chunk window slots from @p cursor
+     * onward, slot `pos = (cursor + j) % ws` landing on arena page
+     * `(base + pos) % arena` and writing when `pos * kWriteBandDiv <
+     * ws`. Calls @p touch(page, write) once per slot, in order.
+     * Needs `base < arena` and `1 <= ws <= arena`; @p cursor may be
+     * any value (it is left over from a larger window when the wave
+     * shrinks). Both cursors wrap with a compare, not a division.
+     * @return the next operation's cursor, `(cursor + chunk) % ws`.
+     */
+    template <typename Touch>
+    static uint64_t
+    sweepChunk(uint64_t base, uint64_t ws, uint64_t arena, uint64_t cursor,
+               uint64_t chunk, Touch &&touch)
+    {
+        KLOC_ASSERT(base < arena && ws >= 1 && ws <= arena,
+                    "sweep window %llu+%llu outside arena %llu",
+                    static_cast<unsigned long long>(base),
+                    static_cast<unsigned long long>(ws),
+                    static_cast<unsigned long long>(arena));
+        uint64_t pos = cursor % ws;
+        // base + pos < base + ws <= base + arena < 2 * arena.
+        uint64_t page = base + pos;
+        if (page >= arena)
+            page -= arena;
+        for (uint64_t j = 0; j < chunk; ++j) {
+            touch(page, pos * kWriteBandDiv < ws);
+            if (++pos == ws) {
+                pos = 0;
+                page = base;
+            } else if (++page == arena) {
+                page = 0;
+            }
+        }
+        return pos;
+    }
 
   private:
     FdCache _fdCache;

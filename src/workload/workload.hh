@@ -109,13 +109,22 @@ class Workload
     /** Allocate @p count app pages into the arena. */
     void growArena(System &sys, uint64_t count);
 
-    /** Touch @p bytes of the @p idx-th arena page. */
+    /**
+     * Touch @p bytes of the @p idx-th arena page. @p idx wraps modulo
+     * the arena size (callers hash keys and counters straight in); an
+     * empty arena touches nothing. The division is taken only for an
+     * index out of range and laid out off the straight path, so a
+     * sweep that stays in range pays a compare per touch.
+     */
     void
     touchArena(System &sys, uint64_t idx, Bytes bytes, AccessType type)
     {
-        if (_arena.empty())
+        const size_t size = _arena.size();
+        if (size == 0)
             return;
-        sys.mem().touch(_arena[idx % _arena.size()], bytes, type);
+        if (idx >= size) [[unlikely]]
+            idx %= size;
+        sys.mem().touch(_arena[idx], bytes, type);
     }
 
     uint64_t arenaSize() const { return _arena.size(); }

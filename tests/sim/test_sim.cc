@@ -75,6 +75,50 @@ TEST(EventQueue, FutureEventStaysQueued)
     EXPECT_EQ(fired, 1);
 }
 
+TEST(EventQueue, NothingDueRunsNothing)
+{
+    EventQueue events;
+    EXPECT_EQ(events.runDue(Tick{0}), 0u);
+    EXPECT_EQ(events.runDue(Tick{1000}), 0u);
+    EXPECT_EQ(events.size(), 0u);
+
+    int fired = 0;
+    events.schedule(Tick{100}, [&] { ++fired; });
+    events.schedule(Tick{200}, [&] { ++fired; });
+    EXPECT_EQ(events.runDue(Tick{0}), 0u);
+    EXPECT_EQ(events.runDue(Tick{99}), 0u);
+    EXPECT_EQ(events.size(), 2u);
+    EXPECT_EQ(fired, 0);
+}
+
+TEST(EventQueue, ZeroChargeRunsEventDueNow)
+{
+    Machine machine(1, 1);
+    machine.charge(Tick{50});
+    int fired = 0;
+    machine.events().schedule(machine.now(), [&] { ++fired; });
+    machine.charge(Tick{0});
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(machine.now(), 50);
+    EXPECT_TRUE(machine.events().empty());
+}
+
+TEST(EventQueue, EarlierEventScheduledMidDrainRunsBeforeLaterTop)
+{
+    EventQueue events;
+    std::vector<int> order;
+    events.schedule(Tick{10}, [&] {
+        order.push_back(1);
+        // Earlier than the remaining top (20) and already due.
+        events.schedule(Tick{15}, [&] { order.push_back(2); });
+    });
+    events.schedule(Tick{20}, [&] { order.push_back(3); });
+    events.schedule(Tick{40}, [&] { order.push_back(4); });
+    EXPECT_EQ(events.runDue(Tick{30}), 3u);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(events.size(), 1u);
+}
+
 TEST(MemoryModel, AccessCostScalesWithSizeAndTier)
 {
     MemoryModel model;

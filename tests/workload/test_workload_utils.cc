@@ -1,16 +1,20 @@
 /**
  * @file
  * Workload utility tests: the FdCache (RocksDB-style table cache),
- * arena helpers, and the measured-run protocol.
+ * arena helpers, the thrash sweep's page walk, and the measured-run
+ * protocol.
  */
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "platform/two_tier.hh"
 #include "workload/runner.hh"
+#include "workload/thrash.hh"
 #include "workload/workload.hh"
 
 namespace kloc {
@@ -85,6 +89,119 @@ smallRocksDb()
     config.scale = 1024;
     config.operations = 500;
     return config;
+}
+
+/** A workload that does nothing but expose the arena helpers. */
+class ArenaProbe : public Workload
+{
+  public:
+    using Workload::Workload;
+    const char *name() const override { return "arena_probe"; }
+    void setup(System &) override {}
+    WorkloadResult run(System &) override { return {}; }
+    using Workload::growArena;
+    using Workload::touchArena;
+};
+
+/**
+ * On a fresh platform, grow a @p size-page arena, touch index @p idx
+ * and return (lastAccessTick, referenced) of every arena frame.
+ */
+std::vector<std::pair<Tick, bool>>
+marksAfterTouch(uint64_t size, uint64_t idx)
+{
+    std::vector<Frame *> frames;
+    auto platform = makePlatform();
+    System &sys = platform->sys();
+    sys.tiers().addAllocObserver(
+        [](void *ctx, Frame *frame) {
+            static_cast<std::vector<Frame *> *>(ctx)->push_back(frame);
+        },
+        &frames);
+    ArenaProbe probe(WorkloadConfig{});
+    probe.growArena(sys, size);
+    EXPECT_EQ(frames.size(), size);
+    // Move the clock so the touched frame's tick stands out.
+    sys.machine().charge(Tick{1000});
+    probe.touchArena(sys, idx, Bytes{64}, AccessType::Read);
+    std::vector<std::pair<Tick, bool>> marks;
+    for (const Frame *frame : frames)
+        marks.emplace_back(frame->lastAccessTick, frame->referenced);
+    probe.teardown(sys);
+    return marks;
+}
+
+TEST(ArenaTest, TouchIndexWrapsModuloArenaSize)
+{
+    constexpr uint64_t kSize = 5;
+    for (uint64_t k = 0; k < kSize; ++k) {
+        const auto want = marksAfterTouch(kSize, k);
+        EXPECT_NE(want, marksAfterTouch(kSize, (k + 1) % kSize));
+        EXPECT_EQ(marksAfterTouch(kSize, kSize + k), want) << "k " << k;
+        EXPECT_EQ(marksAfterTouch(kSize, 3 * kSize + k), want) << "k " << k;
+    }
+}
+
+TEST(ArenaTest, EmptyArenaTouchesNothing)
+{
+    auto platform = makePlatform();
+    System &sys = platform->sys();
+    ArenaProbe probe(WorkloadConfig{});
+    const Tick before = sys.machine().now();
+    for (const uint64_t idx : {0, 1, 7})
+        probe.touchArena(sys, idx, Bytes{64}, AccessType::Write);
+    EXPECT_EQ(sys.machine().now(), before);
+}
+
+/**
+ * ThrashWorkload::sweepChunk against the closed form it replaces,
+ * over a grid that reaches every wrap: a cursor left past a shrunken
+ * window, a window straddling the arena end, one-page windows and
+ * arenas, a window as large as the arena, and chunks longer than the
+ * window.
+ */
+TEST(ThrashSweep, MatchesClosedFormAtEveryWrap)
+{
+    constexpr uint64_t kDiv = ThrashWorkload::kWriteBandDiv;
+    uint64_t cases = 0;
+    uint64_t straddling = 0;
+    for (const uint64_t arena : {1, 2, 7, 64}) {
+        for (const uint64_t ws : {1ul, 2ul, 5ul, arena - 1, arena}) {
+            if (ws < 1 || ws > arena)
+                continue;
+            for (const uint64_t base : {0ul, 1ul, arena - ws, arena - 1}) {
+                if (base >= arena)
+                    continue;
+                straddling += base + ws > arena;
+                for (const uint64_t cursor :
+                     {0ul, 1ul, ws - 1, ws, ws + 3, 3 * ws + 1, 1000ul}) {
+                    for (const uint64_t chunk :
+                         {0ul, 1ul, ws, ws + 1, 3 * ws + 2}) {
+                        std::vector<std::pair<uint64_t, bool>> got;
+                        const uint64_t next = ThrashWorkload::sweepChunk(
+                            base, ws, arena, cursor, chunk,
+                            [&](uint64_t page, bool write) {
+                                got.emplace_back(page, write);
+                            });
+                        std::vector<std::pair<uint64_t, bool>> want;
+                        for (uint64_t j = 0; j < chunk; ++j) {
+                            const uint64_t pos = (cursor + j) % ws;
+                            want.emplace_back((base + pos) % arena,
+                                              pos * kDiv < ws);
+                        }
+                        ASSERT_EQ(got, want)
+                            << "arena " << arena << " ws " << ws << " base "
+                            << base << " cursor " << cursor << " chunk "
+                            << chunk;
+                        ASSERT_EQ(next, (cursor + chunk) % ws);
+                        ++cases;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(straddling, 0u);
+    EXPECT_GT(cases, 500u);
 }
 
 TEST(RunnerProtocol, QuiesceDrainsDirtyState)

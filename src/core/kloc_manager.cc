@@ -33,6 +33,11 @@ KlocManager::KlocManager(KernelHeap &heap, MigrationEngine &migrator)
                                                              data_lost);
         },
         this);
+    _daemon.setBody([this](Tick period) {
+        runDemotePass();
+        runWatermarkPass();
+        return period;
+    });
 }
 
 KlocManager::~KlocManager()
@@ -535,36 +540,6 @@ KlocManager::runWatermarkPass()
     }
     _stats.demotedPages += moved;
     return moved;
-}
-
-void
-KlocManager::daemonTick(Tick period)
-{
-    if (!_daemonRunning)
-        return;
-    runDemotePass();
-    runWatermarkPass();
-    _machine.events().schedule(
-        _machine.now() + period,
-        [this, period, weak = std::weak_ptr<int>(_alive)] {
-            if (!weak.expired())
-                daemonTick(period);
-        });
-}
-
-void
-KlocManager::startDaemon(Tick period)
-{
-    KLOC_ASSERT(period > 0, "daemon period must be positive");
-    if (_daemonRunning)
-        return;
-    _daemonRunning = true;
-    _machine.events().schedule(
-        _machine.now() + period,
-        [this, period, weak = std::weak_ptr<int>(_alive)] {
-            if (!weak.expired())
-                daemonTick(period);
-        });
 }
 
 Bytes

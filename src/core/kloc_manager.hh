@@ -24,6 +24,7 @@
 #include "core/knode.hh"
 #include "kobj/kernel_heap.hh"
 #include "mem/migration.hh"
+#include "sim/daemon.hh"
 
 namespace kloc {
 
@@ -204,9 +205,9 @@ class KlocManager
      * Start the asynchronous daemon with the given wakeup period.
      * It drains the demote queue and enforces watermarks.
      */
-    void startDaemon(Tick period);
+    void startDaemon(Tick period) { _daemon.start(period); }
 
-    void stopDaemon() { _daemonRunning = false; }
+    void stopDaemon() { _daemon.stop(); }
 
     /** One demote pass (also callable directly by policies/tests). */
     uint64_t runDemotePass();
@@ -261,7 +262,6 @@ class KlocManager
     void touchKnodeMeta(Knode *knode, AccessType type);
     void cacheOnCpu(Knode *knode);
     void noteMetadata();
-    void daemonTick(Tick period);
 
     /**
      * Poison-notify callback from the MigrationEngine: when a
@@ -306,10 +306,9 @@ class KlocManager
     /** Inodes with a soft-offline pending or running (at most one). */
     std::unordered_set<uint64_t> _softOfflineInodes;
 
-    /** Liveness token for scheduled daemon lambdas. */
+    /** Liveness token for the deferred soft-offline lambdas. */
     std::shared_ptr<int> _alive = std::make_shared<int>(0);
 
-    bool _daemonRunning = false;
     uint32_t _managedClasses = ~0u;
     bool _usePerCpuLists = true;
     bool _splitTrees = true;
@@ -318,6 +317,7 @@ class KlocManager
     KlocStats _stats;
     uint64_t _trackedObjects = 0;   ///< live tracked objects
     Bytes _peakMetadata{};
+    Daemon _daemon{_machine};  ///< last: see Daemon
 };
 
 } // namespace kloc

@@ -5,8 +5,13 @@
 namespace kloc {
 
 Journal::Journal(KernelHeap &heap, KlocManager *kloc, BlockLayer &block)
-    : _heap(heap), _kloc(kloc), _block(block)
+    : _heap(heap), _kloc(kloc), _block(block),
+      _commitTimer(heap.mem().machine())
 {
+    _commitTimer.setBody([this](Tick period) {
+        commit(/*foreground=*/false);
+        return period;
+    });
 }
 
 Journal::~Journal()
@@ -255,36 +260,6 @@ Journal::detachInode(uint64_t inode_id)
         _committing = was_committing;
     }
     tracer.emit(TraceEventType::JournalDetachEnd, inode_id);
-}
-
-void
-Journal::timerTick(Tick period)
-{
-    if (!_timerRunning)
-        return;
-    commit(/*foreground=*/false);
-    Machine &machine = _heap.mem().machine();
-    machine.events().schedule(
-        machine.now() + period,
-        [this, period, weak = std::weak_ptr<int>(_alive)] {
-            if (!weak.expired())
-                timerTick(period);
-        });
-}
-
-void
-Journal::startCommitTimer(Tick period)
-{
-    if (_timerRunning)
-        return;
-    _timerRunning = true;
-    Machine &machine = _heap.mem().machine();
-    machine.events().schedule(
-        machine.now() + period,
-        [this, period, weak = std::weak_ptr<int>(_alive)] {
-            if (!weak.expired())
-                timerTick(period);
-        });
 }
 
 } // namespace kloc

@@ -30,6 +30,7 @@
 #include "fs/block_layer.hh"
 #include "fs/objects.hh"
 #include "kobj/kernel_heap.hh"
+#include "sim/daemon.hh"
 
 namespace kloc {
 
@@ -68,9 +69,9 @@ class Journal
     void detachInode(uint64_t inode_id);
 
     /** Schedule periodic background commits every @p period. */
-    void startCommitTimer(Tick period);
+    void startCommitTimer(Tick period) { _commitTimer.start(period); }
 
-    void stopCommitTimer() { _timerRunning = false; }
+    void stopCommitTimer() { _commitTimer.stop(); }
 
     uint64_t committedTxs() const { return _committedTxs; }
     uint64_t liveRecords() const { return _records.size(); }
@@ -82,8 +83,6 @@ class Journal
     uint64_t commitAborts() const { return _commitAborts; }
 
   private:
-    void timerTick(Tick period);
-
     /** Replay the crashed transaction. @return true on success. */
     bool recover(bool foreground);
 
@@ -113,15 +112,13 @@ class Journal
     Bytes _pendingMetaBytes{};
     uint64_t _journalSector = kJournalStartSector;
     uint64_t _committedTxs = 0;
-    bool _timerRunning = false;
     bool _committing = false;
     bool _crashed = false;
     uint64_t _crashedTx = 0;
     uint64_t _crashes = 0;
     uint64_t _recoveredTxs = 0;
     uint64_t _commitAborts = 0;
-    /** Liveness token for the commit-timer lambdas. */
-    std::shared_ptr<int> _alive = std::make_shared<int>(0);
+    Daemon _commitTimer;  ///< last: see Daemon
 };
 
 } // namespace kloc

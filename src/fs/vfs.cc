@@ -9,12 +9,24 @@ namespace kloc {
 
 FileSystem::FileSystem(KernelHeap &heap, KlocManager *kloc,
                        const Config &config)
-    : _heap(heap), _kloc(kloc), _config(config)
+    : _heap(heap), _kloc(kloc), _config(config),
+      _writeback(heap.mem().machine())
 {
     _device = std::make_unique<BlockDevice>(heap.mem().machine(),
                                             config.device);
     _blockLayer = std::make_unique<BlockLayer>(heap, kloc, *_device);
     _journal = std::make_unique<Journal>(heap, kloc, *_blockLayer);
+    _writeback.setBody([this](Tick period) {
+        // Snapshot: writebackInode erases from _dirtyInodes.
+        const std::vector<uint64_t> ids(_dirtyInodes.begin(),
+                                        _dirtyInodes.end());
+        for (const uint64_t id : ids) {
+            InodeInfo *info = infoForId(id);
+            if (info)
+                writebackInode(*info, _config.writebackBatch, false);
+        }
+        return period;
+    });
 }
 
 FileSystem::~FileSystem()
@@ -667,47 +679,16 @@ FileSystem::destroyInode(uint64_t inode_id)
 }
 
 void
-FileSystem::writebackTick()
-{
-    if (!_daemonsRunning)
-        return;
-    // Snapshot: writebackInode erases from _dirtyInodes.
-    const std::vector<uint64_t> ids(_dirtyInodes.begin(),
-                                    _dirtyInodes.end());
-    for (const uint64_t id : ids) {
-        InodeInfo *info = infoForId(id);
-        if (info)
-            writebackInode(*info, _config.writebackBatch, false);
-    }
-    Machine &machine = _heap.mem().machine();
-    machine.events().schedule(
-        machine.now() + _config.writebackPeriod,
-        [this, weak = std::weak_ptr<int>(_alive)] {
-            if (!weak.expired())
-                writebackTick();
-        });
-}
-
-void
 FileSystem::startDaemons()
 {
-    if (_daemonsRunning)
-        return;
-    _daemonsRunning = true;
-    Machine &machine = _heap.mem().machine();
-    machine.events().schedule(
-        machine.now() + _config.writebackPeriod,
-        [this, weak = std::weak_ptr<int>(_alive)] {
-            if (!weak.expired())
-                writebackTick();
-        });
+    _writeback.start(_config.writebackPeriod);
     _journal->startCommitTimer(_config.journalCommitPeriod);
 }
 
 void
 FileSystem::stopDaemons()
 {
-    _daemonsRunning = false;
+    _writeback.stop();
     _journal->stopCommitTimer();
 }
 

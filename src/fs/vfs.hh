@@ -26,6 +26,7 @@
 #include "fs/journal.hh"
 #include "fs/page_cache.hh"
 #include "kobj/kernel_heap.hh"
+#include "sim/daemon.hh"
 
 namespace kloc {
 
@@ -210,7 +211,6 @@ class FileSystem
      *  dirty, so callers can detect lack of progress). */
     uint64_t writebackInode(InodeInfo &info, FrameCount max_pages,
                             bool foreground);
-    void writebackTick();
     Dentry *lookupDentry(const std::string &name);
     Dentry *insertDentry(const std::string &name, uint64_t inode_id,
                          Knode *knode, bool active);
@@ -259,10 +259,8 @@ class FileSystem
         _writebackScratch;
     unsigned _writebackDepth = 0;
 
-    bool _daemonsRunning = false;
-    /** Liveness token for the writeback-tick lambdas. */
-    std::shared_ptr<int> _alive = std::make_shared<int>(0);
     FsStats _stats;
+    Daemon _writeback;  ///< last: see Daemon
 };
 
 } // namespace kloc

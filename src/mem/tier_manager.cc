@@ -432,14 +432,10 @@ TierManager::recordTierError(TierId id)
     HealthState &state = _health[static_cast<size_t>(id)];
     state.score += kErrorScore;
     applyUpwardTransitions(id);
-    if (!_healthTickArmed) {
-        // Armed lazily on the first error ever recorded, so an
-        // error-free run schedules nothing and its trace is
-        // byte-identical to a build without the health machinery.
-        _healthTickArmed = true;
-        _machine.events().schedule(_machine.now() + kHealthTickPeriod,
-                                   [this] { healthTick(); });
-    }
+    // Armed lazily on the first error ever recorded, so an error-free
+    // run schedules nothing and its trace is byte-identical to a
+    // build without the health machinery.
+    _healthDaemon.start(kHealthTickPeriod);
 }
 
 void
@@ -465,12 +461,8 @@ TierManager::healthTick()
         if (state.score > 0 || state.health != TierHealth::Healthy)
             busy = true;
     }
-    if (busy) {
-        _machine.events().schedule(_machine.now() + kHealthTickPeriod,
-                                   [this] { healthTick(); });
-    } else {
-        _healthTickArmed = false;
-    }
+    if (!busy)
+        _healthDaemon.stop();
 }
 
 TierPreference

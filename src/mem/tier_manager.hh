@@ -22,6 +22,7 @@
 #include "base/stats.hh"
 #include "mem/frame_arena.hh"
 #include "mem/tier.hh"
+#include "sim/daemon.hh"
 #include "sim/machine.hh"
 
 namespace kloc {
@@ -157,7 +158,13 @@ class TierManager
     static constexpr uint64_t kReadmitScore = 6000;
     static constexpr Tick kHealthTickPeriod = 10 * kMillisecond;
 
-    explicit TierManager(Machine &machine) : _machine(machine) {}
+    explicit TierManager(Machine &machine) : _machine(machine)
+    {
+        _healthDaemon.setBody([this](Tick period) {
+            healthTick();
+            return period;
+        });
+    }
 
     /** Create a tier (also registered with the machine's MemoryModel). */
     TierId addTier(const TierSpec &spec);
@@ -313,6 +320,8 @@ class TierManager
     void quarantineBlock(Tier &t, Pfn pfn, unsigned order);
     void transitionHealth(TierId id, TierHealth to);
     void applyUpwardTransitions(TierId id);
+    /** One decay step; stops the health daemon once every tier is
+     *  at rest. */
     void healthTick();
 
     /** Block alloc/free routed through the current CPU's pcp cache
@@ -323,7 +332,6 @@ class TierManager
     Machine &_machine;
     std::vector<std::unique_ptr<Tier>> _tiers;
     std::vector<HealthState> _health;
-    bool _healthTickArmed = false;
     bool _usePcpLists = true;
 
     // Frame pool with stable addresses; freed frames recycle LIFO.
@@ -339,6 +347,7 @@ class TierManager
     InlineVec<FrameObserver, kMaxObservers> _allocObservers;
     InlineVec<FrameObserver, kMaxObservers> _freeObservers;
     InlineVec<HealthObserver, kMaxObservers> _healthObservers;
+    Daemon _healthDaemon{_machine};  ///< last: see Daemon
 };
 
 } // namespace kloc

@@ -8,8 +8,11 @@ namespace kloc {
 
 AutoNumaPolicy::AutoNumaPolicy(Mode mode, const PolicyContext &ctx,
                                Config config)
-    : Policy(ctx, policyRow(mode)), _mode(mode), _config(config)
+    : Policy(ctx, policyRow(mode)), _mode(mode), _config(config),
+      _balanceDaemon(_heap.mem().machine())
 {
+    _balanceDaemon.setBody(
+        [this](Tick period) { return balanceTick(period); });
     for (size_t t = 0; t < ctx.tiers().tierCount(); ++t)
         _socketTiers.push_back(static_cast<TierId>(t));
     KLOC_ASSERT(_socketTiers.size() >= 2, "AutoNUMA needs >= 2 sockets");
@@ -61,11 +64,9 @@ AutoNumaPolicy::install()
     _migrator.setParallelism(_row.parallelCopy ? kParallelCopyWidth : 1);
 }
 
-void
-AutoNumaPolicy::balanceTick()
+Tick
+AutoNumaPolicy::balanceTick(Tick period)
 {
-    if (!_running)
-        return;
     ++_ticks;
     const TierId local = localTier();
 
@@ -93,23 +94,20 @@ AutoNumaPolicy::balanceTick()
                 _kloc->migrateKnodeObjects(knode, local);
         }
     }
-
-    scheduleTick(_config.scanPeriod, &AutoNumaPolicy::balanceTick);
+    return period;
 }
 
 void
 AutoNumaPolicy::start()
 {
-    if (_running || _mode == Mode::Static)
-        return;
-    _running = true;
-    scheduleTick(_config.scanPeriod, &AutoNumaPolicy::balanceTick);
+    if (_mode != Mode::Static)
+        _balanceDaemon.start(_config.scanPeriod);
 }
 
 void
 AutoNumaPolicy::stop()
 {
-    _running = false;
+    _balanceDaemon.stop();
 }
 
 } // namespace kloc

@@ -24,6 +24,7 @@
 #include "mem/lru.hh"
 #include "mem/migration.hh"
 #include "policy/policy.hh"
+#include "sim/daemon.hh"
 
 namespace kloc {
 
@@ -62,19 +63,20 @@ class AutoNumaPolicy : public Policy
     uint64_t balanceTicks() const { return _ticks; }
 
   private:
-    void balanceTick();
+    /** One NUMA-balancing pass. @return the delay to the next. */
+    Tick balanceTick(Tick period);
     TierPreference localFirst() const;
 
     Mode _mode;
     /** Tier hosting each socket's memory, indexed by socket. */
     std::vector<TierId> _socketTiers;
     Config _config;
-    bool _running = false;
     uint64_t _ticks = 0;
 
     /** Per-tick scratch buffers, reused so balancing doesn't allocate. */
     std::vector<FrameRef> _hotScratch;
     std::vector<FrameRef> _movers;
+    Daemon _balanceDaemon;  ///< last: see Daemon
 };
 
 } // namespace kloc

@@ -20,13 +20,12 @@
  *  - start(): begin periodic work (scan ticks, daemons). Idempotent.
  *  - stop(): cease scheduling further work and release any policy
  *    private state (e.g. Nomad's shadow copies). Ticks already in
- *    the event queue must become no-ops (liveness tokens).
+ *    the event queue must become no-ops: run periodic work as a
+ *    Daemon (sim/daemon.hh), whose stop() guarantees that.
  */
 
 #ifndef KLOC_POLICY_POLICY_HH
 #define KLOC_POLICY_POLICY_HH
-
-#include <memory>
 
 #include "kobj/kernel_heap.hh"
 #include "mem/placement.hh"
@@ -88,25 +87,6 @@ class Policy : public PlacementPolicy
     /** @p ctx.kloc must be non-null when @p row composes KLOC. */
     Policy(const PolicyContext &ctx, const PolicyRow &row);
 
-    /**
-     * Run this policy's @p tick after @p period of virtual time. The
-     * simulator cannot unschedule events, so a tick that fires after
-     * this policy was destroyed (replaced) is a no-op.
-     */
-    template <typename Self>
-    void
-    scheduleTick(Tick period, void (Self::*tick)())
-    {
-        Machine &machine = _heap.mem().machine();
-        machine.events().schedule(
-            machine.now() + period,
-            [self = static_cast<Self *>(this), tick,
-             weak = std::weak_ptr<int>(_alive)] {
-                if (!weak.expired())
-                    (self->*tick)();
-            });
-    }
-
     const PolicyRow &_row;
     KernelHeap &_heap;
     LruEngine &_lru;
@@ -114,10 +94,6 @@ class Policy : public PlacementPolicy
     KlocManager *_kloc;
     TierId _fast;
     TierId _slow;
-
-  private:
-    /** Liveness token checked by every scheduled tick. */
-    std::shared_ptr<int> _alive = std::make_shared<int>(0);
 };
 
 } // namespace kloc

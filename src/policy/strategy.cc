@@ -45,8 +45,11 @@ setKlocMode(KernelHeap &heap, KlocManager *kloc, bool on,
 
 TieringStrategy::TieringStrategy(StrategyKind kind, const PolicyContext &ctx,
                                  Config config)
-    : Policy(ctx, policyRow(kind)), _config(config)
-{}
+    : Policy(ctx, policyRow(kind)), _config(config),
+      _scanDaemon(_heap.mem().machine())
+{
+    _scanDaemon.setBody([this](Tick period) { return scanTick(period); });
+}
 
 void
 TieringStrategy::install()
@@ -161,11 +164,9 @@ TieringStrategy::gradeReuseWindow()
     }
 }
 
-void
-TieringStrategy::scanTick()
+Tick
+TieringStrategy::scanTick(Tick period)
 {
-    if (!_running)
-        return;
     ++_scanTicks;
     TierManager &tiers = _heap.tiers();
 
@@ -208,21 +209,14 @@ TieringStrategy::scanTick()
     // Fully throttled promotion also stretches the scan period —
     // scanning costs background traffic the workload is not earning.
     // Only an adaptive row's batch ever reaches the floor.
-    const Tick period = _promoteBatch == kPromoteBatchMin
-                            ? 2 * _config.scanPeriod
-                            : _config.scanPeriod;
-    scheduleTick(period, &TieringStrategy::scanTick);
+    return _promoteBatch == kPromoteBatchMin ? 2 * period : period;
 }
 
 void
 TieringStrategy::start()
 {
-    if (_running)
-        return;
-    if (_row.scan != ScanScope::None) {
-        _running = true;
-        scheduleTick(_config.scanPeriod, &TieringStrategy::scanTick);
-    }
+    if (_row.scan != ScanScope::None)
+        _scanDaemon.start(_config.scanPeriod);
     if (_row.klocDaemon && _kloc)
         _kloc->startDaemon(_config.klocDaemonPeriod);
 }
@@ -230,7 +224,7 @@ TieringStrategy::start()
 void
 TieringStrategy::stop()
 {
-    _running = false;
+    _scanDaemon.stop();
     _window.clear();
     if (_row.klocDaemon && _kloc)
         _kloc->stopDaemon();

@@ -52,6 +52,7 @@
 #include "mem/lru.hh"
 #include "mem/migration.hh"
 #include "policy/policy.hh"
+#include "sim/daemon.hh"
 
 namespace kloc {
 
@@ -174,7 +175,9 @@ class TieringStrategy : public Policy
     uint64_t adaptations() const { return _adaptations; }
 
   private:
-    void scanTick();
+    /** One scan: demote under pressure, promote into headroom.
+     *  @return the delay to the next scan. */
+    Tick scanTick(Tick period);
     /** Adaptive rate: grade last tick's promotions, adapt the batch. */
     void gradeReuseWindow();
     /** Fill _victims with the valid frames of @p candidates in this
@@ -185,7 +188,6 @@ class TieringStrategy : public Policy
     TierPreference order(Placement where) const;
 
     Config _config;
-    bool _running = false;
     uint64_t _scanTicks = 0;
 
     FrameCount _promoteBatch = kPromoteBatch;
@@ -199,6 +201,7 @@ class TieringStrategy : public Policy
     ScanResult _scanScratch;
     std::vector<FrameRef> _hotScratch;
     std::vector<FrameRef> _victims;
+    Daemon _scanDaemon;  ///< last: see Daemon
 };
 
 } // namespace kloc

@@ -2,7 +2,8 @@
  * @file
  * Deterministic deadline-ordered event queue for asynchronous kernel
  * work: the KLOC migration daemon, LRU scanner wakeups, journal
- * commits, and writeback all run as events.
+ * commits, and writeback all run as events, the periodic ones
+ * through a Daemon (sim/daemon.hh).
  *
  * Ties are broken by insertion order so runs are bit-reproducible.
  */

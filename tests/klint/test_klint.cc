@@ -111,6 +111,21 @@ TEST(Klint, ReentrancyHazardCatchesFindKnodePattern)
         << "witness chain should name the draining call and container";
 }
 
+TEST(Klint, ReentrancyHazardSeesDaemonBodies)
+{
+    // A daemon body reaches the event queue only through
+    // Daemon::setBody. klint must count that as a registration, or
+    // charge -> runDue -> fn() loses its edge to the body and this
+    // hazard passes unseen.
+    const auto findings =
+        runRule("reentrancy-hazard", "reentrancy-hazard_daemon");
+    ASSERT_EQ(countOf(findings, "reentrancy-hazard"), 1);
+    EXPECT_NE(findings.front().message.find("charge -> runDue -> fn -> "
+                                            "rotateFront"),
+              std::string::npos)
+        << findings.front().message;
+}
+
 TEST(Klint, DeterminismTaintFlagsAllThreeSinkKinds)
 {
     // Policy return, trace emit, and bench report.add() sinks.

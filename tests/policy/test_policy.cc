@@ -126,6 +126,29 @@ TEST_F(StrategyTest, ScanTickDemotesUnderPressure)
     }
 }
 
+TEST_F(StrategyTest, ReappliedKlocsRunsOneDaemonChain)
+{
+    // klocs -> nimble -> klocs at one instant stops the KLOC daemon
+    // and starts it again within one period. The stopped chain's
+    // pending run must not keep going beside the new one.
+    auto demotePasses = [](TwoTierPlatform &p) {
+        const uint64_t before = p.sys().kloc().stats().demotePasses;
+        for (int i = 0; i < 100; ++i)
+            p.sys().machine().charge(kMillisecond);
+        return p.sys().kloc().stats().demotePasses - before;
+    };
+    TwoTierPlatform::Config config;
+    config.scale = 1024;
+    TwoTierPlatform fresh(config, "klocs");
+    const uint64_t once = demotePasses(fresh);
+    EXPECT_EQ(once, 50u) << "one pass per 2 ms daemon period";
+
+    platform->applyPolicyByName("klocs");
+    platform->applyPolicyByName("nimble");
+    platform->applyPolicyByName("klocs");
+    EXPECT_EQ(demotePasses(*platform), once);
+}
+
 TEST(AutoNumaTest, LocalFirstPreferences)
 {
     OptanePlatform platform;

@@ -1,14 +1,17 @@
 /**
  * @file
  * Simulation-layer tests: virtual clock, event queue ordering and
- * re-entrancy, memory timing model, and Machine accounting.
+ * re-entrancy, the Daemon's restart and liveness rules, memory timing
+ * model, and Machine accounting.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "base/clock.hh"
+#include "sim/daemon.hh"
 #include "sim/event_queue.hh"
 #include "sim/machine.hh"
 #include "sim/memory_model.hh"
@@ -117,6 +120,126 @@ TEST(EventQueue, EarlierEventScheduledMidDrainRunsBeforeLaterTop)
     EXPECT_EQ(events.runDue(Tick{30}), 3u);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(events.size(), 1u);
+}
+
+/** Charge one tick at a time up to @p until, so every event runs at
+ *  its own deadline rather than at the end of one long charge. */
+void
+chargeUntil(Machine &machine, int64_t until)
+{
+    while (machine.now() < until)
+        machine.charge(Tick{1});
+}
+
+/** A daemon whose body records the time of every run. */
+struct TickLog
+{
+    explicit TickLog(Machine &machine) : machine(machine), daemon(machine)
+    {
+        daemon.setBody([this](Tick period) {
+            runs.push_back(this->machine.now().value());
+            return period;
+        });
+    }
+
+    Machine &machine;
+    std::vector<int64_t> runs;
+    Daemon daemon;
+};
+
+TEST(Daemon, RunsEveryPeriodAfterStart)
+{
+    Machine machine(1, 1);
+    TickLog log(machine);
+    log.daemon.start(Tick{10});
+    log.daemon.start(Tick{3});  // running: ignored
+    chargeUntil(machine, 35);
+    EXPECT_EQ(log.runs, (std::vector<int64_t>{10, 20, 30}));
+    EXPECT_TRUE(log.daemon.running());
+}
+
+TEST(Daemon, RestartWithinAPeriodRunsOneChain)
+{
+    // The run armed before stop() stays queued for t=10 but must not
+    // run beside the chain the restart arms for t=15.
+    Machine machine(1, 1);
+    TickLog log(machine);
+    log.daemon.start(Tick{10});
+    chargeUntil(machine, 5);
+    log.daemon.stop();
+    EXPECT_FALSE(log.daemon.running());
+    log.daemon.start(Tick{10});
+    chargeUntil(machine, 45);
+    EXPECT_EQ(log.runs, (std::vector<int64_t>{15, 25, 35, 45}));
+}
+
+TEST(Daemon, StopRestartInsideTheBodyRunsOneChain)
+{
+    Machine machine(1, 1);
+    std::vector<int64_t> runs;
+    Daemon daemon(machine);
+    daemon.setBody([&](Tick period) {
+        runs.push_back(machine.now().value());
+        if (runs.size() == 1) {
+            daemon.stop();
+            daemon.start(Tick{4});
+        }
+        return period;
+    });
+    daemon.start(Tick{10});
+    chargeUntil(machine, 30);
+    // The run at t=10 restarts with period 4: 14, 18, ... The stopped
+    // chain's own reschedule for t=20 never happens.
+    EXPECT_EQ(runs, (std::vector<int64_t>{10, 14, 18, 22, 26, 30}));
+}
+
+TEST(Daemon, BodyChoosesTheNextDelay)
+{
+    Machine machine(1, 1);
+    std::vector<int64_t> runs;
+    Daemon daemon(machine);
+    daemon.setBody([&](Tick period) {
+        runs.push_back(machine.now().value());
+        return runs.size() % 2 == 1 ? 2 * period : period;
+    });
+    daemon.start(Tick{10});
+    chargeUntil(machine, 100);
+    EXPECT_EQ(runs, (std::vector<int64_t>{10, 30, 40, 60, 70, 90, 100}));
+}
+
+TEST(Daemon, BodyMayStopItself)
+{
+    Machine machine(1, 1);
+    int runs = 0;
+    Daemon daemon(machine);
+    daemon.setBody([&](Tick period) {
+        if (++runs == 3)
+            daemon.stop();
+        return period;
+    });
+    daemon.start(Tick{10});
+    chargeUntil(machine, 100);
+    EXPECT_EQ(runs, 3);
+    EXPECT_FALSE(daemon.running());
+    EXPECT_TRUE(machine.events().empty()) << "a stopped chain rearmed";
+    daemon.start(Tick{10});  // a stopped daemon starts again
+    machine.charge(Tick{10});
+    EXPECT_EQ(runs, 4);
+}
+
+TEST(Daemon, DestroyedOwnerLeavesANoOpRun)
+{
+    // The pending run outlives its daemon in the queue; charging past
+    // it must not touch the freed owner (an ASan build reports it).
+    Machine machine(1, 1);
+    auto log = std::make_unique<TickLog>(machine);
+    log->daemon.start(Tick{10});
+    chargeUntil(machine, 15);
+    ASSERT_EQ(log->runs.size(), 1u);
+    EXPECT_EQ(machine.events().size(), 1u);
+    log.reset();
+    machine.charge(Tick{20});
+    EXPECT_TRUE(machine.events().empty());
 }
 
 TEST(MemoryModel, AccessCostScalesWithSizeAndTier)

@@ -53,19 +53,21 @@ TEST(FdCacheTest, EvictsLruAndClosesFiles)
 {
     auto platform = makePlatform();
     System &sys = platform->sys();
-    for (int i = 0; i < 6; ++i)
-        sys.fs().close(sys.fs().create("f" + std::to_string(i)));
+    const std::vector<std::string> names = {"f0", "f1", "f2",
+                                            "f3", "f4", "f5"};
+    for (const std::string &name : names)
+        sys.fs().close(sys.fs().create(name));
 
     FdCache cache(3);
-    for (int i = 0; i < 6; ++i)
-        cache.get(sys, "f" + std::to_string(i));
+    for (const std::string &name : names)
+        cache.get(sys, name);
     EXPECT_EQ(cache.size(), 3u);
     // The evicted files' knodes went inactive again.
     EXPECT_FALSE(sys.fs().knodeOf("f0")->inuse);
     EXPECT_TRUE(sys.fs().knodeOf("f5")->inuse);
     cache.clear(sys);
-    for (int i = 0; i < 6; ++i)
-        sys.fs().unlink("f" + std::to_string(i));
+    for (const std::string &name : names)
+        sys.fs().unlink(name);
 }
 
 TEST(FdCacheTest, DropClosesBeforeUnlink)

@@ -77,8 +77,6 @@ class KmemCache
      */
     void setKlocMode(bool enabled) { _klocMode = enabled; }
 
-    bool klocMode() const { return _klocMode; }
-
     /**
      * Allocate one object.
      * @param pref      Tier preference order for new slab pages.
@@ -92,7 +90,6 @@ class KmemCache
     void free(SlabRef &ref);
 
     const std::string &name() const { return _name; }
-    Bytes objSize() const { return _objSize; }
     ObjClass objClass() const { return _cls; }
     uint64_t objsPerSlab() const { return _objsPerSlab; }
 

@@ -292,29 +292,12 @@ RadixTree::gangWalk(const Node *node, uint64_t base, uint64_t start,
     }
 }
 
-std::vector<std::pair<uint64_t, void *>>
-RadixTree::gangLookup(uint64_t start, unsigned max_items) const
-{
-    std::vector<std::pair<uint64_t, void *>> out;
-    gangLookup(start, max_items, out);
-    return out;
-}
-
 void
 RadixTree::gangLookup(uint64_t start, unsigned max_items,
                       std::vector<std::pair<uint64_t, void *>> &out) const
 {
     out.clear();
     gangWalk(_root, 0, start, max_items, -1, out);
-}
-
-std::vector<std::pair<uint64_t, void *>>
-RadixTree::gangLookupTag(uint64_t start, unsigned max_items,
-                         RadixTag tag) const
-{
-    std::vector<std::pair<uint64_t, void *>> out;
-    gangLookupTag(start, max_items, tag, out);
-    return out;
 }
 
 void

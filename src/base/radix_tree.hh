@@ -88,25 +88,15 @@ class RadixTree
 
     /**
      * Collect up to @p max_items items with index >= @p start, in
-     * index order. Returns {index, item} pairs.
-     */
-    std::vector<std::pair<uint64_t, void *>>
-    gangLookup(uint64_t start, unsigned max_items) const;
-
-    /**
-     * gangLookup into a caller-provided buffer. @p out is cleared
-     * first; once it has grown to a steady-state capacity repeated
-     * calls are allocation-free, which is what the writeback path
-     * wants on every daemon tick.
+     * index order, as {index, item} pairs into @p out. @p out is
+     * cleared first; once it has grown to a steady-state capacity
+     * repeated calls are allocation-free, which is what the
+     * writeback path wants on every daemon tick.
      */
     void gangLookup(uint64_t start, unsigned max_items,
                     std::vector<std::pair<uint64_t, void *>> &out) const;
 
     /** gangLookup restricted to slots carrying @p tag. */
-    std::vector<std::pair<uint64_t, void *>>
-    gangLookupTag(uint64_t start, unsigned max_items, RadixTag tag) const;
-
-    /** Tagged gang lookup into a caller-provided buffer (see above). */
     void gangLookupTag(uint64_t start, unsigned max_items, RadixTag tag,
                        std::vector<std::pair<uint64_t, void *>> &out) const;
 

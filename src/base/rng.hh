@@ -56,9 +56,6 @@ class ZipfianGenerator
     /** Sample one item index in [0, n). */
     uint64_t next();
 
-    /** Number of items. */
-    uint64_t itemCount() const { return _items; }
-
   private:
     double zeta(uint64_t n) const;
 

@@ -162,15 +162,11 @@ class KlocManager
     /** Disable the per-CPU fast-path lists (kmap-only lookups). */
     void setUsePerCpuLists(bool enabled) { _usePerCpuLists = enabled; }
 
-    bool usePerCpuLists() const { return _usePerCpuLists; }
-
     /**
      * Route every object into a single per-knode tree instead of the
      * split rbtree-cache / rbtree-slab pair (§4.2.3 ablation).
      */
     void setSplitTrees(bool enabled) { _splitTrees = enabled; }
-
-    bool splitTrees() const { return _splitTrees; }
 
     /** Total rbtree node visits across kmap and all knode trees. */
     uint64_t treeNodesVisited() const;

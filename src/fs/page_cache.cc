@@ -136,14 +136,6 @@ PageCache::clearDirty(PageCachePage *page)
     }
 }
 
-std::vector<PageCachePage *>
-PageCache::dirtyPages(uint64_t start_index, FrameCount max)
-{
-    std::vector<PageCachePage *> result;
-    collectDirty(start_index, max, result);
-    return result;
-}
-
 void
 PageCache::collectDirty(uint64_t start_index, FrameCount max,
                         std::vector<PageCachePage *> &out)

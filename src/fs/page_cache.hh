@@ -59,15 +59,11 @@ class PageCache
     /** Clear @p page's dirty state (after writeback). */
     void clearDirty(PageCachePage *page);
 
-    /** Up to @p max dirty pages with index >= @p start, in order. */
-    std::vector<PageCachePage *> dirtyPages(uint64_t start_index,
-                                            FrameCount max);
-
     /**
-     * Allocation-free form of dirtyPages(): fill @p out (cleared
-     * first) with up to @p max dirty pages with index >= @p start,
-     * in index order. The writeback daemon calls this every tick
-     * with a reused buffer, so the steady state allocates nothing.
+     * Fill @p out (cleared first) with up to @p max dirty pages with
+     * index >= @p start, in index order. The writeback daemon calls
+     * this every tick with a reused buffer, so the steady state
+     * allocates nothing.
      * The walk is not charged simulated cost — writeback already
      * pays per-page when it touches frames and submits bios — so
      * batching here cannot move sim-time metrics.

@@ -127,15 +127,6 @@ class LruEngine
      */
     void scanTier(TierId tier, FrameCount max_scan, ScanResult &out);
 
-    /** Convenience wrapper allocating a fresh result. */
-    ScanResult
-    scanTier(TierId tier, FrameCount max_scan)
-    {
-        ScanResult result;
-        scanTier(tier, max_scan, result);
-        return result;
-    }
-
     /**
      * Collect up to @p max hot frames resident on @p tier (promotion
      * candidates for policies that upgrade to fast memory) into
@@ -144,15 +135,6 @@ class LruEngine
      */
     void collectHot(TierId tier, FrameCount max,
                     std::vector<FrameRef> &out);
-
-    /** Convenience wrapper allocating a fresh vector. */
-    std::vector<FrameRef>
-    collectHot(TierId tier, FrameCount max)
-    {
-        std::vector<FrameRef> hot;
-        collectHot(tier, max, hot);
-        return hot;
-    }
 
     /**
      * Collect up to @p max frames on @p tier that were referenced
@@ -163,15 +145,6 @@ class LruEngine
      */
     void collectReferenced(TierId tier, FrameCount max,
                            std::vector<FrameRef> &out);
-
-    /** Convenience wrapper allocating a fresh vector. */
-    std::vector<FrameRef>
-    collectReferenced(TierId tier, FrameCount max)
-    {
-        std::vector<FrameRef> hot;
-        collectReferenced(tier, max, hot);
-        return hot;
-    }
 
     /** Total frames scanned to date. */
     uint64_t totalScanned() const { return _totalScanned; }

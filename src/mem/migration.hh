@@ -219,8 +219,6 @@ class MigrationEngine
      */
     void setShadowBudget(FrameCount pages) { _shadowBudget = pages.value(); }
 
-    uint64_t shadowBudget() const { return _shadowBudget; }
-
     /**
      * Take @p id offline: no new allocations land there, and its
      * resident relocatable frames are drained to the remaining

@@ -82,8 +82,6 @@ class Tier
             _pcp.resize(cpus);
     }
 
-    bool pcpEnabled() const { return !_pcp.empty(); }
-
     /** Order-0 blocks currently parked in CPU caches. */
     uint64_t pcpCached() const { return _pcpCached; }
 

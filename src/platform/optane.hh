@@ -68,8 +68,6 @@ class OptanePlatform
      */
     void moveTaskToSocket(int socket);
 
-    int taskSocket() const { return _taskSocket; }
-
     /** CPUs belonging to the task's socket. */
     std::vector<unsigned> taskCpus() const;
 

@@ -1,17 +1,21 @@
 #include "platform/two_tier.hh"
 
 #include "base/logging.hh"
+#include "policy/registry.hh"
 
 namespace kloc {
 
 namespace {
 
-/** @p config sized for @p policy: all_fast's fast tier holds all. */
+/** @p config sized for @p policy: a policy that places everything
+ *  fast gets a fast tier that holds all. */
 TwoTierPlatform::Config
 sizedFor(const TwoTierPlatform::Config &config, const std::string &policy)
 {
     TwoTierPlatform::Config sized = config;
-    if (policy == "all_fast")
+    const PolicyRow *row = policyRow(policy, PolicyPlatform::TwoTier);
+    if (row != nullptr && row->kernel == Placement::Fast &&
+        row->app == Placement::Fast)
         sized.fastCapacity += config.slowCapacity;
     return sized;
 }

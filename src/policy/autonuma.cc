@@ -6,11 +6,13 @@
 
 namespace kloc {
 
-AutoNumaPolicy::AutoNumaPolicy(Mode mode, const PolicyContext &ctx,
-                               Config config)
-    : Policy(ctx, policyRow(mode)), _mode(mode), _config(config),
+AutoNumaPolicy::AutoNumaPolicy(const PolicyRow &row,
+                               const PolicyContext &ctx, Config config)
+    : Policy(ctx, row), _config(config),
       _balanceDaemon(_heap.mem().machine())
 {
+    KLOC_ASSERT(row.platform == PolicyPlatform::Optane,
+                "%s is not an Optane row", row.name);
     _balanceDaemon.setBody(
         [this](Tick period) { return balanceTick(period); });
     for (size_t t = 0; t < ctx.tiers().tierCount(); ++t)
@@ -100,7 +102,7 @@ AutoNumaPolicy::balanceTick(Tick period)
 void
 AutoNumaPolicy::start()
 {
-    if (_mode != Mode::Static)
+    if (_row.scan != ScanScope::None)
         _balanceDaemon.start(_config.scanPeriod);
 }
 

@@ -6,13 +6,12 @@
  * The platform is two sockets, each a DRAM-cache-fronted persistent
  * memory tier. A streaming interferer degrades one socket; the
  * scheduler moves the task to the other socket, and the policy
- * decides which pages follow:
- *
- *  - Static:   nothing migrates (the all-remote worst case).
- *  - AutoNuma: hot application pages migrate to the task's socket;
- *    kernel objects are ignored (stock Linux behaviour).
- *  - NimbleApp: AutoNuma with parallelised page copy.
- *  - Kloc:     AutoNuma plus kernel-object migration through knodes.
+ * decides which pages follow. One class, built from an Optane
+ * PolicyRow (policy/registry.cc): while the row's ScanScope is not
+ * None, a balance tick pulls referenced application pages to the
+ * task's socket (kernel objects stay put, as in stock Linux), with
+ * the row's copy width; a row that composes KLOC also pulls the
+ * objects of active knodes.
  */
 
 #ifndef KLOC_POLICY_AUTONUMA_HH
@@ -32,8 +31,6 @@ namespace kloc {
 class AutoNumaPolicy : public Policy
 {
   public:
-    enum class Mode { Static, AutoNuma, NimbleApp, Kloc };
-
     struct Config
     {
         Tick scanPeriod = 50 * kMillisecond;
@@ -42,9 +39,11 @@ class AutoNumaPolicy : public Policy
     /** Pages each remote tier may send per balance tick. */
     static constexpr FrameCount kMigrateBatch{8192};
 
-    /** Balances over every tier of @p ctx: one per socket, in socket
-     *  order (@p ctx.fast and @p ctx.slow are unused). */
-    AutoNumaPolicy(Mode mode, const PolicyContext &ctx, Config config);
+    /** Builds the Optane @p row. Balances over every tier of @p ctx:
+     *  one per socket, in socket order (@p ctx.fast and @p ctx.slow
+     *  are unused). */
+    AutoNumaPolicy(const PolicyRow &row, const PolicyContext &ctx,
+                   Config config);
 
     /** Install as the heap's policy; configure KLOC and parallelism. */
     void install() override;
@@ -67,7 +66,6 @@ class AutoNumaPolicy : public Policy
     Tick balanceTick(Tick period);
     TierPreference localFirst() const;
 
-    Mode _mode;
     /** Tier hosting each socket's memory, indexed by socket. */
     std::vector<TierId> _socketTiers;
     Config _config;

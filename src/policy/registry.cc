@@ -1,74 +1,64 @@
 #include "policy/registry.hh"
 
 #include "base/logging.hh"
+#include "policy/autonuma.hh"
+#include "policy/strategy.hh"
 
 namespace kloc {
 
 namespace {
 
-using Family = PolicyFamily;
-using Kind = StrategyKind;
-using Mode = AutoNumaPolicy::Mode;
 using Place = Placement;
 using Scan = ScanScope;
+constexpr PolicyPlatform kTwoTier = PolicyPlatform::TwoTier;
+constexpr PolicyPlatform kOptane = PolicyPlatform::Optane;
 
 /** The registry. Name lists keep row order. */
 constexpr PolicyRow kPolicies[] = {
     // Two-tier: the Table 5 strategies, then Nomad and Jenga.
-    {.name = "all_fast", .family = Family::Tiering, .kind = Kind::AllFast,
-     .kernel = Place::Fast, .app = Place::Fast},
-    {.name = "all_slow", .family = Family::Tiering, .kind = Kind::AllSlow,
-     .kernel = Place::Slow, .app = Place::Slow},
+    {.name = "all_fast", .platform = kTwoTier, .kernel = Place::Fast,
+     .app = Place::Fast},
+    {.name = "all_slow", .platform = kTwoTier, .kernel = Place::Slow,
+     .app = Place::Slow},
     // Greedy: fast until full, no migration.
-    {.name = "naive", .family = Family::Tiering, .kind = Kind::Naive,
-     .swept = true},
+    {.name = "naive", .platform = kTwoTier, .swept = true},
     // Stock NUMA balancing ignores kernel objects (greedy like naive)
     // and migrates app pages with a serial copy.
-    {.name = "autonuma", .family = Family::Tiering, .kind = Kind::AutoNuma,
-     .swept = true, .scan = Scan::App},
+    {.name = "autonuma", .platform = kTwoTier, .swept = true,
+     .scan = Scan::App},
     // Prior art places kernel objects in slow memory on two-tier
     // systems (§3.2).
-    {.name = "nimble", .family = Family::Tiering, .kind = Kind::Nimble,
-     .parallelCopy = true, .kernel = Place::SlowFirst, .scan = Scan::App},
-    {.name = "nimble++", .family = Family::Tiering,
-     .kind = Kind::NimblePlusPlus, .parallelCopy = true,
+    {.name = "nimble", .platform = kTwoTier, .parallelCopy = true,
+     .scan = Scan::App, .kernel = Place::SlowFirst},
+    // Nimble's scan extended to kernel pages without KLOCs: slab
+    // pages stay non-relocatable and scans outlast kernel-object
+    // lifetimes, so hot kernel objects rarely return to fast memory.
+    {.name = "nimble++", .platform = kTwoTier, .parallelCopy = true,
      .scan = Scan::AppAndKernel},
     // Both KLOC modes reuse Nimble's app-page tiering (Table 5).
-    {.name = "klocs_nomigration", .family = Family::Tiering,
-     .kind = Kind::KlocNoMigration, .kloc = true, .parallelCopy = true,
-     .scan = Scan::App},
-    {.name = "klocs", .family = Family::Tiering, .kind = Kind::Kloc,
-     .kloc = true, .swept = true, .parallelCopy = true, .scan = Scan::App,
-     .klocDaemon = true},
-    {.name = "nomad", .family = Family::Tiering, .kind = Kind::Nomad,
-     .swept = true, .parallelCopy = true, .kernel = Place::SlowFirst,
-     .scan = Scan::App, .promotion = Promotion::Transactional},
-    {.name = "jenga", .family = Family::Tiering, .kind = Kind::Jenga,
-     .swept = true, .parallelCopy = true, .kernel = Place::SlowFirst,
-     .scan = Scan::App, .adaptiveRate = true},
-    {.name = "kloc_nomad", .family = Family::Tiering, .kind = Kind::KlocNomad,
-     .kloc = true, .swept = true, .parallelCopy = true, .scan = Scan::App,
+    {.name = "klocs_nomigration", .platform = kTwoTier, .kloc = true,
+     .parallelCopy = true, .scan = Scan::App},
+    {.name = "klocs", .platform = kTwoTier, .kloc = true, .swept = true,
+     .parallelCopy = true, .scan = Scan::App, .klocDaemon = true},
+    {.name = "nomad", .platform = kTwoTier, .swept = true,
+     .parallelCopy = true, .scan = Scan::App, .kernel = Place::SlowFirst,
+     .promotion = Promotion::Transactional},
+    {.name = "jenga", .platform = kTwoTier, .swept = true,
+     .parallelCopy = true, .scan = Scan::App, .kernel = Place::SlowFirst,
+     .adaptiveRate = true},
+    {.name = "kloc_nomad", .platform = kTwoTier, .kloc = true,
+     .swept = true, .parallelCopy = true, .scan = Scan::App,
      .promotion = Promotion::Transactional, .klocDaemon = true},
 
-    // Optane Memory Mode: the Fig. 5a AutoNUMA variants.
-    {.name = "static", .family = Family::AutoNuma, .mode = Mode::Static},
-    {.name = "autonuma", .family = Family::AutoNuma, .mode = Mode::AutoNuma},
-    {.name = "nimble", .family = Family::AutoNuma, .mode = Mode::NimbleApp,
-     .parallelCopy = true},
-    {.name = "klocs", .family = Family::AutoNuma, .mode = Mode::Kloc,
-     .kloc = true, .parallelCopy = true},
+    // Optane Memory Mode: the Fig. 5a AutoNUMA variants. Static
+    // never balances; the others pull app pages to the task's socket.
+    {.name = "static", .platform = kOptane},
+    {.name = "autonuma", .platform = kOptane, .scan = Scan::App},
+    {.name = "nimble", .platform = kOptane, .parallelCopy = true,
+     .scan = Scan::App},
+    {.name = "klocs", .platform = kOptane, .kloc = true,
+     .parallelCopy = true, .scan = Scan::App},
 };
-
-const PolicyRow *
-findRow(const std::string &name, PolicyPlatform platform)
-{
-    for (const PolicyRow &row : kPolicies) {
-        if (row.optane() == (platform == PolicyPlatform::Optane) &&
-            name == row.name)
-            return &row;
-    }
-    return nullptr;
-}
 
 /** Names of the rows matching @p keep, in row order. */
 template <typename Pred>
@@ -110,41 +100,29 @@ Policy::usesKloc() const
     return _row.kloc;
 }
 
-const PolicyRow &
-policyRow(StrategyKind kind)
+const PolicyRow *
+policyRow(const std::string &name, PolicyPlatform platform)
 {
     for (const PolicyRow &row : kPolicies) {
-        if (row.family == Family::Tiering && row.kind == kind)
-            return row;
+        if (row.platform == platform && name == row.name)
+            return &row;
     }
-    panic("strategy kind %u has no registry row",
-          static_cast<unsigned>(kind));
-}
-
-const PolicyRow &
-policyRow(AutoNumaPolicy::Mode mode)
-{
-    for (const PolicyRow &row : kPolicies) {
-        if (row.family == Family::AutoNuma && row.mode == mode)
-            return row;
-    }
-    panic("AutoNUMA mode %u has no registry row",
-          static_cast<unsigned>(mode));
+    return nullptr;
 }
 
 std::unique_ptr<Policy>
 makePolicy(const std::string &name, const PolicyContext &ctx,
            PolicyPlatform platform)
 {
-    const PolicyRow *row = findRow(name, platform);
+    const PolicyRow *row = policyRow(name, platform);
     if (row == nullptr || (row->kloc && ctx.kloc == nullptr))
         return nullptr;
-    switch (row->family) {
-      case Family::Tiering:
-        return std::make_unique<TieringStrategy>(
-            row->kind, ctx, TieringStrategy::Config{});
-      case Family::AutoNuma:
-        return std::make_unique<AutoNumaPolicy>(row->mode, ctx,
+    switch (row->platform) {
+      case PolicyPlatform::TwoTier:
+        return std::make_unique<TieringStrategy>(*row, ctx,
+                                                 TieringStrategy::Config{});
+      case PolicyPlatform::Optane:
+        return std::make_unique<AutoNumaPolicy>(*row, ctx,
                                                 AutoNumaPolicy::Config{});
     }
     return nullptr;
@@ -154,7 +132,9 @@ const std::vector<std::string> &
 policyNames()
 {
     static const std::vector<std::string> names =
-        namesWhere([](const PolicyRow &row) { return !row.optane(); });
+        namesWhere([](const PolicyRow &row) {
+            return row.platform == kTwoTier;
+        });
     return names;
 }
 
@@ -162,7 +142,9 @@ const std::vector<std::string> &
 optanePolicyNames()
 {
     static const std::vector<std::string> names =
-        namesWhere([](const PolicyRow &row) { return row.optane(); });
+        namesWhere([](const PolicyRow &row) {
+            return row.platform == kOptane;
+        });
     return names;
 }
 

@@ -1,11 +1,12 @@
 /**
  * @file
  * Policy registry: one PolicyRow per named policy, on both platforms
- * (registry.cc). A two-tier row is also its policy's behaviour:
- * placement, scan scope, copy width, promotion style, adaptive rate
- * and KLOC daemon, which TieringStrategy reads. The name lists below
- * derive from the rows and a policy's name() is its row's name, so
- * registering a two-tier policy is adding one row (docs/POLICIES.md).
+ * (registry.cc). A row is its policy's whole vocabulary: name,
+ * platform, placement, scan scope, copy width, promotion style,
+ * adaptive rate and KLOC composition; TieringStrategy and
+ * AutoNumaPolicy are built from a row and read nothing else. The name
+ * lists below derive from the rows and a policy's name() is its row's
+ * name, so registering a policy is adding one row (docs/POLICIES.md).
  * The platforms share names ("autonuma", "nimble", "klocs"), so a
  * lookup names the platform. The registry is platform-free: a raw
  * test stack can build policies.
@@ -19,17 +20,33 @@
 #include <string>
 #include <vector>
 
-#include "policy/autonuma.hh"
 #include "policy/policy.hh"
-#include "policy/strategy.hh"
 
 namespace kloc {
 
 /** The platform a registered policy runs on. */
 enum class PolicyPlatform : uint8_t { TwoTier, Optane };
 
-/** How a registry row builds its policy. */
-enum class PolicyFamily : uint8_t { Tiering, AutoNuma };
+/** Where a two-tier policy starts allocations of one kind. */
+enum class Placement : uint8_t {
+    Fast,       ///< the fast tier only
+    Slow,       ///< the slow tier only
+    FastFirst,  ///< fast until full, then slow
+    SlowFirst,  ///< slow until full, then fast
+};
+
+/** Which pages a policy's periodic tick migrates. */
+enum class ScanScope : uint8_t {
+    None,          ///< no periodic tick: placement is final
+    App,           ///< application pages
+    AppAndKernel,  ///< and kernel pages other than KLOC metadata
+};
+
+/** How a two-tier policy commits a promotion. */
+enum class Promotion : uint8_t {
+    Exclusive,      ///< MigrationEngine::migrate: the source is freed
+    Transactional,  ///< promoteTransactional: the source stays a shadow
+};
 
 /** Nimble's parallel page-copy width, for rows with parallelCopy. */
 constexpr unsigned kParallelCopyWidth = 8;
@@ -38,11 +55,9 @@ constexpr unsigned kParallelCopyWidth = 8;
 struct PolicyRow
 {
     const char *name;
-    PolicyFamily family;
-    /** PolicyFamily::Tiering: the strategy kind. */
-    StrategyKind kind = StrategyKind::Naive;
-    /** PolicyFamily::AutoNuma: the Fig. 5a variant. */
-    AutoNumaPolicy::Mode mode = AutoNumaPolicy::Mode::Static;
+    /** TwoTier rows build a TieringStrategy, Optane rows an
+     *  AutoNumaPolicy. */
+    PolicyPlatform platform;
     /** Composes KLOC: needs a KlocManager, keeps early demux on, and
      *  on two tiers places kernel objects by knode hotness. */
     bool kloc = false;
@@ -50,28 +65,25 @@ struct PolicyRow
     bool swept = false;
     /** Copy pages kParallelCopyWidth wide instead of serially. */
     bool parallelCopy = false;
+    /** What the periodic tick migrates; None runs no tick. */
+    ScanScope scan = ScanScope::None;
 
-    // The remaining facts describe PolicyFamily::Tiering rows only.
+    // The remaining facts describe two-tier rows only.
     /** Kernel-object placement of a row that does not compose KLOC. */
     Placement kernel = Placement::FastFirst;
     /** Application-page placement. */
     Placement app = Placement::FastFirst;
-    ScanScope scan = ScanScope::None;
     Promotion promotion = Promotion::Exclusive;
     /** Adapt the promotion batch to the reuse of promoted pages
      *  (Jenga) instead of promoting a fixed batch per tick. */
     bool adaptiveRate = false;
     /** Run the KLOC daemon while started. */
     bool klocDaemon = false;
-
-    bool optane() const { return family == PolicyFamily::AutoNuma; }
 };
 
-/** The row that builds TieringStrategy @p kind. */
-const PolicyRow &policyRow(StrategyKind kind);
-
-/** The row that builds AutoNumaPolicy @p mode. */
-const PolicyRow &policyRow(AutoNumaPolicy::Mode mode);
+/** The row registered under @p name on @p platform, or nullptr. */
+const PolicyRow *policyRow(const std::string &name,
+                           PolicyPlatform platform);
 
 /**
  * Build the policy registered under @p name on @p platform.

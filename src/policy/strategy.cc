@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "policy/registry.hh"
 
 namespace kloc {
 
@@ -43,11 +42,13 @@ setKlocMode(KernelHeap &heap, KlocManager *kloc, bool on,
     heap.setKlocInterface(on);
 }
 
-TieringStrategy::TieringStrategy(StrategyKind kind, const PolicyContext &ctx,
-                                 Config config)
-    : Policy(ctx, policyRow(kind)), _config(config),
+TieringStrategy::TieringStrategy(const PolicyRow &row,
+                                 const PolicyContext &ctx, Config config)
+    : Policy(ctx, row), _config(config),
       _scanDaemon(_heap.mem().machine())
 {
+    KLOC_ASSERT(row.platform == PolicyPlatform::TwoTier,
+                "%s is not a two-tier row", row.name);
     _scanDaemon.setBody([this](Tick period) { return scanTick(period); });
 }
 

@@ -1,45 +1,31 @@
 /**
  * @file
- * The two-tier tiering strategies: the Table 5 kinds plus the thrash
- * competitors Nomad and Jenga, one class driven by registry rows.
+ * The two-tier tiering strategies: one class, built from a two-tier
+ * PolicyRow (policy/registry.cc), which is the only place the
+ * policies differ.
  *
- * Each strategy answers (i) where allocations of each class start
- * (PlacementPolicy) and (ii) what migrates when (its periodic tick).
+ * A strategy answers (i) where allocations of each class start
+ * (PlacementPolicy: the row's kernel and app Placement, or KLOC's
+ * knode-hotness placement for a row that composes KLOC) and (ii) what
+ * migrates when: one scan tick, run while the row's ScanScope is not
+ * None, demotes cold pages in scope off the fast tier under pressure
+ * and promotes hot ones into headroom.
  *
- *  - AllFast / AllSlow: static bounds.
- *  - Naive: greedy first-come-first-served into fast memory; no
- *    migration at all.
- *  - Nimble: application-page tiering with parallelised page copy;
- *    kernel objects live in slow memory (what prior art does for
- *    two-tier systems, §3.2).
- *  - Nimble++: Nimble's scan-driven mechanisms extended to kernel
- *    pages, without the KLOC abstraction — slab pages stay
- *    non-relocatable and scan latency exceeds kernel object
- *    lifetimes, so hot kernel objects rarely return to fast memory.
- *  - KlocNoMigration: KLOC direct allocation (active knodes' objects
- *    to fast memory) but no kernel-object migration.
- *  - Kloc: the full system — direct allocation, immediate demotion
- *    of inactive KLOCs, promotion on re-activation, watermark
- *    pressure handling, plus Nimble's app-page tiering.
- *  - Nomad (after Nomad, PAPERS.md): Nimble whose promotions are
- *    transactional copies. A page written within the write-recency
- *    window aborts the copy cheaply, and a committed promotion keeps
- *    the slow-tier source as a shadow, so demoting a still-clean
- *    page later is a free remap. Shadows are capped by a budget
- *    (a fraction of the slow tier); past it promotions move
- *    exclusively. KlocNomad adds KLOC's kernel-object placement and
- *    daemon.
- *  - Jenga (after Jenga, PAPERS.md): Nimble whose promotion batch
- *    follows reuse. Each tick samples what it promoted and the next
- *    tick grades how much of it was re-referenced in fast memory;
- *    after a hysteresis streak of low-reuse windows the batch halves
- *    (down to a floor, where the scan period also doubles), after a
- *    streak of high-reuse windows it doubles (up to a cap). Every
- *    change emits a PolicyRateAdapt trace event. Demotion is never
- *    throttled.
+ * The row picks the promotion style. An exclusive promotion frees the
+ * slow-tier source. A transactional one (after Nomad, PAPERS.md)
+ * aborts cheaply on a page written within the write-recency window
+ * and keeps a committed page's source as a shadow, so demoting a
+ * still-clean page later is a free remap; shadows are capped by a
+ * budget (a fraction of the slow tier), past which promotions move
+ * exclusively.
  *
- * What distinguishes the kinds lives in their PolicyRow
- * (policy/registry.cc); every kind runs the one scanTick.
+ * An adaptive-rate row (after Jenga, PAPERS.md) sizes its promotion
+ * batch by reuse. Each tick samples what it promoted and the next
+ * tick grades how much of it was re-referenced in fast memory; after
+ * a hysteresis streak of low-reuse windows the batch halves (down to
+ * a floor, where the scan period also doubles), after a streak of
+ * high-reuse windows it doubles (up to a cap). Every change emits a
+ * PolicyRateAdapt trace event. Demotion is never throttled.
  */
 
 #ifndef KLOC_POLICY_STRATEGY_HH
@@ -52,48 +38,10 @@
 #include "mem/lru.hh"
 #include "mem/migration.hh"
 #include "policy/policy.hh"
+#include "policy/registry.hh"
 #include "sim/daemon.hh"
 
 namespace kloc {
-
-/** The two-tier strategies: Table 5, plus AutoNuma (stock
- *  NUMA-balancing semantics mapped onto two tiers: app pages
- *  fast-first with serial scan-driven migration, kernel objects
- *  greedy like Naive) and the thrash competitors. */
-enum class StrategyKind {
-    AllFast,
-    AllSlow,
-    Naive,
-    AutoNuma,
-    Nimble,
-    NimblePlusPlus,
-    KlocNoMigration,
-    Kloc,
-    Nomad,
-    Jenga,
-    KlocNomad,
-};
-
-/** Where a two-tier strategy starts allocations of one kind. */
-enum class Placement : uint8_t {
-    Fast,       ///< the fast tier only
-    Slow,       ///< the slow tier only
-    FastFirst,  ///< fast until full, then slow
-    SlowFirst,  ///< slow until full, then fast
-};
-
-/** Which pages a two-tier strategy's scan tick migrates. */
-enum class ScanScope : uint8_t {
-    None,          ///< no scan tick: placement is final
-    App,           ///< application pages
-    AppAndKernel,  ///< and kernel pages other than KLOC metadata
-};
-
-/** How a two-tier strategy commits a promotion. */
-enum class Promotion : uint8_t {
-    Exclusive,      ///< MigrationEngine::migrate: the source is freed
-    Transactional,  ///< promoteTransactional: the source stays a shadow
-};
 
 /**
  * Switch the KLOC runtime and the heap's KLOC interface on (with
@@ -143,8 +91,9 @@ class TieringStrategy : public Policy
     /** Adaptive rate: promoted pages sampled per window. */
     static constexpr size_t kReuseSampleCap = 512;
 
-    /** @p ctx.kloc may be null except for the KLOC kinds. */
-    TieringStrategy(StrategyKind kind, const PolicyContext &ctx,
+    /** Builds the two-tier @p row. @p ctx.kloc may be null unless
+     *  the row composes KLOC. */
+    TieringStrategy(const PolicyRow &row, const PolicyContext &ctx,
                     Config config);
 
     /**

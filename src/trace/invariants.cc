@@ -260,11 +260,8 @@ InvariantChecker::consume(const TraceEvent &event)
                       "migration arrives on offline tier %llu pfn=%llu",
                       (unsigned long long)c, (unsigned long long)d);
         }
-        if (frame.inTxn) {
-            // The copy committed: the open window closes with the move.
-            frame.inTxn = false;
-            ++_txnCommits;
-        }
+        // A committed copy's open window closes with the move.
+        frame.inTxn = false;
         _frames.erase(src_key);
         if (_frames.count(dst_key)) {
             violation(event, "migration lands on live frame tier=%llu "
@@ -549,7 +546,6 @@ InvariantChecker::consume(const TraceEvent &event)
                       (unsigned long long)a, (unsigned long long)b);
         }
         frame.inTxn = true;
-        ++_txnBegins;
         break;
       }
 
@@ -573,7 +569,6 @@ InvariantChecker::consume(const TraceEvent &event)
             break;
         }
         it->second.inTxn = false;
-        ++_txnAborts;
         break;
       }
 

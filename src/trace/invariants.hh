@@ -94,11 +94,6 @@ class InvariantChecker
         return static_cast<uint64_t>(_shadows.size());
     }
 
-    /** Transactional-copy windows opened / committed / aborted. */
-    uint64_t txnBegins() const { return _txnBegins; }
-    uint64_t txnCommits() const { return _txnCommits; }
-    uint64_t txnAborts() const { return _txnAborts; }
-
     /** Frames currently inside an open transactional-copy window. */
     uint64_t openTransactionalCopies() const;
 
@@ -156,9 +151,6 @@ class InvariantChecker
     int _journalWindows = 0;   ///< nesting depth of commit/detach windows
     bool _journalArmed = false;///< a journal subsystem has shown itself
     bool _sawAdoption = false; ///< attach was mid-run; relax counting
-    uint64_t _txnBegins = 0;
-    uint64_t _txnCommits = 0;
-    uint64_t _txnAborts = 0;
     uint64_t _eventsChecked = 0;
     std::vector<std::string> _violations;
 };

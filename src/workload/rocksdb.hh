@@ -40,8 +40,6 @@ class RocksDbWorkload : public Workload
     WorkloadResult run(System &sys) override;
     void teardown(System &sys) override;
 
-    uint64_t liveSstCount() const { return _liveSsts.size(); }
-
   private:
     void writeSst(System &sys, const std::string &name);
     void flushMemtable(System &sys);

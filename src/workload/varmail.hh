@@ -39,8 +39,6 @@ class VarmailWorkload : public Workload
     WorkloadResult run(System &sys) override;
     void teardown(System &sys) override;
 
-    uint64_t livemails() const { return _mailbox.size(); }
-
   private:
     std::string freshName();
     void deliverMail(System &sys);

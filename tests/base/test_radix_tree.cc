@@ -74,13 +74,15 @@ TEST(RadixTree, DirtyTagPropagation)
     EXPECT_TRUE(tree.getTag(100, RadixTag::Dirty));
     EXPECT_FALSE(tree.getTag(200, RadixTag::Dirty));
     // Tag lookup finds only the tagged slot.
-    auto dirty = tree.gangLookupTag(0, 16, RadixTag::Dirty);
+    std::vector<std::pair<uint64_t, void *>> dirty;
+    tree.gangLookupTag(0, 16, RadixTag::Dirty, dirty);
     ASSERT_EQ(dirty.size(), 1u);
     EXPECT_EQ(dirty[0].first, 100u);
     EXPECT_EQ(dirty[0].second, &value_a);
     tree.clearTag(100, RadixTag::Dirty);
     EXPECT_FALSE(tree.getTag(100, RadixTag::Dirty));
-    EXPECT_TRUE(tree.gangLookupTag(0, 16, RadixTag::Dirty).empty());
+    tree.gangLookupTag(0, 16, RadixTag::Dirty, dirty);
+    EXPECT_TRUE(dirty.empty());
 }
 
 TEST(RadixTree, TagClearedOnErase)
@@ -113,20 +115,23 @@ TEST(RadixTree, GangLookupOrdered)
     for (size_t i = 0; i < std::size(indices); ++i)
         tree.insert(indices[i], &values[i]);
 
-    auto all = tree.gangLookup(0, 100);
+    std::vector<std::pair<uint64_t, void *>> all;
+    tree.gangLookup(0, 100, all);
     ASSERT_EQ(all.size(), std::size(indices));
     for (size_t i = 1; i < all.size(); ++i)
         EXPECT_LT(all[i - 1].first, all[i].first) << "not index-ordered";
 
-    auto from65 = tree.gangLookup(65, 100);
+    std::vector<std::pair<uint64_t, void *>> from65;
+    tree.gangLookup(65, 100, from65);
     ASSERT_EQ(from65.size(), 5u);
     EXPECT_EQ(from65.front().first, 65u);
 
-    auto limited = tree.gangLookup(0, 3);
+    std::vector<std::pair<uint64_t, void *>> limited;
+    tree.gangLookup(0, 3, limited);
     EXPECT_EQ(limited.size(), 3u);
 }
 
-TEST(RadixTree, GangLookupOutParamMatchesReturning)
+TEST(RadixTree, GangLookupReturnsExpectedEntries)
 {
     RadixTree tree;
     int values[8];
@@ -138,13 +143,14 @@ TEST(RadixTree, GangLookupOutParamMatchesReturning)
 
     std::vector<std::pair<uint64_t, void *>> out;
     tree.gangLookup(0, 100, out);
-    EXPECT_EQ(out, tree.gangLookup(0, 100));
+    std::vector<std::pair<uint64_t, void *>> expected;
+    for (size_t i = 0; i < std::size(indices); ++i)
+        expected.emplace_back(indices[i], &values[i]);
+    EXPECT_EQ(out, expected);
 
     tree.gangLookupTag(0, 100, RadixTag::Dirty, out);
-    EXPECT_EQ(out, tree.gangLookupTag(0, 100, RadixTag::Dirty));
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[0].first, 66u);
-    EXPECT_EQ(out[1].first, 4096u);
+    expected = {{66, &values[2]}, {4096, &values[4]}};
+    EXPECT_EQ(out, expected);
 }
 
 TEST(RadixTree, GangLookupOutParamClearsStaleContents)
@@ -251,8 +257,9 @@ TEST_P(RadixProperty, MatchesReferenceModel)
     // Gang lookup sweeps the whole key space in model order.
     uint64_t start = 0;
     auto model_it = model.begin();
+    std::vector<std::pair<uint64_t, void *>> chunk;
     while (true) {
-        auto chunk = tree.gangLookup(start, 64);
+        tree.gangLookup(start, 64, chunk);
         if (chunk.empty())
             break;
         for (auto &[index, item] : chunk) {

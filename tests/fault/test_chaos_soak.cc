@@ -184,7 +184,7 @@ runSoakCell(const std::string &policy_name, uint64_t seed)
         const double action = rng.nextDouble();
         if (action < 0.08 && files.size() < 16) {
             FileState fstate;
-            fstate.name = "f" + std::to_string(next_file++);
+            fstate.name = std::string("f").append(std::to_string(next_file++));
             fstate.fd = fs->create(fstate.name);
             if (!check(fstate.fd >= 0, "create returned a bad fd"))
                 return result;
@@ -228,10 +228,12 @@ runSoakCell(const std::string &policy_name, uint64_t seed)
         } else if (action < 0.86) {
             // Migration churn through the hosted policy's paths, so
             // poison-during-copy and shadow recovery both happen.
-            ScanResult scan = lru.scanTier(fast, FrameCount{48});
+            ScanResult scan;
+            lru.scanTier(fast, FrameCount{48}, scan);
             if (!scan.demoteCandidates.empty())
                 migrator.migrate(scan.demoteCandidates, slow);
-            auto hot = lru.collectHot(slow, FrameCount{24});
+            std::vector<FrameRef> hot;
+            lru.collectHot(slow, FrameCount{24}, hot);
             if (!hot.empty())
                 migrator.promoteTransactional(hot, fast,
                                               5 * kMillisecond);
@@ -284,6 +286,8 @@ runSoakCell(const std::string &policy_name, uint64_t seed)
     }
     check(tiers.shadowPages() == 0, "shadow pages leaked at teardown");
     check(checker.outstandingPins() == 0, "outstanding pins at teardown");
+    check(checker.openTransactionalCopies() == 0,
+          "transactional windows open at teardown");
     check(checker.eventsChecked() > 0, "checker saw no events");
     if (!checker.clean())
         result.errors.push_back("invariant violations:\n" +

@@ -256,10 +256,12 @@ runFuzzSeed(uint64_t seed, const std::string &policy_name = {},
             // Under a hosted policy promote transactionally, so copy
             // aborts — and, through migrate(), shadow reuse — also run
             // while faults fire.
-            ScanResult scan = lru.scanTier(fast, FrameCount{64});
+            ScanResult scan;
+            lru.scanTier(fast, FrameCount{64}, scan);
             if (!scan.demoteCandidates.empty())
                 migrator.migrate(scan.demoteCandidates, slow);
-            auto hot = lru.collectHot(slow, FrameCount{32});
+            std::vector<FrameRef> hot;
+            lru.collectHot(slow, FrameCount{32}, hot);
             if (!hot.empty()) {
                 if (policy)
                     migrator.promoteTransactional(hot, fast,
@@ -305,6 +307,8 @@ runFuzzSeed(uint64_t seed, const std::string &policy_name = {},
           "frames leaked past slab empty-pool retention");
     check(tiers.shadowPages() == 0, "shadow pages leaked at teardown");
     check(checker.outstandingPins() == 0, "outstanding pins at teardown");
+    check(checker.openTransactionalCopies() == 0,
+          "transactional windows open at teardown");
     check(checker.eventsChecked() > 0, "checker saw no events");
     if (!checker.clean())
         result.errors.push_back("invariant violations:\n" +

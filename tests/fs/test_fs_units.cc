@@ -253,12 +253,14 @@ TEST_F(FsUnitTest, PageCacheDirtyTracking)
     cache.markDirty(a);
     cache.markDirty(a);  // idempotent
     EXPECT_EQ(cache.dirtyCount(), 1u);
-    auto dirty = cache.dirtyPages(0, FrameCount{10});
+    std::vector<PageCachePage *> dirty;
+    cache.collectDirty(0, FrameCount{10}, dirty);
     ASSERT_EQ(dirty.size(), 1u);
     EXPECT_EQ(dirty[0], a);
     cache.clearDirty(a);
     EXPECT_EQ(cache.dirtyCount(), 0u);
-    EXPECT_TRUE(cache.dirtyPages(0, FrameCount{10}).empty());
+    cache.collectDirty(0, FrameCount{10}, dirty);
+    EXPECT_TRUE(dirty.empty());
     cache.removeAndFree(a);
     cache.removeAndFree(b);
 }
@@ -274,10 +276,10 @@ TEST_F(FsUnitTest, PageCacheCollectDirtyReusesBuffer)
         pages.push_back(page);
     }
 
-    // The out-param walk agrees with the allocating form...
+    // The walk returns every dirty page in index order...
     std::vector<PageCachePage *> out;
     cache.collectDirty(0, FrameCount{64}, out);
-    EXPECT_EQ(out, cache.dirtyPages(0, FrameCount{64}));
+    EXPECT_EQ(out, pages);
     ASSERT_EQ(out.size(), 32u);
 
     // ...clears stale contents, honours start/max...

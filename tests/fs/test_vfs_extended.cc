@@ -106,7 +106,8 @@ TEST(VfsExtended, DentryCacheEvictsClosedFilesOnly)
     System &sys = platform.sys();
     std::vector<int> fds;
     for (int i = 0; i < 20; ++i) {
-        const int fd = sys.fs().create("d" + std::to_string(i));
+        const int fd =
+            sys.fs().create(std::string("d").append(std::to_string(i)));
         if (i < 10)
             sys.fs().close(fd);
         else

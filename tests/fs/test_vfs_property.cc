@@ -70,7 +70,7 @@ TEST_P(VfsPropertyTest, MatchesReferenceModel)
         if (action < 0.15) {
             // create
             const std::string name =
-                "p" + std::to_string(name_counter++);
+                std::string("p").append(std::to_string(name_counter++));
             const int fd = fs.create(name);
             ASSERT_GE(fd, 0);
             model[name] = ModelFile{{}, fd};

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "platform/two_tier.hh"
+#include "policy/registry.hh"
 #include "policy/strategy.hh"
 #include "workload/runner.hh"
 #include "workload/workload.hh"
@@ -30,7 +31,7 @@ TEST(Stress, DaemonStormStaysConsistent)
     strat_config.scanPeriod = 2 * kMillisecond;
     strat_config.klocDaemonPeriod = kMillisecond;
     sys.applyPolicy(std::make_unique<TieringStrategy>(
-        StrategyKind::Kloc,
+        *policyRow("klocs", PolicyPlatform::TwoTier),
         PolicyContext{sys.heap(), sys.lru(), sys.migrator(), &sys.kloc(),
                       platform.fastTier(), platform.slowTier()},
         strat_config));

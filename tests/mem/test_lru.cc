@@ -76,9 +76,10 @@ TEST_F(LruTest, ScanDeactivatesUnreferencedActives)
     lru.onAccessed(frame);
     ASSERT_TRUE(frame->onActiveList);
     // First scan clears the referenced bit set by activation...
-    lru.scanTier(fastId, FrameCount{100});
+    ScanResult result;
+    lru.scanTier(fastId, FrameCount{100}, result);
     // ...the next scan (no touches in between) deactivates.
-    lru.scanTier(fastId, FrameCount{100});
+    lru.scanTier(fastId, FrameCount{100}, result);
     EXPECT_FALSE(frame->onActiveList);
     tiers.free(frame);
 }
@@ -88,7 +89,8 @@ TEST_F(LruTest, ColdInactiveFramesAreDemoteCandidates)
     Frame *hot = alloc(fastId);
     Frame *cold = alloc(fastId);
     lru.onAccessed(hot);  // referenced while inactive
-    ScanResult result = lru.scanTier(fastId, FrameCount{100});
+    ScanResult result;
+    lru.scanTier(fastId, FrameCount{100}, result);
     ASSERT_EQ(result.demoteCandidates.size(), 1u);
     EXPECT_EQ(result.demoteCandidates[0].get(), cold);
     tiers.free(hot);
@@ -100,7 +102,8 @@ TEST_F(LruTest, ScanChargesPaperCalibratedCost)
     for (int i = 0; i < 100; ++i)
         alloc(fastId);
     const Tick before = machine.now();
-    ScanResult result = lru.scanTier(fastId, FrameCount{100});
+    ScanResult result;
+    lru.scanTier(fastId, FrameCount{100}, result);
     EXPECT_EQ(result.scanned, 100u);
     // 2 us per page, divided by the background factor of 4.
     EXPECT_EQ(machine.now() - before,
@@ -147,11 +150,12 @@ TEST_F(LruTest, CollectHotRequiresTwoScans)
     lru.onAccessed(frame);
     lru.onAccessed(frame);
     ASSERT_TRUE(frame->onActiveList);
-    auto first = lru.collectHot(slowId, FrameCount{10});
-    EXPECT_TRUE(first.empty()) << "promoted without confirmation scan";
-    auto second = lru.collectHot(slowId, FrameCount{10});
-    ASSERT_EQ(second.size(), 1u);
-    EXPECT_EQ(second[0].get(), frame);
+    std::vector<FrameRef> hot;
+    lru.collectHot(slowId, FrameCount{10}, hot);
+    EXPECT_TRUE(hot.empty()) << "promoted without confirmation scan";
+    lru.collectHot(slowId, FrameCount{10}, hot);
+    ASSERT_EQ(hot.size(), 1u);
+    EXPECT_EQ(hot[0].get(), frame);
     tiers.free(frame);
 }
 
@@ -191,7 +195,8 @@ TEST_F(LruTest, ScanBudgetLimitsWork)
 {
     for (int i = 0; i < 50; ++i)
         alloc(fastId);
-    ScanResult result = lru.scanTier(fastId, FrameCount{10});
+    ScanResult result;
+    lru.scanTier(fastId, FrameCount{10}, result);
     EXPECT_EQ(result.scanned, 10u);
     EXPECT_LE(result.demoteCandidates.size(), 10u);
 }
@@ -207,7 +212,8 @@ TEST_F(LruTest, ScanChargesPerPageForHighOrderFrames)
         frames.push_back(frame);
     }
     const Tick before = machine.now();
-    ScanResult result = lru.scanTier(fastId, FrameCount{8});
+    ScanResult result;
+    lru.scanTier(fastId, FrameCount{8}, result);
     EXPECT_EQ(result.scanned, 8u);
     EXPECT_EQ(result.pagesVisited, 32u);
     EXPECT_EQ(machine.now() - before,
@@ -224,7 +230,8 @@ TEST_F(LruTest, TruncatedScanChargesVisitedPages)
     for (int i = 0; i < 50; ++i)
         alloc(fastId);
     const Tick before = machine.now();
-    ScanResult result = lru.scanTier(fastId, FrameCount{10});
+    ScanResult result;
+    lru.scanTier(fastId, FrameCount{10}, result);
     EXPECT_EQ(result.scanned, 10u);
     EXPECT_EQ(result.pagesVisited, 10u);
     EXPECT_EQ(machine.now() - before,

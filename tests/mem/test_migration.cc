@@ -130,7 +130,7 @@ TEST_F(MigrationTest, ParallelismReducesChargedTime)
         spec.readBandwidth = kGiB;
         spec.writeBandwidth = kGiB;
         const TierId a = t.addTier(spec);
-        spec.name = "b";
+        spec.name = std::string("b");
         const TierId b = t.addTier(spec);
         engine.setParallelism(width);
         std::vector<FrameRef> batch;

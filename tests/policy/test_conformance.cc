@@ -207,6 +207,8 @@ runScenario(const std::string &policy_name, const ScenarioOptions &opts)
 
     result.migration = s.migrator.stats();
     result.outstandingPins = s.checker->outstandingPins();
+    check(s.checker->openTransactionalCopies() == 0,
+          "transactional windows open at teardown");
     result.eventsChecked = s.checker->eventsChecked();
     check(s.tiers.liveFrames() <= 16 * KmemCache::kEmptyRetention,
           "frames leaked past slab empty-pool retention");

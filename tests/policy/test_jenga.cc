@@ -16,6 +16,7 @@
 #include "core/kloc_manager.hh"
 #include "kobj/kernel_heap.hh"
 #include "mem/placement.hh"
+#include "policy/registry.hh"
 #include "policy/strategy.hh"
 #include "sim/machine.hh"
 #include "trace/invariants.hh"
@@ -77,7 +78,7 @@ TEST(JengaRate, ReuseMovesTheBatchBetweenFloorAndCap)
     }
 
     TieringStrategy policy(
-        StrategyKind::Jenga,
+        *policyRow("jenga", PolicyPlatform::TwoTier),
         PolicyContext{heap, lru, migrator, &kloc, fast, slow},
         TieringStrategy::Config{});
     policy.install();

@@ -28,6 +28,7 @@
 #include "kobj/kernel_heap.hh"
 #include "mem/placement.hh"
 #include "policy/registry.hh"
+#include "policy/strategy.hh"
 #include "sim/machine.hh"
 #include "trace/invariants.hh"
 
@@ -585,8 +586,12 @@ runTxnFuzzSeed(uint64_t seed)
                                mig.txnAbortedBlocked,
           "transactional windows did not all close");
     check(s.tiers.shadowPages() == 0, "shadow pages leaked");
+    check(s.checker->shadowCount() == 0,
+          "checker models shadow copies at teardown");
     check(s.checker->outstandingPins() == 0,
           "outstanding pins at teardown");
+    check(s.checker->openTransactionalCopies() == 0,
+          "transactional windows open at teardown");
     check(s.checker->eventsChecked() > 0, "checker saw no events");
     if (!s.checker->clean())
         result.errors.push_back("invariant violations:\n" +

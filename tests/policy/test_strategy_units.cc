@@ -1,8 +1,9 @@
 /**
  * @file
- * Unit coverage for the policy dispatch layer: registry construction
- * and the name round trip of every registered policy name on both
- * platforms, and AutoNumaPolicy edge cases (empty remote tier, a
+ * Unit coverage for the policy dispatch layer: registry construction,
+ * the per-platform row lookup and the name round trip of every
+ * registered policy name on both platforms, and AutoNumaPolicy edge
+ * cases (empty remote tier, the static row never balancing, a
  * single-frame KLOC following the task across sockets, all tiers
  * cold).
  */
@@ -104,6 +105,29 @@ TEST(PolicyRegistry, UnknownNameReturnsNull)
     EXPECT_EQ(makePolicy("", s.context()), nullptr);
 }
 
+TEST(PolicyRegistry, RowLookupIsPerPlatform)
+{
+    for (const char *name : {"autonuma", "nimble", "klocs"}) {
+        const PolicyRow *two_tier = policyRow(name, PolicyPlatform::TwoTier);
+        const PolicyRow *optane = policyRow(name, PolicyPlatform::Optane);
+        ASSERT_NE(two_tier, nullptr) << name;
+        ASSERT_NE(optane, nullptr) << name;
+        EXPECT_NE(two_tier, optane) << name;
+        EXPECT_EQ(two_tier->platform, PolicyPlatform::TwoTier) << name;
+        EXPECT_EQ(optane->platform, PolicyPlatform::Optane) << name;
+        EXPECT_STREQ(two_tier->name, name);
+        EXPECT_STREQ(optane->name, name);
+    }
+    for (const PolicyPlatform platform :
+         {PolicyPlatform::TwoTier, PolicyPlatform::Optane}) {
+        EXPECT_EQ(policyRow("definitely_not_a_policy", platform), nullptr);
+        EXPECT_EQ(policyRow("", platform), nullptr);
+    }
+    // Each platform's own names resolve only there.
+    EXPECT_EQ(policyRow("static", PolicyPlatform::TwoTier), nullptr);
+    EXPECT_EQ(policyRow("all_fast", PolicyPlatform::Optane), nullptr);
+}
+
 TEST(PolicyRegistry, KlocPoliciesRequireAManager)
 {
     RegistryStack s;
@@ -125,7 +149,8 @@ TEST(PolicyRegistry, KlocPoliciesRequireAManager)
 /** Two-socket stack: cpus {0,1} on socket 0, {2,3} on socket 1. */
 struct NumaStack
 {
-    explicit NumaStack(AutoNumaPolicy::Mode mode)
+    /** Builds the Optane row @p policy_name. */
+    explicit NumaStack(const char *policy_name)
         : machine(4, 2), tiers(machine), lru(machine, tiers),
           mem(machine, lru), migrator(machine, tiers, lru),
           heap(mem, tiers), kloc(heap, migrator)
@@ -146,8 +171,8 @@ struct NumaStack
         AutoNumaPolicy::Config config;
         config.scanPeriod = 10 * kMillisecond;
         policy = std::make_unique<AutoNumaPolicy>(
-            mode, PolicyContext{heap, lru, migrator, &kloc, tier0, tier1},
-            config);
+            *policyRow(policy_name, PolicyPlatform::Optane),
+            PolicyContext{heap, lru, migrator, &kloc, tier0, tier1}, config);
         policy->install();
     }
 
@@ -165,7 +190,7 @@ struct NumaStack
 
 TEST(AutoNumaEdge, EmptyRemoteTierTicksWithoutMigrating)
 {
-    NumaStack s(AutoNumaPolicy::Mode::AutoNuma);
+    NumaStack s("autonuma");
     s.machine.setCurrentCpu(0);
     s.policy->start();
     // No allocations anywhere: ticks must fire and move nothing.
@@ -178,9 +203,36 @@ TEST(AutoNumaEdge, EmptyRemoteTierTicksWithoutMigrating)
     s.policy->stop();
 }
 
+TEST(AutoNumaEdge, StaticNeverBalances)
+{
+    NumaStack s("static");
+    s.machine.setCurrentCpu(2);  // socket 1 allocates...
+    std::vector<Frame *> pages;
+    for (int i = 0; i < 32; ++i) {
+        Frame *frame = s.heap.allocAppPage();
+        ASSERT_NE(frame, nullptr);
+        pages.push_back(frame);
+    }
+    // ...and the task moves to socket 0 and touches them remotely.
+    s.machine.setCurrentCpu(0);
+    s.policy->start();
+    for (int i = 0; i < 10; ++i) {
+        for (Frame *frame : pages)
+            s.mem.touch(frame, 4 * kKiB, AccessType::Read);
+        s.machine.charge(10 * kMillisecond);
+    }
+    EXPECT_EQ(s.policy->balanceTicks(), 0u);
+    EXPECT_EQ(s.migrator.stats().attempts, 0u);
+    for (Frame *frame : pages)
+        EXPECT_EQ(frame->tier, s.tier1);
+    s.policy->stop();
+    for (Frame *frame : pages)
+        s.heap.freeAppPage(frame);
+}
+
 TEST(AutoNumaEdge, SingleFrameKlocFollowsTheTask)
 {
-    NumaStack s(AutoNumaPolicy::Mode::Kloc);
+    NumaStack s("klocs");
     s.machine.setCurrentCpu(0);
 
     Knode *knode = s.kloc.mapKnode(11);
@@ -207,7 +259,7 @@ TEST(AutoNumaEdge, SingleFrameKlocFollowsTheTask)
 
 TEST(AutoNumaEdge, AllTiersColdMigratesNothing)
 {
-    NumaStack s(AutoNumaPolicy::Mode::AutoNuma);
+    NumaStack s("autonuma");
     s.machine.setCurrentCpu(2);  // socket 1 allocates...
     std::vector<Frame *> pages;
     for (int i = 0; i < 32; ++i) {

@@ -207,6 +207,7 @@ runDeviceErrorRetry(std::string *report)
 
     EXPECT_TRUE(s.checker->clean()) << s.checker->report();
     EXPECT_EQ(s.checker->outstandingPins(), 0u);
+    EXPECT_EQ(s.checker->openTransactionalCopies(), 0u);
     *report = s.checker->report();
     return s.machine.tracer().serialize();
 }

@@ -268,13 +268,17 @@ TEST(RunnerProtocol, PlatformIsSizedForItsPolicy)
         return platform.sys().tiers().tier(platform.fastTier())
             .spec().capacity;
     };
-    TwoTierPlatform all_fast(config, "all_fast");
-    EXPECT_EQ(fast_capacity(all_fast),
-              (config.fastCapacity + config.slowCapacity) / config.scale);
-    EXPECT_EQ(std::string(all_fast.policy()->name()), "all_fast");
-    TwoTierPlatform klocs(config, "klocs");
-    EXPECT_EQ(fast_capacity(klocs), config.fastCapacity / config.scale);
-    EXPECT_EQ(std::string(klocs.policy()->name()), "klocs");
+    // Only all_fast, which places everything fast, grows its fast
+    // tier to hold all.
+    for (const std::string &name : policyNames()) {
+        TwoTierPlatform platform(config, name);
+        const Bytes expected =
+            name == "all_fast"
+                ? (config.fastCapacity + config.slowCapacity) / config.scale
+                : config.fastCapacity / config.scale;
+        EXPECT_EQ(fast_capacity(platform), expected) << name;
+        EXPECT_EQ(std::string(platform.policy()->name()), name);
+    }
 }
 
 TEST(RunnerProtocol, SetCpusRedirectsRotation)

@@ -372,7 +372,7 @@ resolveRoot(const FunctionDef &fn, const std::string &ident,
         if (fn.params[k].name == ident) {
             if (!fn.params[k].byRef)
                 return "";  // by-value: mutation stays local
-            return "%" + std::to_string(k);
+            return std::string("%").append(std::to_string(k));
         }
     }
     if (!ident.empty() && ident[0] == '_')

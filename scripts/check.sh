@@ -104,7 +104,10 @@ wait_both() {
     fi
 }
 # Runs one klocsim command twice at once, each with --trace and
-# --check, and fails unless both exit 0 and their traces match.
+# --check, and fails unless both exit 0 and their traces and stdout
+# match. The trace file holds only the ring's last events; stdout's
+# `event stream:` line digests all of them. Its `trace:` line names
+# the trace path, so it is left out of the comparison.
 # Arguments: a name for the pair, the workload, then the klocsim
 # command and its flags.
 check_pair() {
@@ -117,6 +120,10 @@ check_pair() {
     wait_both "$pa" "$pb" "$a" "$b" "$workload"
     cmp "$a" "$b" || {
         echo "FAIL: klocsim $* traces differ between identical runs" >&2
+        exit 1
+    }
+    cmp <(grep -v '^trace: ' "$a.out") <(grep -v '^trace: ' "$b.out") || {
+        echo "FAIL: klocsim $* stdout differs between identical runs" >&2
         exit 1
     }
 }

@@ -60,8 +60,7 @@ PageCache::chargeDescent(uint64_t before)
     KernelObject *repr = _radixNodes.back().get();
     if (!repr->backed())
         return;
-    for (uint64_t i = 0; i < visited; ++i)
-        _heap.mem().touch(repr->frame(), Bytes{8}, AccessType::Read);
+    _heap.touchObjectN(*repr, Bytes{8}, AccessType::Read, visited);
 }
 
 PageCachePage *

@@ -818,36 +818,46 @@ FileSystem::nameSnapshot() const
 std::vector<std::string>
 FileSystem::readdir()
 {
-    Machine &machine = _heap.mem().machine();
-    machine.cpuWork(kSyscallCost);
-    // Copy the names out first: the dirent loop below charges time,
-    // and a dispatched event may create or unlink files.
+    _heap.mem().machine().cpuWork(kSyscallCost);
+    // Copy the names out first: the dirent loop charges time, and a
+    // dispatched event may create or unlink files.
     std::vector<std::string> names = nameSnapshot();
-    size_t in_buffer = 0;
-    std::unique_ptr<DirBuffer> dir_buf;
-    for (size_t i = 0; i < names.size(); ++i) {
-        if (in_buffer == 0) {
-            // Fill a fresh dirent buffer (getdents chunking).
-            if (dir_buf) {
-                if (_kloc && dir_buf->knode)
-                    _kloc->removeObject(dir_buf.get());
-                _heap.freeBacking(*dir_buf);
-            }
-            dir_buf = std::make_unique<DirBuffer>();
-            if (_heap.allocBacking(*dir_buf, true, 0))
-                _heap.touchObject(*dir_buf, AccessType::Write);
-        }
-        // Copy one dirent into the buffer.
-        if (dir_buf->backed())
-            _heap.touchObject(*dir_buf, AccessType::Write);
-        in_buffer = (in_buffer + 1) % 64;
-    }
-    if (dir_buf && dir_buf->backed()) {
-        if (_kloc && dir_buf->knode)
-            _kloc->removeObject(dir_buf.get());
-        _heap.freeBacking(*dir_buf);
-    }
+    chargeDirents(names.size());
     return names;
+}
+
+size_t
+FileSystem::readdirCount()
+{
+    _heap.mem().machine().cpuWork(kSyscallCost);
+    const size_t count = _names.size();
+    chargeDirents(count);
+    return count;
+}
+
+void
+FileSystem::chargeDirents(size_t count)
+{
+    constexpr size_t kDirentsPerBuffer = 64;
+    // One dirent buffer per 64 names (getdents chunking): the object
+    // is backed afresh for each and released before the next.
+    DirBuffer dir_buf;
+    auto release = [&] {
+        if (!dir_buf.backed())
+            return;
+        if (_kloc && dir_buf.knode)
+            _kloc->removeObject(&dir_buf);
+        _heap.freeBacking(dir_buf);
+    };
+    for (size_t done = 0; done < count; done += kDirentsPerBuffer) {
+        release();
+        if (_heap.allocBacking(dir_buf, true, 0))
+            _heap.touchObject(dir_buf, AccessType::Write);
+        // Copy one dirent per name into the buffer.
+        _heap.touchObjectN(dir_buf, dir_buf.size(), AccessType::Write,
+                           std::min(count - done, kDirentsPerBuffer));
+    }
+    release();
 }
 
 Bytes

@@ -126,6 +126,13 @@ class FileSystem
      */
     std::vector<std::string> readdir();
 
+    /**
+     * readdir() for callers that need only how many names there are:
+     * the same simulated work, with no names copied.
+     * @return the number of names at entry.
+     */
+    size_t readdirCount();
+
     /** Flush all dirty state (umount-style). */
     void syncAll();
 
@@ -216,6 +223,9 @@ class FileSystem
                          Knode *knode, bool active);
     void evictDentries();
     void destroyInode(uint64_t inode_id);
+    /** readdir's dirent loop over @p count names: one DirBuffer per
+     *  64, each charged one write per name. */
+    void chargeDirents(size_t count);
     /** Every file name, in name order (a copy: callers may unlink). */
     std::vector<std::string> nameSnapshot() const;
 

@@ -73,6 +73,25 @@ class KernelHeap
         _mem.touch(frame, obj.size(), type);
     }
 
+    /**
+     * Charge @p n accesses of @p bytes each to @p obj, as n touches
+     * that each re-read the object's frame would: after any touch
+     * that may have moved or freed it (MemAccessor::touchN) the frame
+     * is read again, and the rest go uncharged once @p obj has no
+     * backing.
+     */
+    void
+    touchObjectN(KernelObject &obj, Bytes bytes, AccessType type,
+                 size_t n)
+    {
+        while (n > 0) {
+            Frame *frame = obj.frame();
+            if (frame == nullptr)
+                return;
+            n -= _mem.touchN(frame, bytes, type, n);
+        }
+    }
+
     /** Allocate one application page. */
     Frame *allocAppPage();
 

@@ -99,6 +99,19 @@ class LruEngine
     }
 
     /**
+     * True when a touch that consults no poison site leaves @p frame's
+     * LRU standing as it is: the frame is on no list, or it is active
+     * and already referenced. Such a touch moves only the frame's
+     * access timestamp.
+     */
+    static bool
+    touchSettled(const Frame *frame)
+    {
+        return !frame->lruHook.linked() ||
+               (frame->onActiveList && frame->referenced);
+    }
+
+    /**
      * Move @p frame's LRU membership from @p old_tier to its current
      * tier; call right after TierManager::rehome succeeds.
      */

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <vector>
 
@@ -35,6 +36,18 @@ class EventQueue
 
     bool empty() const { return _events.empty(); }
     size_t size() const { return _events.size(); }
+
+    /**
+     * Deadline of the earliest pending event, or the largest Tick
+     * when none is pending. A charge that leaves the clock below it
+     * runs nothing.
+     */
+    Tick
+    nextDeadline() const
+    {
+        return _events.empty() ? Tick{std::numeric_limits<int64_t>::max()}
+                               : _events.top().when;
+    }
 
     /**
      * Run every event with deadline <= @p now, in deadline order.

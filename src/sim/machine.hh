@@ -45,6 +45,19 @@ struct RefStats
         }
     }
 
+    /** @p n references of @p cost each, as n account() calls. */
+    void
+    account(RefDomain domain, Tick cost, size_t n)
+    {
+        if (domain == RefDomain::Kernel) {
+            kernelRefs += n;
+            kernelRefTicks += cost * n;
+        } else {
+            userRefs += n;
+            userRefTicks += cost * n;
+        }
+    }
+
     void
     reset()
     {
@@ -150,6 +163,20 @@ class Machine
         charge(cost);
         _refs.account(domain, cost);
         return cost;
+    }
+
+    /**
+     * Charge @p n accesses of @p cost each, attributed to @p domain,
+     * in one step: the clock and RefStats end where n access() calls
+     * would leave them. Exact only when the last of them ends before
+     * events().nextDeadline(), so that none of them runs an event;
+     * the caller counts @p n to that horizon.
+     */
+    void
+    accessRepeated(Tick cost, RefDomain domain, size_t n)
+    {
+        _clock.advance(cost * n);
+        _refs.account(domain, cost, n);
     }
 
     /**

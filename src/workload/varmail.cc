@@ -81,7 +81,10 @@ VarmailWorkload::run(System &sys)
             if (_rng.nextBool(0.25))
                 deliverMail(sys);
         } else {
-            sys.fs().readdir();
+            // filebench's varmail personality has no readdir flowop;
+            // this branch is the driver's own directory scan, the
+            // only pressure on DirBuffer churn. It needs no names.
+            sys.fs().readdirCount();
         }
         ++result.operations;
     }

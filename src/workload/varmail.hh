@@ -26,8 +26,6 @@ class VarmailWorkload : public Workload
 {
   public:
     static constexpr Bytes kMailBytes = 8 * kKiB;
-    /** Ops between directory scans. */
-    static constexpr unsigned kScanEvery = 512;
 
     explicit VarmailWorkload(const WorkloadConfig &config)
         : Workload(config)

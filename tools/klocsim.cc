@@ -214,31 +214,90 @@ printFaultStats(System &sys)
 }
 
 /**
- * The run commands' shared start, after the platform applied the
- * policy: fault injection, then tracing (and the invariant checker)
- * per --trace/--check. Called after platform construction, so the
- * checker runs in its adopting mode for frames that predate the
- * attach.
+ * FNV-1a over every emitted event (seq, tick, type and the four args,
+ * 8 little-endian bytes each). The trace file holds only the ring's
+ * last events; the digest lets two runs be compared on all of them.
  */
-std::unique_ptr<InvariantChecker>
+class TraceDigest
+{
+  public:
+    explicit TraceDigest(Tracer &tracer)
+        : _tracer(tracer),
+          _listener(tracer.addListener(
+              [this](const TraceEvent &event) { fold(event); }))
+    {}
+
+    TraceDigest(const TraceDigest &) = delete;
+    TraceDigest &operator=(const TraceDigest &) = delete;
+
+    ~TraceDigest() { _tracer.removeListener(_listener); }
+
+    uint64_t events() const { return _events; }
+    uint64_t hash() const { return _hash; }
+
+  private:
+    void
+    fold(const TraceEvent &event)
+    {
+        foldWord(event.seq);
+        foldWord(static_cast<uint64_t>(event.tick.value()));
+        foldWord(static_cast<uint64_t>(event.type));
+        for (uint64_t arg : event.args)
+            foldWord(arg);
+        ++_events;
+    }
+
+    void
+    foldWord(uint64_t word)
+    {
+        for (int byte = 0; byte < 8; ++byte) {
+            _hash ^= (word >> (8 * byte)) & 0xff;
+            _hash *= 0x100000001b3ULL;
+        }
+    }
+
+    Tracer &_tracer;
+    int _listener;
+    uint64_t _events = 0;
+    uint64_t _hash = 0xcbf29ce484222325ULL;
+};
+
+/** What a run with --trace or --check observes of the event stream. */
+struct TraceSession
+{
+    std::unique_ptr<TraceDigest> digest;
+    std::unique_ptr<InvariantChecker> checker;
+};
+
+/**
+ * The run commands' shared start, after the platform applied the
+ * policy: fault injection, then tracing (the digest, and the
+ * invariant checker) per --trace/--check. Called after platform
+ * construction, so the checker runs in its adopting mode for frames
+ * that predate the attach.
+ */
+TraceSession
 startRun(System &sys, const Args &args)
 {
     applyFaults(sys, args);
+    TraceSession session;
     if (args.tracePath.empty() && !args.check)
-        return nullptr;
-    sys.machine().tracer().setEnabled(true);
-    if (!args.check)
-        return nullptr;
-    return std::make_unique<InvariantChecker>(sys.machine().tracer());
+        return session;
+    Tracer &tracer = sys.machine().tracer();
+    tracer.setEnabled(true);
+    session.digest = std::make_unique<TraceDigest>(tracer);
+    if (args.check)
+        session.checker = std::make_unique<InvariantChecker>(tracer);
+    return session;
 }
 
 /**
- * Stop tracing, dump the ring to --trace's file, and report checker
- * results. @return 0, or 2 when invariants were violated.
+ * Stop tracing, dump the ring to --trace's file, print the digest of
+ * every event, and report checker results.
+ * @return 0, or 2 when invariants were violated.
  */
 int
-finishTracing(System &sys, const Args &args,
-              std::unique_ptr<InvariantChecker> checker)
+finishTracing(System &sys, const Args &args, TraceSession session)
 {
     Tracer &tracer = sys.machine().tracer();
     if (!tracer.enabled())
@@ -255,10 +314,13 @@ finishTracing(System &sys, const Args &args,
                     (unsigned long long)tracer.dropped(),
                     args.tracePath.c_str());
     }
-    if (!checker)
+    std::printf("event stream: %llu events, fnv1a %016llx\n",
+                (unsigned long long)session.digest->events(),
+                (unsigned long long)session.digest->hash());
+    if (!session.checker)
         return 0;
-    std::fputs(checker->report().c_str(), stdout);
-    return checker->clean() ? 0 : 2;
+    std::fputs(session.checker->report().c_str(), stdout);
+    return session.checker->clean() ? 0 : 2;
 }
 
 /** The --workload driver's config at --scale and --ops. */
@@ -308,7 +370,7 @@ cmdRun(const Args &args)
     config.bandwidthRatio = args.ratio;
     TwoTierPlatform platform(config, args.strategy);
     System &sys = platform.sys();
-    auto checker = startRun(sys, args);
+    TraceSession trace = startRun(sys, args);
 
     WorkloadConfig wl_config = workloadConfig(args);
     wl_config.hugePages = args.hugePages;
@@ -324,7 +386,7 @@ cmdRun(const Args &args)
     printFaultStats(sys);
     if (args.fullStats)
         std::fputs(sys.snapshot().toString().c_str(), stdout);
-    return finishTracing(sys, args, std::move(checker));
+    return finishTracing(sys, args, std::move(trace));
 }
 
 int
@@ -334,7 +396,7 @@ cmdOptane(const Args &args)
     config.scale = args.scale;
     OptanePlatform platform(config, args.strategy);
     System &sys = platform.sys();
-    auto checker = startRun(sys, args);
+    TraceSession trace = startRun(sys, args);
 
     const MeasuredRun run =
         runOptaneMeasured(platform, args.workload, workloadConfig(args));
@@ -344,7 +406,7 @@ cmdOptane(const Args &args)
                 run.result.throughput());
     printCommonStats(sys);
     printFaultStats(sys);
-    return finishTracing(sys, args, std::move(checker));
+    return finishTracing(sys, args, std::move(trace));
 }
 
 int
@@ -354,13 +416,13 @@ cmdCharacterize(const Args &args)
     config.scale = args.scale;
     TwoTierPlatform platform(config, "naive");
     System &sys = platform.sys();
-    auto checker = startRun(sys, args);
+    TraceSession trace = startRun(sys, args);
     int trace_rc = 0;
     {
         // The trace ends before teardown; the counters below include it.
         const MeasuredRun run =
             runMeasured(sys, args.workload, workloadConfig(args));
-        trace_rc = finishTracing(sys, args, std::move(checker));
+        trace_rc = finishTracing(sys, args, std::move(trace));
     }
 
     std::printf("%s characterization:\n", args.workload.c_str());

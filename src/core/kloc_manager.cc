@@ -42,6 +42,10 @@ KlocManager::KlocManager(KernelHeap &heap, MigrationEngine &migrator)
 
 KlocManager::~KlocManager()
 {
+    // Freeing the knodes below charges time: no pass or soft-offline
+    // may run over the half-torn-down kmap.
+    _daemon.stop();
+    _softOfflines.clear();
     _migrator.setPoisonNotifyHook(nullptr, nullptr);
     // Tear down any knodes subsystems did not unmap.
     while (Knode *knode = _kmap.first()) {
@@ -437,16 +441,26 @@ KlocManager::onFramePoisoned(Frame *frame, TierId origin_tier,
     // otherwise schedule the next one at now() inside it, nesting
     // without bound.
     const uint64_t inode = knode->id;
-    if (!_softOfflineInodes.insert(inode).second)
-        return;
-    std::weak_ptr<int> alive = _alive;
-    _machine.events().schedule(
-        _machine.now(), [this, alive, inode, origin_tier] {
-            if (alive.expired())
-                return;
-            softOffline(inode, origin_tier);
-            _softOfflineInodes.erase(inode);
-        });
+    auto [it, fresh] = _softOfflines.try_emplace(inode, *this, inode,
+                                                 origin_tier);
+    if (fresh)
+        _machine.events().schedule(it->second, _machine.now());
+}
+
+KlocManager::SoftOffline::SoftOffline(KlocManager &manager, uint64_t inode,
+                                      TierId origin)
+    : Event(&SoftOffline::fire), manager(manager), inode(inode),
+      origin(origin)
+{}
+
+void
+KlocManager::SoftOffline::fire(Event &event)
+{
+    auto &job = static_cast<SoftOffline &>(event);
+    KlocManager &manager = job.manager;
+    const uint64_t inode = job.inode;
+    manager.softOffline(inode, job.origin);
+    manager._softOfflines.erase(inode);  // destroys job
 }
 
 void

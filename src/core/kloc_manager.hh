@@ -17,7 +17,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "base/intrusive_list.hh"
@@ -299,11 +299,20 @@ class KlocManager
     /** Per-tier KLOC page caps (0 = uncapped). */
     std::vector<Bytes> _memLimits;
 
-    /** Inodes with a soft-offline pending or running (at most one). */
-    std::unordered_set<uint64_t> _softOfflineInodes;
+    /** A deferred soft-offline of one inode's KLOC. */
+    struct SoftOffline : Event
+    {
+        SoftOffline(KlocManager &manager, uint64_t inode, TierId origin);
+        static void fire(Event &event);
 
-    /** Liveness token for the deferred soft-offline lambdas. */
-    std::shared_ptr<int> _alive = std::make_shared<int>(0);
+        KlocManager &manager;
+        uint64_t inode;
+        TierId origin;
+    };
+
+    /** Soft-offlines pending or running, by inode (at most one each).
+     *  Map nodes never move, so a pending event stays put. */
+    std::unordered_map<uint64_t, SoftOffline> _softOfflines;
 
     uint32_t _managedClasses = ~0u;
     bool _usePerCpuLists = true;
@@ -313,7 +322,7 @@ class KlocManager
     KlocStats _stats;
     uint64_t _trackedObjects = 0;   ///< live tracked objects
     Bytes _peakMetadata{};
-    Daemon _daemon{_machine};  ///< last: see Daemon
+    Daemon _daemon{_machine};
 };
 
 } // namespace kloc

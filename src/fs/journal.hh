@@ -118,7 +118,7 @@ class Journal
     uint64_t _crashes = 0;
     uint64_t _recoveredTxs = 0;
     uint64_t _commitAborts = 0;
-    Daemon _commitTimer;  ///< last: see Daemon
+    Daemon _commitTimer;
 };
 
 } // namespace kloc

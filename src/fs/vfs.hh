@@ -270,7 +270,7 @@ class FileSystem
     unsigned _writebackDepth = 0;
 
     FsStats _stats;
-    Daemon _writeback;  ///< last: see Daemon
+    Daemon _writeback;
 };
 
 } // namespace kloc

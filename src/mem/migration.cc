@@ -1,5 +1,7 @@
 #include "mem/migration.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 
 namespace kloc {
@@ -429,23 +431,61 @@ void
 MigrationEngine::scheduleTierEvents()
 {
     for (const TierFaultEvent &event : _machine.faults().spec().tierEvents) {
-        _machine.events().schedule(event.at, [this, event] {
-            if (event.offline)
-                offlineTier(event.tier);
-            else
-                onlineTier(event.tier);
-        });
+        post(event.at,
+             event.offline ? TierAction::Offline : TierAction::Online,
+             event.tier);
     }
     for (const PoisonStormEvent &storm :
          _machine.faults().spec().poisonStorms) {
         for (uint64_t burst = 0; burst < storm.repeat; ++burst) {
             const Tick at =
                 storm.at + storm.every * static_cast<int64_t>(burst);
-            _machine.events().schedule(at, [this, storm] {
-                firePoisonStorm(storm.tier, storm.frames);
-            });
+            post(at, TierAction::Storm, storm.tier, storm.frames);
         }
     }
+}
+
+MigrationEngine::TierEvent::TierEvent(MigrationEngine &engine)
+    : Event(&TierEvent::fire), engine(engine)
+{}
+
+void
+MigrationEngine::TierEvent::fire(Event &event)
+{
+    // Each action takes the node's fields by value: it may post to
+    // this node, idle again, before it returns.
+    const auto &self = static_cast<TierEvent &>(event);
+    switch (self.action) {
+      case TierAction::Offline:
+        self.engine.offlineTier(self.tier);
+        break;
+      case TierAction::Online:
+        self.engine.onlineTier(self.tier);
+        break;
+      case TierAction::Storm:
+        self.engine.firePoisonStorm(self.tier, self.frames);
+        break;
+      case TierAction::HealthDrain:
+        self.engine.drainFailedTier(self.tier);
+        break;
+      case TierAction::HealthReadmit:
+        self.engine.readmitTier(self.tier);
+        break;
+    }
+}
+
+void
+MigrationEngine::post(Tick when, TierAction action, TierId tier,
+                      uint64_t frames)
+{
+    auto idle = std::find_if(_tierEvents.begin(), _tierEvents.end(),
+                             [](const TierEvent &e) { return !e.pending(); });
+    TierEvent &event =
+        idle != _tierEvents.end() ? *idle : _tierEvents.emplace_back(*this);
+    event.action = action;
+    event.tier = tier;
+    event.frames = frames;
+    _machine.events().schedule(event, when);
 }
 
 void
@@ -622,40 +662,47 @@ MigrationEngine::onTierHealth(TierId tier, TierHealth from, TierHealth to)
     // health tick — possibly mid-scan or mid-batch — so the heavy
     // drain/readmission runs from the event queue, re-checking health
     // at fire time.
-    if (to == TierHealth::Failed) {
-        _machine.events().schedule(_machine.now(), [this, tier, idx] {
-            if (_tiers.health(tier) != TierHealth::Failed ||
-                !_tiers.tier(tier).online()) {
-                return;
-            }
-            // Never drain the last online tier: a failed-but-present
-            // tier still serves; an empty machine panics on the next
-            // kernel allocation. The tier is readmitted (or drained)
-            // once another tier comes back.
-            bool other_online = false;
-            for (size_t t = 0; t < _tiers.tierCount(); ++t) {
-                if (t != idx &&
-                    _tiers.tier(static_cast<TierId>(t)).online()) {
-                    other_online = true;
-                    break;
-                }
-            }
-            if (!other_online)
-                return;
-            _healthOfflined[idx] = 1;
-            offlineTier(tier);
-        });
-    } else if (from == TierHealth::Failed) {
-        _machine.events().schedule(_machine.now(), [this, tier, idx] {
-            // Readmit only tiers this engine drained for health;
-            // operator-offlined tiers stay down until their own
-            // online event.
-            if (_tiers.health(tier) != TierHealth::Failed &&
-                _healthOfflined[idx] != 0 && !_tiers.tier(tier).online()) {
-                _healthOfflined[idx] = 0;
-                onlineTier(tier);
-            }
-        });
+    if (to == TierHealth::Failed)
+        post(_machine.now(), TierAction::HealthDrain, tier);
+    else if (from == TierHealth::Failed)
+        post(_machine.now(), TierAction::HealthReadmit, tier);
+}
+
+void
+MigrationEngine::drainFailedTier(TierId tier)
+{
+    const size_t idx = static_cast<size_t>(tier);
+    if (_tiers.health(tier) != TierHealth::Failed ||
+        !_tiers.tier(tier).online()) {
+        return;
+    }
+    // Never drain the last online tier: a failed-but-present tier
+    // still serves; an empty machine panics on the next kernel
+    // allocation. The tier is readmitted (or drained) once another
+    // tier comes back.
+    bool other_online = false;
+    for (size_t t = 0; t < _tiers.tierCount(); ++t) {
+        if (t != idx && _tiers.tier(static_cast<TierId>(t)).online()) {
+            other_online = true;
+            break;
+        }
+    }
+    if (!other_online)
+        return;
+    _healthOfflined[idx] = 1;
+    offlineTier(tier);
+}
+
+void
+MigrationEngine::readmitTier(TierId tier)
+{
+    // Readmit only tiers this engine drained for health; operator-
+    // offlined tiers stay down until their own online event.
+    const size_t idx = static_cast<size_t>(tier);
+    if (_tiers.health(tier) != TierHealth::Failed &&
+        _healthOfflined[idx] != 0 && !_tiers.tier(tier).online()) {
+        _healthOfflined[idx] = 0;
+        onlineTier(tier);
     }
 }
 

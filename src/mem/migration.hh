@@ -37,12 +37,14 @@
 #define KLOC_MEM_MIGRATION_HH
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <vector>
 
 #include "fault/fault.hh"
 #include "mem/lru.hh"
 #include "mem/tier_manager.hh"
+#include "sim/event_queue.hh"
 #include "sim/machine.hh"
 
 namespace kloc {
@@ -365,6 +367,39 @@ class MigrationEngine
     /** Health observer: failed tiers drain, readmitted ones return. */
     void onTierHealth(TierId tier, TierHealth from, TierHealth to);
 
+    /** What a queued TierEvent does when it fires. */
+    enum class TierAction : uint8_t
+    {
+        Offline,
+        Online,
+        Storm,
+        HealthDrain,
+        HealthReadmit,
+    };
+
+    /** A queued tier action: a fault spec's tier event or storm
+     *  burst, or a health drain or readmission. */
+    struct TierEvent : Event
+    {
+        explicit TierEvent(MigrationEngine &engine);
+        static void fire(Event &event);
+
+        MigrationEngine &engine;
+        TierAction action{};
+        TierId tier{};
+        uint64_t frames = 0;  ///< Storm only
+    };
+
+    /** Queue @p action on @p tier at @p when, on an idle node. */
+    void post(Tick when, TierAction action, TierId tier,
+              uint64_t frames = 0);
+
+    /** Drain @p tier if its health still reads Failed at fire time. */
+    void drainFailedTier(TierId tier);
+
+    /** Bring back @p tier if this engine drained it and it healed. */
+    void readmitTier(TierId tier);
+
     void notifyPoisonOwner(Frame *frame, TierId origin_tier,
                            bool data_lost);
 
@@ -383,6 +418,9 @@ class MigrationEngine
     /** Tiers this engine offlined for health (vs. operator events),
      *  so readmission never onlines an operator-offlined tier. */
     std::vector<uint8_t> _healthOfflined;
+    /** Nodes of queued tier actions, reused once idle; a deque never
+     *  moves a pending node. */
+    std::deque<TierEvent> _tierEvents;
 };
 
 } // namespace kloc

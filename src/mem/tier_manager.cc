@@ -166,7 +166,6 @@ TierManager::alloc(unsigned order, ObjClass cls, bool relocatable,
         frame->lastAccessTick = _machine.now();
 
         t.noteAlloc(cls, frame->pages());
-        _cumAllocPagesByClass[static_cast<unsigned>(cls)] += frame->pages();
         ++_liveFrames;
 
         for (const FrameObserver &obs : _allocObservers)

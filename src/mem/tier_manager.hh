@@ -294,11 +294,15 @@ class TierManager
     /** Cumulative shadow copies released, by any reason. */
     uint64_t shadowDrops() const { return _shadowDrops; }
 
-    /** Cumulative page allocations per class (Fig. 2a/2b footprints). */
+    /** Cumulative page allocations per class over every tier
+     *  (Fig. 2a/2b footprints). */
     uint64_t
     cumulativeAllocPages(ObjClass cls) const
     {
-        return _cumAllocPagesByClass[static_cast<unsigned>(cls)];
+        uint64_t pages = 0;
+        for (const auto &tier : _tiers)
+            pages += tier->cumulativeAllocPages(cls).value();
+        return pages;
     }
 
     /** Lifetime distribution per class in Ticks (Fig. 2d). */
@@ -341,13 +345,12 @@ class TierManager
     uint64_t _shadowPages = 0;
     uint64_t _shadowDrops = 0;
 
-    uint64_t _cumAllocPagesByClass[kNumObjClasses] = {};
     Histogram _lifetimes[kNumObjClasses];
 
     InlineVec<FrameObserver, kMaxObservers> _allocObservers;
     InlineVec<FrameObserver, kMaxObservers> _freeObservers;
     InlineVec<HealthObserver, kMaxObservers> _healthObservers;
-    Daemon _healthDaemon{_machine};  ///< last: see Daemon
+    Daemon _healthDaemon{_machine};
 };
 
 } // namespace kloc

@@ -74,7 +74,7 @@ class AutoNumaPolicy : public Policy
     /** Per-tick scratch buffers, reused so balancing doesn't allocate. */
     std::vector<FrameRef> _hotScratch;
     std::vector<FrameRef> _movers;
-    Daemon _balanceDaemon;  ///< last: see Daemon
+    Daemon _balanceDaemon;
 };
 
 } // namespace kloc

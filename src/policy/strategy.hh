@@ -150,7 +150,7 @@ class TieringStrategy : public Policy
     ScanResult _scanScratch;
     std::vector<FrameRef> _hotScratch;
     std::vector<FrameRef> _victims;
-    Daemon _scanDaemon;  ///< last: see Daemon
+    Daemon _scanDaemon;
 };
 
 } // namespace kloc

@@ -5,42 +5,42 @@
  * timer, the tiering and NUMA-balancing scans and the tier-health
  * decay all run as one.
  *
- * The event queue cannot unschedule, so the Daemon owns the liveness
- * and restart rules:
+ * A Daemon is one Event node, re-armed after every run:
  *  - start(period) arms it: the body first runs @p period later.
  *    Starting a running daemon does nothing.
  *  - Each run calls the body with that period. The body returns the
  *    delay to its next run, and the daemon reschedules at now() +
- *    delay once the body is done. A body may stop() its own daemon.
- *  - stop() and destruction turn the pending run into a no-op, so
+ *    delay once the body is done. A body may stop() or restart its
+ *    own daemon, but not destroy it.
+ *  - stop() cancels the pending run, and so does destruction, so
  *    stop() then start() within one period runs one chain, never two.
  *
- * An owner declares its Daemon as its last member, so the daemon dies
- * before anything its body touches.
+ * A run allocates nothing. An owner whose members charge time as
+ * they are destroyed stops its daemon in its own destructor body,
+ * before those members go.
  */
 
 #ifndef KLOC_SIM_DAEMON_HH
 #define KLOC_SIM_DAEMON_HH
 
 #include <functional>
-#include <memory>
 
 #include "base/logging.hh"
+#include "sim/event_queue.hh"
 #include "sim/machine.hh"
 
 namespace kloc {
 
 /** A periodic tick that may be stopped, restarted or destroyed at any
- *  time, its own body included. */
-class Daemon
+ *  time; its body may stop or restart it. */
+class Daemon : private Event
 {
   public:
     /** One run: gets start()'s period, returns the delay to the next. */
     using Body = std::function<Tick(Tick period)>;
 
-    explicit Daemon(Machine &machine) : _machine(machine) {}
-    Daemon(const Daemon &) = delete;
-    Daemon &operator=(const Daemon &) = delete;
+    explicit Daemon(Machine &machine) : Event(&Daemon::fire), _machine(machine)
+    {}
 
     /** Install the body; set it before the first start(). */
     void setBody(Body body) { _body = std::move(body); }
@@ -49,42 +49,45 @@ class Daemon
     start(Tick period)
     {
         KLOC_ASSERT(_body != nullptr, "daemon started without a body");
-        if (running())
+        if (_running)
             return;
+        _running = true;
         _period = period;
-        _epoch = std::make_shared<const int>(0);
         arm(period);
     }
 
-    void stop() { _epoch.reset(); }
+    void
+    stop()
+    {
+        _running = false;
+        _machine.events().cancel(*this);
+    }
 
-    bool running() const { return _epoch != nullptr; }
+    bool running() const { return _running; }
 
   private:
+    static void
+    fire(Event &event)
+    {
+        Daemon &self = static_cast<Daemon &>(event);
+        const Tick next = self._body(self._period);
+        // A body that stopped the daemon ended the chain; one that
+        // restarted it has armed the new chain already.
+        if (self._running && !self.pending())
+            self.arm(next);
+    }
+
     void
     arm(Tick delay)
     {
         KLOC_ASSERT(delay > 0, "daemon delay must be positive");
-        _machine.events().schedule(
-            _machine.now() + delay,
-            [this, epoch = std::weak_ptr<const int>(_epoch)] {
-                if (epoch.expired())
-                    return;  // stopped, restarted or destroyed since
-                const Tick next = _body(_period);
-                // A body that stopped, restarted or destroyed the
-                // daemon ended this epoch's chain.
-                if (!epoch.expired())
-                    arm(next);
-            });
+        _machine.events().schedule(*this, _machine.now() + delay);
     }
 
     Machine &_machine;
     Body _body;
     Tick _period{};
-    /** Non-null while running, fresh per start(). A pending run holds
-     *  a weak reference to its epoch's token and finds it expired
-     *  after a stop(), a restart or the daemon's destruction. */
-    std::shared_ptr<const int> _epoch;
+    bool _running = false;  ///< from start() to stop()
 };
 
 } // namespace kloc

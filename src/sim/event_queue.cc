@@ -6,12 +6,12 @@ size_t
 EventQueue::drainDue(Tick now)
 {
     size_t ran = 0;
-    while (!_events.empty() && _events.top().when <= now) {
-        // Move the callback out before popping so an event that
-        // schedules new events doesn't invalidate the top().
-        Callback fn = std::move(_events.top().fn);
-        _events.pop();
-        fn();
+    while (_next <= now) {
+        Event &event = *_events.first();
+        // Unlinked before it runs: its function may schedule it again,
+        // and its owner may cancel or destroy it.
+        unlink(event);
+        event._fn(event);
         ++ran;
     }
     return ran;

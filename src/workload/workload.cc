@@ -94,6 +94,12 @@ Workload::growArena(System &sys, uint64_t count)
     // THP mode: back the arena with order-9 (2 MB) blocks where the
     // requested size allows, falling back to base pages.
     constexpr unsigned kHugeOrder = 9;
+    // One allocation for the whole arena. Grown by doubling, it
+    // passed glibc's mmap threshold, and whether a run's setup
+    // faulted its memory in again depended on what earlier runs had
+    // freed (docs/PERF.md, "Setup that does not depend on the last
+    // run").
+    _arena.reserve(_arena.size() + count);
     uint64_t remaining = count;
     while (remaining > 0) {
         Frame *frame = nullptr;

@@ -545,6 +545,47 @@ TEST(TierOffline, ScheduledEventsFireAtTicks)
     EXPECT_TRUE(s.checker->clean()) << s.checker->report();
 }
 
+TEST(TierOffline, DestroyedEngineCancelsItsPendingTierEvents)
+{
+    // The engine dies with a scheduled offline and a health drain
+    // pending. Charging past both must run neither: either would call
+    // into the freed engine (an ASan build reports it).
+    Machine machine(2, 1);
+    TierManager tiers(machine);
+    LruEngine lru(machine, tiers);
+    TierSpec spec;
+    spec.name = "fast";
+    spec.capacity = 256 * kPageSize;
+    spec.readLatency = Tick{80};
+    spec.writeLatency = Tick{80};
+    spec.readBandwidth = 10 * kGiB;
+    spec.writeBandwidth = 10 * kGiB;
+    tiers.addTier(spec);
+    spec.name = "slow";
+    const TierId slow = tiers.addTier(spec);
+    FaultSpec faults;
+    std::string err;
+    ASSERT_TRUE(FaultSpec::parse("tier_offline at 1000000 tier 1\n", faults,
+                                 &err))
+        << err;
+    machine.faults().configure(faults);
+
+    auto migrator = std::make_unique<MigrationEngine>(machine, tiers, lru);
+    migrator->scheduleTierEvents();
+    for (int i = 0; i < 16; ++i)
+        tiers.recordTierError(slow);
+    ASSERT_EQ(tiers.health(slow), TierHealth::Failed);
+    // The offline, the drain and the tier-health tick.
+    EXPECT_EQ(machine.events().size(), 3u);
+    migrator.reset();
+    EXPECT_EQ(machine.events().size(), 1u);
+    // Past the offline, short of the first health tick, whose
+    // observers still name the engine.
+    machine.charge(Tick{2000000});
+    ASSERT_LT(machine.now(), TierManager::kHealthTickPeriod);
+    EXPECT_TRUE(tiers.tier(slow).online());
+}
+
 // ---------------------------------------------------------------------------
 // Journal crash & replay
 // ---------------------------------------------------------------------------

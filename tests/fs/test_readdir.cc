@@ -13,6 +13,7 @@
 #include <string>
 
 #include "platform/two_tier.hh"
+#include "support/lambda_events.hh"
 
 namespace kloc {
 namespace {
@@ -77,13 +78,13 @@ TEST(Readdir, EventDuringTheDirentLoopLeavesTheCountAtEntry)
         // long before 640 dirents are charged.
         const Tick entry = machine.now();
         Tick ran_at{};
-        machine.events().schedule(entry + FileSystem::kSyscallCost + Tick{1},
-                                  [&] {
-                                      ran_at = machine.now();
-                                      fs.close(fs.create("late"));
-                                      fs.unlink("file_0");
-                                      fs.unlink("file_1");
-                                  });
+        LambdaEvents later(machine.events());
+        later.at(entry + FileSystem::kSyscallCost + Tick{1}, [&] {
+            ran_at = machine.now();
+            fs.close(fs.create("late"));
+            fs.unlink("file_0");
+            fs.unlink("file_1");
+        });
         const size_t seen =
             count_only ? fs.readdirCount() : fs.readdir().size();
         EXPECT_EQ(seen, 640u) << count_only;

@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "platform/two_tier.hh"
 #include "policy/registry.hh"
 #include "policy/strategy.hh"
+#include "support/lambda_events.hh"
 #include "workload/runner.hh"
 #include "workload/workload.hh"
 
@@ -96,11 +100,16 @@ TEST(Stress, FsWriteUnderTotalExhaustionBypassesCache)
 TEST(Stress, EventQueueClearDropsPending)
 {
     EventQueue events;
+    LambdaEvents later(events);
     int fired = 0;
+    std::vector<Event *> nodes;
     for (int i = 0; i < 100; ++i)
-        events.schedule(Tick{i}, [&] { ++fired; });
+        nodes.push_back(&later.at(Tick{i}, [&] { ++fired; }));
     events.clear();
     EXPECT_TRUE(events.empty());
+    EXPECT_EQ(events.nextDeadline(), std::numeric_limits<int64_t>::max());
+    for (const Event *node : nodes)
+        EXPECT_FALSE(node->pending());
     EXPECT_EQ(events.runDue(Tick{1000}), 0u);
     EXPECT_EQ(fired, 0);
 }

@@ -5,44 +5,60 @@
 
 // Seeded violation: a periodic daemon's body rotates the per-CPU
 // list, and findNode holds index i across a charge() that can run
-// that body (charge -> runDue -> fn() -> the daemon body). The body
-// reaches the event queue only through Daemon::setBody, so the
-// hazard shows only if setBody counts as a callback registration.
+// that body (charge -> runDue -> _fn -> the daemon body). The queue
+// holds owned event nodes and dispatches through each node's plain
+// function pointer, the Daemon's static trampoline; the body reaches
+// it only through Daemon::setBody. The hazard shows only if the
+// `_fn` dispatch is an indirect call and setBody counts as a
+// callback registration.
+
+struct Event {
+    using Fn = void (*)(Event &);
+    explicit Event(Fn fn) : _fn(fn) {}
+    Fn _fn;
+    long _when = 0;
+    Event *_next = nullptr;
+};
 
 struct EventQueue {
-    void schedule(long when, std::function<void()> fn) {
-        _pending.push_back(std::move(fn));
-        (void)when;
+    void schedule(Event &event, long when) {
+        event._when = when;
+        event._next = _head;
+        _head = &event;
     }
-    void runDue() {
-        while (!_pending.empty()) {
-            std::function<void()> fn = std::move(_pending.back());
-            _pending.pop_back();
-            fn();
+    void runDue(long now) {
+        while (_head != nullptr && _head->_when <= now) {
+            Event &event = *_head;
+            _head = event._next;
+            event._fn(event);
         }
     }
-    std::vector<std::function<void()>> _pending;
+    Event *_head = nullptr;
 };
 
 struct Machine {
     void charge(long ticks) {
         _now += ticks;
-        _events.runDue();
+        _events.runDue(_now);
     }
     long _now = 0;
     EventQueue _events;
 };
 
-struct Daemon {
-    explicit Daemon(Machine &machine) : _machine(machine) {}
+struct Daemon : Event {
+    explicit Daemon(Machine &machine)
+        : Event(&Daemon::fire), _machine(machine) {}
     void setBody(std::function<long(long)> body) { _body = std::move(body); }
     void start(long period) {
         _period = period;
         arm(period);
     }
+    static void fire(Event &event) {
+        Daemon &self = static_cast<Daemon &>(event);
+        self.arm(self._body(self._period));
+    }
     void arm(long delay) {
-        _machine._events.schedule(_machine._now + delay,
-                                  [this] { arm(_body(_period)); });
+        _machine._events.schedule(*this, _machine._now + delay);
     }
     Machine &_machine;
     std::function<long(long)> _body;

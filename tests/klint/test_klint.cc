@@ -66,6 +66,7 @@ INSTANTIATE_TEST_SUITE_P(AllRules, KlintRuleFixtures,
                                            "units", "trace-args",
                                            "hot-path-alloc",
                                            "include-hygiene",
+                                           "sim-owned-events",
                                            "no-mutable-global",
                                            "determinism-taint",
                                            "reentrancy-hazard",
@@ -114,13 +115,14 @@ TEST(Klint, ReentrancyHazardCatchesFindKnodePattern)
 TEST(Klint, ReentrancyHazardSeesDaemonBodies)
 {
     // A daemon body reaches the event queue only through
-    // Daemon::setBody. klint must count that as a registration, or
-    // charge -> runDue -> fn() loses its edge to the body and this
-    // hazard passes unseen.
+    // Daemon::setBody, and the queue dispatches through each node's
+    // `_fn` pointer. klint must count setBody as a registration and
+    // `event._fn(event)` as an indirect call, or charge -> runDue ->
+    // _fn loses its edge to the body and this hazard passes unseen.
     const auto findings =
         runRule("reentrancy-hazard", "reentrancy-hazard_daemon");
     ASSERT_EQ(countOf(findings, "reentrancy-hazard"), 1);
-    EXPECT_NE(findings.front().message.find("charge -> runDue -> fn -> "
+    EXPECT_NE(findings.front().message.find("charge -> runDue -> _fn -> "
                                             "rotateFront"),
               std::string::npos)
         << findings.front().message;

@@ -16,6 +16,7 @@
 #include "mem/accessor.hh"
 #include "mem/migration.hh"
 #include "sim/daemon.hh"
+#include "support/lambda_events.hh"
 
 namespace kloc {
 namespace {
@@ -24,7 +25,7 @@ namespace {
 struct Stack
 {
     Stack() : machine(2, 1), tiers(machine), lru(machine, tiers),
-              mem(machine, lru), daemon(machine)
+              mem(machine, lru), daemon(machine), later(machine.events())
     {
         TierSpec spec;
         spec.name = "fast";
@@ -59,6 +60,7 @@ struct Stack
     TierId fastId = kInvalidTier;
     TierId slowId = kInvalidTier;
     Daemon daemon;
+    LambdaEvents later;
 };
 
 /** Prepares one stack and returns the frame both drivers touch. */
@@ -199,12 +201,10 @@ TEST(TouchN, EventDueExactlyAtATouchAndOneDueNow)
             frame->tier, Bytes{128}, AccessType::Write,
             s.machine.currentSocket());
         Stack *stack = &s;
-        s.machine.events().schedule(s.machine.now(),
-                                    [stack] { stack->log(); });
-        s.machine.events().schedule(s.machine.now() + 7 * cost,
-                                    [stack] { stack->log(); });
-        s.machine.events().schedule(s.machine.now() + 12 * cost + Tick{1},
-                                    [stack] { stack->log(); });
+        s.later.at(s.machine.now(), [stack] { stack->log(); });
+        s.later.at(s.machine.now() + 7 * cost, [stack] { stack->log(); });
+        s.later.at(s.machine.now() + 12 * cost + Tick{1},
+                   [stack] { stack->log(); });
         return frame;
     };
     auto one = expectTwinsAgree(with_events, Bytes{128},

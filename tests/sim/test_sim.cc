@@ -1,12 +1,13 @@
 /**
  * @file
- * Simulation-layer tests: virtual clock, event queue ordering and
- * re-entrancy, the Daemon's restart and liveness rules, memory timing
- * model, and Machine accounting.
+ * Simulation-layer tests: virtual clock, event queue ordering,
+ * cancellation and re-entrancy, the Daemon's restart and stop rules,
+ * memory timing model, and Machine accounting.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "sim/event_queue.hh"
 #include "sim/machine.hh"
 #include "sim/memory_model.hh"
+#include "support/lambda_events.hh"
 
 namespace kloc {
 namespace {
@@ -33,10 +35,11 @@ TEST(VirtualClock, AdvancesMonotonically)
 TEST(EventQueue, RunsInDeadlineOrder)
 {
     EventQueue events;
+    LambdaEvents later(events);
     std::vector<int> order;
-    events.schedule(Tick{30}, [&] { order.push_back(3); });
-    events.schedule(Tick{10}, [&] { order.push_back(1); });
-    events.schedule(Tick{20}, [&] { order.push_back(2); });
+    later.at(Tick{30}, [&] { order.push_back(3); });
+    later.at(Tick{10}, [&] { order.push_back(1); });
+    later.at(Tick{20}, [&] { order.push_back(2); });
     EXPECT_EQ(events.size(), 3u);
     EXPECT_EQ(events.runDue(Tick{25}), 2u);
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
@@ -48,9 +51,10 @@ TEST(EventQueue, RunsInDeadlineOrder)
 TEST(EventQueue, TiesBreakByInsertionOrder)
 {
     EventQueue events;
+    LambdaEvents later(events);
     std::vector<int> order;
     for (int i = 0; i < 5; ++i)
-        events.schedule(Tick{50}, [&order, i] { order.push_back(i); });
+        later.at(Tick{50}, [&order, i] { order.push_back(i); });
     events.runDue(Tick{50});
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -58,10 +62,11 @@ TEST(EventQueue, TiesBreakByInsertionOrder)
 TEST(EventQueue, EventSchedulingDueEventRunsInSameDrain)
 {
     EventQueue events;
+    LambdaEvents later(events);
     std::vector<int> order;
-    events.schedule(Tick{10}, [&] {
+    later.at(Tick{10}, [&] {
         order.push_back(1);
-        events.schedule(Tick{10}, [&] { order.push_back(2); });
+        later.at(Tick{10}, [&] { order.push_back(2); });
     });
     events.runDue(Tick{15});
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
@@ -70,8 +75,9 @@ TEST(EventQueue, EventSchedulingDueEventRunsInSameDrain)
 TEST(EventQueue, FutureEventStaysQueued)
 {
     EventQueue events;
+    LambdaEvents later(events);
     int fired = 0;
-    events.schedule(Tick{100}, [&] { ++fired; });
+    later.at(Tick{100}, [&] { ++fired; });
     EXPECT_EQ(events.runDue(Tick{99}), 0u);
     EXPECT_EQ(fired, 0);
     EXPECT_EQ(events.runDue(Tick{100}), 1u);
@@ -81,13 +87,14 @@ TEST(EventQueue, FutureEventStaysQueued)
 TEST(EventQueue, NothingDueRunsNothing)
 {
     EventQueue events;
+    LambdaEvents later(events);
     EXPECT_EQ(events.runDue(Tick{0}), 0u);
     EXPECT_EQ(events.runDue(Tick{1000}), 0u);
     EXPECT_EQ(events.size(), 0u);
 
     int fired = 0;
-    events.schedule(Tick{100}, [&] { ++fired; });
-    events.schedule(Tick{200}, [&] { ++fired; });
+    later.at(Tick{100}, [&] { ++fired; });
+    later.at(Tick{200}, [&] { ++fired; });
     EXPECT_EQ(events.runDue(Tick{0}), 0u);
     EXPECT_EQ(events.runDue(Tick{99}), 0u);
     EXPECT_EQ(events.size(), 2u);
@@ -97,9 +104,10 @@ TEST(EventQueue, NothingDueRunsNothing)
 TEST(EventQueue, ZeroChargeRunsEventDueNow)
 {
     Machine machine(1, 1);
+    LambdaEvents later(machine.events());
     machine.charge(Tick{50});
     int fired = 0;
-    machine.events().schedule(machine.now(), [&] { ++fired; });
+    later.at(machine.now(), [&] { ++fired; });
     machine.charge(Tick{0});
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(machine.now(), 50);
@@ -109,17 +117,105 @@ TEST(EventQueue, ZeroChargeRunsEventDueNow)
 TEST(EventQueue, EarlierEventScheduledMidDrainRunsBeforeLaterTop)
 {
     EventQueue events;
+    LambdaEvents later(events);
     std::vector<int> order;
-    events.schedule(Tick{10}, [&] {
+    later.at(Tick{10}, [&] {
         order.push_back(1);
         // Earlier than the remaining top (20) and already due.
-        events.schedule(Tick{15}, [&] { order.push_back(2); });
+        later.at(Tick{15}, [&] { order.push_back(2); });
     });
-    events.schedule(Tick{20}, [&] { order.push_back(3); });
-    events.schedule(Tick{40}, [&] { order.push_back(4); });
+    later.at(Tick{20}, [&] { order.push_back(3); });
+    later.at(Tick{40}, [&] { order.push_back(4); });
     EXPECT_EQ(events.runDue(Tick{30}), 3u);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(events.size(), 1u);
+}
+
+TEST(EventQueue, CancelUnlinksAPendingEvent)
+{
+    EventQueue events;
+    LambdaEvents later(events);
+    std::vector<int> order;
+    later.at(Tick{10}, [&] { order.push_back(1); });
+    Event &doomed = later.at(Tick{20}, [&] { order.push_back(2); });
+    later.at(Tick{30}, [&] { order.push_back(3); });
+    events.cancel(doomed);
+    EXPECT_FALSE(doomed.pending());
+    EXPECT_EQ(events.size(), 2u);
+    events.cancel(doomed);  // not pending: a no-op
+    EXPECT_EQ(events.runDue(Tick{100}), 2u);
+    EXPECT_EQ(order, (std::vector<int>{1, 3}));
+}
+
+TEST(EventQueue, CancelFromInsideAnotherEvent)
+{
+    EventQueue events;
+    LambdaEvents later(events);
+    std::vector<int> order;
+    Event *tie = nullptr;
+    Event *self = nullptr;
+    self = &later.at(Tick{10}, [&] {
+        order.push_back(1);
+        events.cancel(*tie);
+        events.cancel(*self);  // the running event: a no-op
+    });
+    tie = &later.at(Tick{10}, [&] { order.push_back(2); });
+    later.at(Tick{20}, [&] { order.push_back(3); });
+    EXPECT_EQ(events.runDue(Tick{100}), 2u);
+    EXPECT_EQ(order, (std::vector<int>{1, 3}));
+    EXPECT_TRUE(events.empty());
+}
+
+TEST(EventQueue, DestroyedPendingEventNeverRuns)
+{
+    EventQueue events;
+    int fired = 0;
+    {
+        LambdaEvents later(events);
+        later.at(Tick{10}, [&] { ++fired; });
+        later.at(Tick{20}, [&] { ++fired; });
+        EXPECT_EQ(events.size(), 2u);
+    }
+    EXPECT_TRUE(events.empty());
+    EXPECT_EQ(events.runDue(Tick{100}), 0u);
+    EXPECT_EQ(fired, 0);
+}
+
+TEST(EventQueue, NextDeadlineStaysExactAcrossCancels)
+{
+    EventQueue events;
+    LambdaEvents later(events);
+    const Tick never{std::numeric_limits<int64_t>::max()};
+    EXPECT_EQ(events.nextDeadline(), never);
+    Event &first = later.at(Tick{10}, [] {});
+    Event &tie = later.at(Tick{10}, [] {});
+    Event &last = later.at(Tick{30}, [] {});
+    EXPECT_EQ(events.nextDeadline(), 10);
+    events.cancel(first);
+    EXPECT_EQ(events.nextDeadline(), 10);  // the tie is still pending
+    events.cancel(tie);
+    EXPECT_EQ(events.nextDeadline(), 30);
+    EXPECT_EQ(events.runDue(Tick{29}), 0u);
+    events.cancel(last);
+    EXPECT_EQ(events.nextDeadline(), never);
+    EXPECT_EQ(events.runDue(Tick{100}), 0u);
+}
+
+TEST(EventQueue, RescheduledTieRunsAfterEarlierSchedules)
+{
+    // seq is taken at schedule time: a node cancelled and scheduled
+    // again at the same deadline runs after nodes scheduled before
+    // its second schedule, as a freshly queued event would.
+    EventQueue events;
+    LambdaEvents later(events);
+    std::vector<int> order;
+    Event &moved = later.at(Tick{50}, [&] { order.push_back(0); });
+    later.at(Tick{50}, [&] { order.push_back(1); });
+    events.cancel(moved);
+    events.schedule(moved, Tick{50});
+    later.at(Tick{50}, [&] { order.push_back(2); });
+    events.runDue(Tick{50});
+    EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
 }
 
 /** Charge one tick at a time up to @p until, so every event runs at
@@ -227,10 +323,11 @@ TEST(Daemon, BodyMayStopItself)
     EXPECT_EQ(runs, 4);
 }
 
-TEST(Daemon, DestroyedOwnerLeavesANoOpRun)
+TEST(Daemon, DestroyedOwnerCancelsItsPendingRun)
 {
-    // The pending run outlives its daemon in the queue; charging past
-    // it must not touch the freed owner (an ASan build reports it).
+    // Destroying the daemon unlinks its pending run, so charging past
+    // it touches nothing of the freed owner (an ASan build reports a
+    // use after free).
     Machine machine(1, 1);
     auto log = std::make_unique<TickLog>(machine);
     log->daemon.start(Tick{10});
@@ -238,7 +335,55 @@ TEST(Daemon, DestroyedOwnerLeavesANoOpRun)
     ASSERT_EQ(log->runs.size(), 1u);
     EXPECT_EQ(machine.events().size(), 1u);
     log.reset();
+    EXPECT_TRUE(machine.events().empty());
     machine.charge(Tick{20});
+    EXPECT_TRUE(machine.events().empty());
+}
+
+/** A member whose destructor charges time, as freeing frames does. */
+struct ChargesOnDestruction
+{
+    explicit ChargesOnDestruction(Machine &machine) : machine(machine) {}
+    ~ChargesOnDestruction() { machine.charge(Tick{100}); }
+
+    Machine &machine;
+};
+
+/**
+ * An owner that declares its daemon first, so the daemon outlives
+ * every other member. `runs` goes before `charger`, whose destructor
+ * then charges past the next run; the owner stops the daemon in its
+ * destructor body, so that run never happens.
+ */
+struct DaemonFirstOwner
+{
+    explicit DaemonFirstOwner(Machine &machine)
+        : daemon(machine), charger(machine),
+          runs(std::make_unique<std::vector<int64_t>>())
+    {
+        daemon.setBody([this, &machine](Tick period) {
+            runs->push_back(machine.now().value());
+            return period;
+        });
+    }
+    ~DaemonFirstOwner() { daemon.stop(); }
+
+    Daemon daemon;
+    ChargesOnDestruction charger;
+    std::unique_ptr<std::vector<int64_t>> runs;
+};
+
+TEST(Daemon, OwnerThatDeclaresItsDaemonFirstStopsItBeforeMembersCharge)
+{
+    // A run during the charger's destructor would write to the freed
+    // `runs` (an ASan build reports it).
+    Machine machine(1, 1);
+    auto owner = std::make_unique<DaemonFirstOwner>(machine);
+    owner->daemon.start(Tick{10});
+    chargeUntil(machine, 15);
+    ASSERT_EQ(owner->runs->size(), 1u);
+    owner.reset();
+    EXPECT_EQ(machine.now(), 115);
     EXPECT_TRUE(machine.events().empty());
 }
 
@@ -404,8 +549,9 @@ TEST(Machine, SocketTopology)
 TEST(Machine, ChargeRunsDueEvents)
 {
     Machine machine(1, 1);
+    LambdaEvents later(machine.events());
     int fired = 0;
-    machine.events().schedule(Tick{500}, [&] { ++fired; });
+    later.at(Tick{500}, [&] { ++fired; });
     machine.charge(Tick{499});
     EXPECT_EQ(fired, 0);
     machine.charge(Tick{1});

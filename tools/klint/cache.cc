@@ -7,7 +7,9 @@ namespace klint {
 
 namespace {
 
-constexpr const char *kMagic = "klint-cache-v1";
+// Bumped whenever indexing changes what it records for the same
+// source, so a cache written by an older klint is discarded whole.
+constexpr const char *kMagic = "klint-cache-v2";
 
 /** Fields never contain whitespace (identifiers and root paths), so
  *  a space-separated line format round-trips exactly; empty strings

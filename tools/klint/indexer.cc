@@ -185,12 +185,42 @@ mutatorMethods()
     return kMutators;
 }
 
-/** Callback-slot names: a call through one is an indirect call. */
+/**
+ * Callback-slot names: a call through one is an indirect call, be it
+ * a local (`fn()`) or a member (`event._fn(event)`).
+ */
 bool
 isCallbackSlotName(const std::string &name)
 {
-    return name == "fn" || name == "cb" || name == "probe" ||
-           name == "callback" || name == "handler" || name == "hook";
+    const std::string slot = name[0] == '_' ? name.substr(1) : name;
+    return slot == "fn" || slot == "cb" || slot == "probe" ||
+           slot == "callback" || slot == "handler" || slot == "hook";
+}
+
+/**
+ * Names of functions whose address this file passes as an argument
+ * or initializer (`Event(&Daemon::fire)`, `{&fire}`): trampolines an
+ * event node or hook slot will call indirectly.
+ */
+std::set<std::string>
+addressTakenNames(const Tokens &toks)
+{
+    std::set<std::string> names;
+    const int n = static_cast<int>(toks.size());
+    for (int i = 1; i + 1 < n; ++i) {
+        if (!toks[i].is("&") ||
+            !(toks[i - 1].is("(") || toks[i - 1].is(",") ||
+              toks[i - 1].is("{")))
+            continue;
+        int j = i + 1;
+        while (j + 2 < n && toks[j].ident() && toks[j + 1].is("::"))
+            j += 2;
+        if (j + 1 < n && toks[j].ident() &&
+            (toks[j + 1].is(")") || toks[j + 1].is(",") ||
+             toks[j + 1].is("}")))
+            names.insert(toks[j].text);
+    }
+    return names;
 }
 
 /**
@@ -430,6 +460,13 @@ indexFile(const SourceFile &file)
             }
         }
         index.functions.push_back(std::move(fn));
+    }
+
+    // Functions whose address is handed out join the pool as well.
+    const std::set<std::string> taken = addressTakenNames(toks);
+    for (FunctionDef &fn : index.functions) {
+        if (!fn.isLambda && fn.registeredVia.empty() && taken.count(fn.name))
+            fn.registeredVia = "&" + fn.name;
     }
 
     // Nested-body ranges to exclude from each function's own scan:

@@ -12,7 +12,8 @@
  *   - outgoing call sites with per-argument root resolution,
  *   - whether the body calls through a callback slot, and
  *   - whether the function is itself a callback registered through
- *     an observer/hook/scheduler API.
+ *     an observer/hook/scheduler API, or a trampoline whose address
+ *     its file hands out.
  *
  * Container identity is a *root path*, not a type: the repo's
  * `_member` naming convention makes member state recognisable at
@@ -80,9 +81,10 @@ struct FunctionDef
     bool isLambda = false;
     /**
      * Name of the registration API this lambda was passed to
-     * (`addAllocObserver`, `schedule`, ...). Non-empty means the
-     * function joins the callback pool: any indirect call site may
-     * reach it.
+     * (`addAllocObserver`, `schedule`, ...), or `&name` for a
+     * function whose address its file hands out (an event
+     * trampoline). Non-empty means the function joins the callback
+     * pool: any indirect call site may reach it.
      */
     std::string registeredVia;
     std::vector<Param> params;

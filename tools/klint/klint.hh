@@ -36,6 +36,8 @@
  *                       scratch or arena storage.
  *   include-hygiene   — canonical header guards, no parent-relative
  *                       includes.
+ *   sim-owned-events  — no std::shared_ptr/std::weak_ptr under
+ *                       src/sim: events are owned nodes that cancel.
  *   no-mutable-global — no mutable static-storage state shared
  *                       across RunPool runs (src/, bench/, tests/).
  *   suppression-format — suppression comments carry a rule name and

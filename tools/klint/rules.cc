@@ -822,6 +822,36 @@ ruleIncludeHygiene(const Context &ctx, std::vector<Finding> &findings)
 }
 
 // ---------------------------------------------------------------------------
+// Rule: sim-owned-events
+//
+// The event queue takes owned nodes that cancel themselves when their
+// owner dies, so src/sim needs no shared ownership: a
+// std::shared_ptr or std::weak_ptr there is a liveness token that
+// works around cancellation instead of using it.
+
+void
+ruleSimOwnedEvents(const Context &ctx, std::vector<Finding> &findings)
+{
+    for (const SourceFile &file : ctx.files) {
+        if (file.dir != "src/sim")
+            continue;
+        const Tokens &toks = file.tokens;
+        for (size_t i = 2; i < toks.size(); ++i) {
+            const std::string &name = toks[i].text;
+            if ((name == "shared_ptr" || name == "weak_ptr" ||
+                 name == "make_shared") &&
+                toks[i - 1].is("::") && toks[i - 2].text == "std") {
+                findings.push_back(
+                    {"sim-owned-events", file.path, toks[i].line,
+                     "std::" + name + " in src/sim; own the Event "
+                     "node and cancel it instead of checking a "
+                     "liveness token"});
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Rule: no-mutable-global
 //
 // The RunPool (base/run_pool.hh) executes simulation runs
@@ -1156,6 +1186,9 @@ ruleCatalogue()
         {"include-hygiene",
          "canonical header guards; no parent-relative includes",
          ruleIncludeHygiene},
+        {"sim-owned-events",
+         "no std::shared_ptr/std::weak_ptr under src/sim",
+         ruleSimOwnedEvents},
         {"no-mutable-global",
          "no mutable static-storage state shared across RunPool runs",
          ruleNoMutableGlobal},

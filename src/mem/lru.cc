@@ -1,57 +1,20 @@
 #include "mem/lru.hh"
 
+#include "mem/migration.hh"
+
 namespace kloc {
-
-LruEngine::LruEngine(Machine &machine, TierManager &tiers)
-    : _machine(machine), _tiers(tiers)
-{
-    // Captureless trampolines: the observer fan-out stays a plain
-    // indirect call on the per-alloc/per-free fast path.
-    _tiers.addAllocObserver(
-        [](void *ctx, Frame *frame) {
-            static_cast<LruEngine *>(ctx)->onAllocated(frame);
-        },
-        this);
-    _tiers.addFreeObserver(
-        [](void *ctx, Frame *frame) {
-            static_cast<LruEngine *>(ctx)->onFreed(frame);
-        },
-        this);
-}
-
-void
-LruEngine::onAllocated(Frame *frame)
-{
-    // Like Linux, fresh pages start on the inactive list and must
-    // prove themselves via references.
-    frame->onActiveList = false;
-    frame->referenced = false;
-    _tiers.tier(frame->tier).inactiveList().pushFront(frame);
-}
-
-void
-LruEngine::onFreed(Frame *frame)
-{
-    if (frame->lruHook.linked()) {
-        Tier &t = _tiers.tier(frame->tier);
-        if (frame->onActiveList)
-            t.activeList().remove(frame);
-        else
-            t.inactiveList().remove(frame);
-    }
-}
 
 bool
 LruEngine::maybePoison(Frame *frame, FaultSite site, PoisonOrigin origin)
 {
-    // Only consult while a containment hook is registered, so stacks
-    // without a MigrationEngine draw no per-site fault RNG and their
-    // traces are unchanged by the poison machinery existing.
-    if (_poisonHook.fn == nullptr || frame->poisoned)
+    // Only consult while a MigrationEngine is alive, so stacks without
+    // one draw no per-site fault RNG and their traces are unchanged by
+    // the poison machinery existing.
+    if (_migrator == nullptr || frame->poisoned)
         return false;
     if (!_machine.faults().shouldFire(site))
         return false;
-    _poisonHook.fn(_poisonHook.ctx, frame, origin);
+    _migrator->poisonFrame(frame, origin);
     return true;
 }
 
@@ -85,25 +48,6 @@ LruEngine::onAccessedSlow(Frame *frame)
 }
 
 void
-LruEngine::onMigrated(Frame *frame, TierId old_tier)
-{
-    // The frame changed tier; move its list membership along,
-    // preserving active/inactive standing.
-    if (!frame->lruHook.linked())
-        return;
-    Tier &from = _tiers.tier(old_tier);
-    if (frame->onActiveList)
-        from.activeList().remove(frame);
-    else
-        from.inactiveList().remove(frame);
-    Tier &to = _tiers.tier(frame->tier);
-    if (frame->onActiveList)
-        to.activeList().pushFront(frame);
-    else
-        to.inactiveList().pushFront(frame);
-}
-
-void
 LruEngine::deactivate(Frame *frame)
 {
     frame->referenced = false;
@@ -126,11 +70,7 @@ LruEngine::requeue(Frame *frame)
 {
     if (!frame->lruHook.linked())
         return;
-    Tier &t = _tiers.tier(frame->tier);
-    if (frame->onActiveList)
-        t.activeList().moveToFront(frame);
-    else
-        t.inactiveList().moveToFront(frame);
+    _tiers.tier(frame->tier).lruList(*frame).moveToFront(frame);
 }
 
 void
@@ -144,7 +84,7 @@ LruEngine::scanTier(TierId tier, FrameCount max_scan, ScanResult &out)
 
     // Pass 1: age the active list from the cold end. Referenced
     // frames get another round; unreferenced ones deactivate.
-    // The poison hook can evacuate frames off this tier mid-scan, so
+    // Containment can evacuate frames off this tier mid-scan, so
     // both passes re-check list emptiness rather than trusting the
     // length snapshot.
     uint64_t budget = max_scan;

@@ -2,7 +2,8 @@
  * @file
  * Linux-style two-list LRU engine over each tier's frames.
  *
- * New frames enter the inactive list; a frame referenced twice is
+ * TierManager links new frames into the inactive list, carries them
+ * across tiers and unlinks them on free; a frame referenced twice is
  * promoted to the active list; periodic scans age the lists and yield
  * demotion candidates (cold, unreferenced, inactive frames) and
  * promotion candidates (active frames on slow tiers).
@@ -22,6 +23,8 @@
 #include "sim/machine.hh"
 
 namespace kloc {
+
+class MigrationEngine;
 
 /**
  * Result of one LRU scan pass over a tier. Policies that scan every
@@ -50,43 +53,37 @@ struct ScanResult
 /** Two-list LRU bookkeeping and scanning. */
 class LruEngine
 {
+    /** Installs itself as _migrator for its lifetime. */
+    friend class MigrationEngine;
+
   public:
     /** Cost of visiting one frame during a scan (2 s / 1 M pages). */
     static constexpr Tick kScanCostPerPage{2000};
 
-    LruEngine(Machine &machine, TierManager &tiers);
+    LruEngine(Machine &machine, TierManager &tiers)
+        : _machine(machine), _tiers(tiers)
+    {}
 
     /**
-     * Containment callback for frame_poison_access/_scan faults. The
-     * access and scan paths consult the injector only while a hook is
-     * registered (the MigrationEngine registers itself), so an
-     * LRU-only stack draws no fault RNG. The hook may evacuate the
-     * frame — re-homing it, moving its list membership, or leaving it
-     * poisoned in place — so callers treat the frame as re-homed
-     * after the call.
-     */
-    void
-    setPoisonHook(void (*fn)(void *, Frame *, PoisonOrigin), void *ctx)
-    {
-        _poisonHook.fn = fn;
-        _poisonHook.ctx = ctx;
-    }
-
-    /**
-     * Frame lifecycle notifications. Alloc/free arrive automatically
-     * via TierManager observers; access and migration notifications
-     * are the caller's responsibility.
+     * Record a simulated reference to @p frame; runs on every one.
+     * List membership itself is TierManager's (alloc, rehome, free).
      *
-     * onAccessed runs on every simulated reference. When no poison
-     * consult is due, the touches that only set the referenced bit
-     * (unlinked, active, or inactive and unreferenced frames) finish
-     * inline; promotion and the consult take the out-of-line path.
+     * While a MigrationEngine is alive, an armed injector is
+     * consulted at frame_poison_access, and the engine contains a
+     * poisoning — possibly re-homing the frame, so callers treat it
+     * as re-homed after the call. Without an engine no fault RNG is
+     * drawn.
+     *
+     * When no poison consult is due, the touches that only set the
+     * referenced bit (unlinked, active, or inactive and unreferenced
+     * frames) finish inline; promotion and the consult take the
+     * out-of-line path.
      */
     void
     onAccessed(Frame *frame)
     {
         frame->lastAccessTick = _machine.now();
-        const bool consult = _poisonHook.fn != nullptr &&
+        const bool consult = _migrator != nullptr &&
                              !frame->poisoned && _machine.faults().armed();
         const bool promote = frame->lruHook.linked() &&
                              !frame->onActiveList && frame->referenced;
@@ -110,12 +107,6 @@ class LruEngine
         return !frame->lruHook.linked() ||
                (frame->onActiveList && frame->referenced);
     }
-
-    /**
-     * Move @p frame's LRU membership from @p old_tier to its current
-     * tier; call right after TierManager::rehome succeeds.
-     */
-    void onMigrated(Frame *frame, TierId old_tier);
 
     /**
      * Strip @p frame's LRU standing (inactive, unreferenced) — used
@@ -172,26 +163,18 @@ class LruEngine
     uint64_t inactiveCount(TierId tier);
 
   private:
-    struct PoisonHook
-    {
-        void (*fn)(void *ctx, Frame *frame, PoisonOrigin origin) =
-            nullptr;
-        void *ctx = nullptr;
-    };
-
-    void onAllocated(Frame *frame);
-    void onFreed(Frame *frame);
-
     /** onAccessed past the timestamp: poison consult and promotion. */
     void onAccessedSlow(Frame *frame);
 
     /** Consult the injector at @p site for @p frame; true = poisoned
-     *  (the hook ran and the caller must not keep scanning it). */
+     *  (containment ran and the caller must not keep scanning it). */
     bool maybePoison(Frame *frame, FaultSite site, PoisonOrigin origin);
 
     Machine &_machine;
     TierManager &_tiers;
-    PoisonHook _poisonHook;
+    /** The containment authority for access/scan poisonings; see
+     *  MigrationEngine's constructor. */
+    MigrationEngine *_migrator = nullptr;
     uint64_t _totalScanned = 0;
     uint64_t _totalPagesVisited = 0;
 };

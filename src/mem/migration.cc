@@ -21,22 +21,20 @@ MigrationEngine::MigrationEngine(Machine &machine, TierManager &tiers,
                                  LruEngine &lru)
     : _machine(machine), _tiers(tiers), _lru(lru)
 {
-    // Captureless trampolines, same shape as the LRU's frame
-    // observers: the engine is the containment authority for poison
-    // faults surfaced on the access/scan paths, and the drain
-    // authority for tiers whose health fails.
-    _lru.setPoisonHook(
-        [](void *ctx, Frame *frame, PoisonOrigin origin) {
-            static_cast<MigrationEngine *>(ctx)->poisonFrame(frame,
-                                                             origin);
-        },
-        this);
-    _tiers.addHealthObserver(
-        [](void *ctx, TierId tier, TierHealth from, TierHealth to) {
-            static_cast<MigrationEngine *>(ctx)->onTierHealth(tier, from,
-                                                              to);
-        },
-        this);
+    // The engine is the containment authority for poison faults
+    // surfaced on the access/scan paths, and the drain authority for
+    // tiers whose health fails. The destructor uninstalls it, so a
+    // dead engine is never called.
+    KLOC_ASSERT(_lru._migrator == nullptr && _tiers._migrator == nullptr,
+                "a second MigrationEngine over one TierManager");
+    _lru._migrator = this;
+    _tiers._migrator = this;
+}
+
+MigrationEngine::~MigrationEngine()
+{
+    _lru._migrator = nullptr;
+    _tiers._migrator = nullptr;
 }
 
 void
@@ -99,7 +97,6 @@ MigrationEngine::commitMove(Frame *frame, TierId src, Pfn src_pfn,
     }
     _machine.tracer().emit(TraceEventType::MigStart, src, src_pfn, dst,
                            dst_pfn);
-    _lru.onMigrated(frame, src);
     frame->scanMarks = 0;
     if (dst > src) {
         // Demotion resets LRU standing: the page must prove reuse

@@ -14,7 +14,7 @@
  * commit path over TierManager::rehome(): the frame's own state picks
  * where it lands (a clean shadow on the destination is re-adopted for
  * free, anything else copies into a fresh block), one bracket emits
- * MigStart → LRU follow → MigComplete, one table tallies every
+ * MigStart … MigComplete around the LRU reset, one table tallies every
  * MigrateResult into MigrationStats, and one tail charges the batch's
  * cost across the copy width.
  *
@@ -170,7 +170,13 @@ class MigrationEngine
     /** First retry delay; doubles per attempt. */
     static constexpr Tick kRetryBackoffBase = 50 * kMicrosecond;
 
+    /** Installs the engine as @p lru's containment authority and
+     *  @p tiers' health drain authority; one engine per TierManager. */
     MigrationEngine(Machine &machine, TierManager &tiers, LruEngine &lru);
+
+    /** Uninstalls the engine: poisonings go uncontained and health
+     *  transitions undrained, exactly as on an engine-less stack. */
+    ~MigrationEngine();
 
     /**
      * Parallel page-copy width (Nimble's optimisation). 1 means the
@@ -291,6 +297,13 @@ class MigrationEngine
         _poisonNotifyCtx = ctx;
     }
 
+    /**
+     * TierManager's upcall on every health transition of @p tier:
+     * failed tiers drain, readmitted ones return, both from the event
+     * queue.
+     */
+    void onTierHealth(TierId tier, TierHealth from, TierHealth to);
+
     const MigrationStats &stats() const { return _stats; }
 
     const PoisonStats &poisonStats() const { return _poisonStats; }
@@ -318,10 +331,12 @@ class MigrationEngine
 
     /**
      * The commit of a successful rehome() from (@p src, @p src_pfn):
-     * ShadowReuse when it landed in its shadow, the MigStart → LRU
-     * follow → MigComplete bracket, ShadowMake when the source was
-     * kept, FrameQuarantine when it was quarantined; plus its cost and,
-     * for every move but containment, the moved-pages accounting.
+     * ShadowReuse when it landed in its shadow, the MigStart …
+     * MigComplete bracket (rehome() already moved the frame's LRU
+     * membership; a demotion deactivates it inside), ShadowMake when
+     * the source was kept, FrameQuarantine when it was quarantined;
+     * plus its cost and, for every move but containment, the
+     * moved-pages accounting.
      */
     void commitMove(Frame *frame, TierId src, Pfn src_pfn, Landing landing,
                     SourceFate source, MoveCost &cost);
@@ -363,9 +378,6 @@ class MigrationEngine
 
     /** One poison_storm burst on @p tier. */
     void firePoisonStorm(TierId tier, uint64_t frames);
-
-    /** Health observer: failed tiers drain, readmitted ones return. */
-    void onTierHealth(TierId tier, TierHealth from, TierHealth to);
 
     /** What a queued TierEvent does when it fires. */
     enum class TierAction : uint8_t

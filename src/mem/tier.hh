@@ -43,6 +43,13 @@ class Tier
     FrameList &activeList() { return _active; }
     FrameList &inactiveList() { return _inactive; }
 
+    /** The list @p frame's standing puts it on. */
+    FrameList &
+    lruList(const Frame &frame)
+    {
+        return frame.onActiveList ? _active : _inactive;
+    }
+
     FrameCount totalPages() const { return _buddy.totalFrames(); }
 
     /**

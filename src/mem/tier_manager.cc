@@ -1,6 +1,7 @@
 #include "mem/tier_manager.hh"
 
 #include "base/logging.hh"
+#include "mem/migration.hh"
 
 namespace kloc {
 
@@ -168,8 +169,9 @@ TierManager::alloc(unsigned order, ObjClass cls, bool relocatable,
         t.noteAlloc(cls, frame->pages());
         ++_liveFrames;
 
-        for (const FrameObserver &obs : _allocObservers)
-            obs.fn(obs.ctx, frame);
+        // Like Linux, fresh pages start on the inactive list and must
+        // prove themselves via references.
+        t.inactiveList().pushFront(frame);
         _machine.tracer().emit(TraceEventType::FrameAlloc, tid, pfn, order,
                                static_cast<uint64_t>(cls));
         return frame;
@@ -185,10 +187,9 @@ TierManager::free(Frame *frame)
 
     if (frame->hasShadow())
         dropShadow(frame, ShadowDropReason::FrameFreed);
-    for (const FrameObserver &obs : _freeObservers)
-        obs.fn(obs.ctx, frame);
-    KLOC_ASSERT(!frame->lruHook.linked(),
-                "freeing frame still on an LRU list");
+    Tier &t = tier(frame->tier);
+    if (frame->lruHook.linked())
+        t.lruList(*frame).remove(frame);
     _machine.tracer().emit(TraceEventType::FrameFree, frame->tier,
                            frame->pfn, frame->order,
                            static_cast<uint64_t>(frame->objClass));
@@ -197,7 +198,6 @@ TierManager::free(Frame *frame)
     _lifetimes[static_cast<unsigned>(frame->objClass)]
         .sample(static_cast<uint64_t>(lifetime));
 
-    Tier &t = tier(frame->tier);
     t.noteFree(frame->objClass, frame->pages());
     if (frame->poisoned) {
         // A poisoned block never returns to the allocator: it is
@@ -290,6 +290,10 @@ TierManager::rehome(Frame *frame, TierId dst, Landing landing,
         from.buddy().quarantine(frame->pfn, frame->order);
         frame->poisoned = false;
         break;
+    }
+    if (frame->lruHook.linked()) {
+        from.lruList(*frame).remove(frame);
+        to.lruList(*frame).pushFront(frame);
     }
 
     frame->tier = dst;
@@ -405,8 +409,8 @@ TierManager::transitionHealth(TierId id, TierHealth to)
                            static_cast<uint64_t>(id),
                            static_cast<uint64_t>(from),
                            static_cast<uint64_t>(to), state.score);
-    for (const HealthObserver &obs : _healthObservers)
-        obs.fn(obs.ctx, id, from, to);
+    if (_migrator != nullptr)
+        _migrator->onTierHealth(id, from, to);
 }
 
 void
@@ -502,26 +506,6 @@ TierManager::quarantinedPages() const
     for (const auto &t : _tiers)
         pages += static_cast<uint64_t>(t->buddy().quarantinedFrames());
     return pages;
-}
-
-void
-TierManager::addHealthObserver(void (*fn)(void *, TierId, TierHealth,
-                                          TierHealth),
-                               void *ctx)
-{
-    _healthObservers.push_back(HealthObserver{fn, ctx});
-}
-
-void
-TierManager::addAllocObserver(void (*fn)(void *, Frame *), void *ctx)
-{
-    _allocObservers.push_back(FrameObserver{fn, ctx});
-}
-
-void
-TierManager::addFreeObserver(void (*fn)(void *, Frame *), void *ctx)
-{
-    _freeObservers.push_back(FrameObserver{fn, ctx});
 }
 
 } // namespace kloc

@@ -3,6 +3,9 @@
  * TierManager: the machine's physical memory — every tier, every
  * live Frame, and the accounting behind Figs. 2a/2b/2d and 5b.
  *
+ * A live frame is always on its tier's active or inactive LRU list:
+ * alloc() links it, rehome() carries it along, free() unlinks it.
+ *
  * Placement policy is expressed by the caller through the tier
  * preference order passed to alloc(); the manager walks it until a
  * tier has room. Every frame move — policy migration, Nomad's
@@ -26,6 +29,8 @@
 #include "sim/machine.hh"
 
 namespace kloc {
+
+class MigrationEngine;
 
 /** Why (or that) a single-frame migration attempt resolved. */
 enum class MigrateResult : uint8_t
@@ -119,29 +124,10 @@ const char *tierHealthName(TierHealth health);
 /** Owner of all tiers and frames. */
 class TierManager
 {
+    /** Installs itself as _migrator for its lifetime. */
+    friend class MigrationEngine;
+
   public:
-    /**
-     * Flat observer slot: a plain function pointer plus context, so
-     * the per-alloc/per-free fan-out is a direct indirect call with
-     * no type-erasure dispatch. Captureless lambdas convert.
-     */
-    struct FrameObserver
-    {
-        void (*fn)(void *ctx, Frame *frame);
-        void *ctx;
-    };
-
-    /** Flat observer slot for health transitions. */
-    struct HealthObserver
-    {
-        void (*fn)(void *ctx, TierId tier, TierHealth from,
-                   TierHealth to);
-        void *ctx;
-    };
-
-    /** Observer slots available per direction (alloc / free). */
-    static constexpr size_t kMaxObservers = 4;
-
     /** Migration count beyond which a page is retained (no demote). */
     static constexpr uint8_t kRetainThreshold = 8;
 
@@ -187,20 +173,24 @@ class TierManager
 
     /**
      * Allocate a 2^order-page frame for @p cls, trying tiers in
-     * @p preference order.
+     * @p preference order. The frame starts at the head of its
+     * tier's inactive list, unreferenced.
      * @return the frame, or nullptr when every tier is full.
      */
     Frame *alloc(unsigned order, ObjClass cls, bool relocatable,
                  const TierPreference &preference);
 
-    /** Release @p frame and record its lifetime. */
+    /** Unlink @p frame from its LRU list, release it and record its
+     *  lifetime. */
     void free(Frame *frame);
 
     /**
      * Re-home @p frame onto @p dst — the one way a frame moves. Space
      * bookkeeping only: the MigrationEngine emits the trace bracket and
      * charges copy costs. The frame keeps its address, so kernel
-     * objects holding Frame* never see a pointer change.
+     * objects holding Frame* never see a pointer change. A moved
+     * frame goes to the head of the destination's list that matches
+     * its active/inactive standing.
      *
      * One gate ladder decides, in order: relocatable, pinned, same
      * tier, ping-pong damping, destination online, poisoned — then,
@@ -251,18 +241,11 @@ class TierManager
      *  pool) order — the drain work-list for offlining. */
     std::vector<FrameRef> collectFramesOn(TierId id);
 
-    /** Observer invoked after a successful alloc(). */
-    void addAllocObserver(void (*fn)(void *, Frame *), void *ctx);
-
-    /** Observer invoked just before a frame is freed. */
-    void addFreeObserver(void (*fn)(void *, Frame *), void *ctx);
-
-    /** Observer invoked on every health transition (after the trace
-     *  event). Called synchronously — defer heavy work via events. */
-    void addHealthObserver(void (*fn)(void *, TierId, TierHealth,
-                                      TierHealth),
-                           void *ctx);
-
+    /**
+     * Health of @p id. Every transition emits TierHealth and then
+     * tells the live MigrationEngine, if any, which drains failed
+     * tiers and readmits healed ones.
+     */
     TierHealth health(TierId id) const;
 
     /** Current (decayed-at-last-tick) error score of @p id. */
@@ -347,9 +330,9 @@ class TierManager
 
     Histogram _lifetimes[kNumObjClasses];
 
-    InlineVec<FrameObserver, kMaxObservers> _allocObservers;
-    InlineVec<FrameObserver, kMaxObservers> _freeObservers;
-    InlineVec<HealthObserver, kMaxObservers> _healthObservers;
+    /** The engine told of every health transition; see
+     *  MigrationEngine's constructor. */
+    MigrationEngine *_migrator = nullptr;
     Daemon _healthDaemon{_machine};
 };
 

@@ -11,6 +11,12 @@ System::~System()
         _policy->stop();
     _heap.setPolicy(_staticPlacement.get());
     _policy.reset();
+    // Torn down in member order, but here, so the re-read hook is
+    // cleared before ~KlocManager, which charges time: an event it
+    // runs must not re-read a page through the freed FileSystem.
+    _net.reset();
+    _fs.reset();
+    _migrator.setRereadHook(nullptr, nullptr, nullptr);
 }
 
 Policy &

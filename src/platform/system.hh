@@ -56,7 +56,8 @@ class System
     /**
      * Stops the policy, then falls back to the static placement for
      * teardown: the FS and KLOC destructors still allocate (journal
-     * records for unlink metadata) after the policy is gone.
+     * records for unlink metadata) after the policy is gone. Clears
+     * the re-read hook once the FS is gone.
      */
     ~System();
 

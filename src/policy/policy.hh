@@ -53,7 +53,7 @@ struct PolicyContext
      * The tier manager behind @p heap. Policies consult its health
      * state (TierManager::preferHealthy) so degraded tiers fall
      * behind healthy ones in every TierPreference; see
-     * docs/POLICIES.md for the health callback contract.
+     * docs/POLICIES.md for the health placement contract.
      */
     TierManager &tiers() const { return heap.tiers(); }
 };

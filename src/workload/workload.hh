@@ -133,9 +133,9 @@ class Workload
 
     WorkloadConfig _config;
     Rng _rng;
+    std::vector<Frame *> _arena;
 
   private:
-    std::vector<Frame *> _arena;
     size_t _cpuCursor = 0;
 };
 

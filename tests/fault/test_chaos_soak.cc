@@ -33,6 +33,7 @@
 #include "platform/two_tier.hh"
 #include "policy/registry.hh"
 #include "sim/machine.hh"
+#include "support/lru_membership.hh"
 #include "trace/invariants.hh"
 #include "workload/runner.hh"
 #include "workload/workload.hh"
@@ -288,6 +289,8 @@ runSoakCell(const std::string &policy_name, uint64_t seed)
     check(checker.outstandingPins() == 0, "outstanding pins at teardown");
     check(checker.openTransactionalCopies() == 0,
           "transactional windows open at teardown");
+    check(lruListsHoldLiveFrames(tiers),
+          "LRU lists do not hold exactly each tier's live frames");
     check(checker.eventsChecked() > 0, "checker saw no events");
     if (!checker.clean())
         result.errors.push_back("invariant violations:\n" +

@@ -548,8 +548,9 @@ TEST(TierOffline, ScheduledEventsFireAtTicks)
 TEST(TierOffline, DestroyedEngineCancelsItsPendingTierEvents)
 {
     // The engine dies with a scheduled offline and a health drain
-    // pending. Charging past both must run neither: either would call
-    // into the freed engine (an ASan build reports it).
+    // pending. Charging past both must run neither, and the health
+    // ticks that follow must not tell it of the tier's recovery: each
+    // would call into the freed engine (an ASan build reports it).
     Machine machine(2, 1);
     TierManager tiers(machine);
     LruEngine lru(machine, tiers);
@@ -579,11 +580,14 @@ TEST(TierOffline, DestroyedEngineCancelsItsPendingTierEvents)
     EXPECT_EQ(machine.events().size(), 3u);
     migrator.reset();
     EXPECT_EQ(machine.events().size(), 1u);
-    // Past the offline, short of the first health tick, whose
-    // observers still name the engine.
-    machine.charge(Tick{2000000});
-    ASSERT_LT(machine.now(), TierManager::kHealthTickPeriod);
+    // Past the offline and through 40 health ticks: the score decays
+    // back down, and Failed → Degraded → Healthy go unheard.
+    for (int i = 0; i < 40; ++i)
+        machine.charge(TierManager::kHealthTickPeriod);
+    EXPECT_EQ(tiers.health(slow), TierHealth::Healthy);
     EXPECT_TRUE(tiers.tier(slow).online());
+    // At rest, the health daemon stops.
+    EXPECT_EQ(machine.events().size(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1167,6 +1171,52 @@ TEST(PoisonLifecycle, StormOnMissingTierIsHarmless)
     EXPECT_TRUE(s.checker->clean()) << s.checker->report();
 }
 
+TEST(PoisonLifecycle, DestroyedEngineLeavesArmedTouchesUnconsulted)
+{
+    // With frame_poison_access firing on every consult, a touch while
+    // the engine lives is contained; once the engine is gone a touch
+    // consults nothing, so it draws no fault RNG and calls no freed
+    // engine (an ASan build would report that).
+    Machine machine(2, 1);
+    TierManager tiers(machine);
+    LruEngine lru(machine, tiers);
+    MemAccessor mem(machine, lru);
+    TierSpec spec;
+    spec.name = "fast";
+    spec.capacity = 256 * kPageSize;
+    spec.readLatency = Tick{80};
+    spec.writeLatency = Tick{80};
+    spec.readBandwidth = 10 * kGiB;
+    spec.writeBandwidth = 10 * kGiB;
+    const TierId fast = tiers.addTier(spec);
+    FaultSpec faults;
+    std::string err;
+    ASSERT_TRUE(
+        FaultSpec::parse("frame_poison_access prob 1.0\n", faults, &err))
+        << err;
+    machine.faults().configure(faults);
+    const FaultInjector::SiteStats &access =
+        machine.faults().siteStats(FaultSite::FramePoisonAccess);
+
+    Frame *contained = tiers.alloc(0, ObjClass::App, true, {fast});
+    Frame *untouched = tiers.alloc(0, ObjClass::App, true, {fast});
+    ASSERT_NE(contained, nullptr);
+    ASSERT_NE(untouched, nullptr);
+    auto migrator = std::make_unique<MigrationEngine>(machine, tiers, lru);
+    mem.touch(contained, Bytes{64}, AccessType::Read);
+    EXPECT_TRUE(contained->poisoned);
+    EXPECT_EQ(migrator->poisonStats().poisonedFrames, 1u);
+    EXPECT_EQ(access.consults, 1u);
+
+    migrator.reset();
+    mem.touch(untouched, Bytes{64}, AccessType::Read);
+    EXPECT_EQ(access.consults, 1u);
+    EXPECT_EQ(machine.faults().totalFires(), 1u);
+    EXPECT_FALSE(untouched->poisoned);
+    EXPECT_EQ(untouched->tier, fast);
+    EXPECT_TRUE(untouched->referenced);
+}
+
 // ---------------------------------------------------------------------------
 // Tier health state machine
 // ---------------------------------------------------------------------------
@@ -1245,26 +1295,26 @@ TEST(TierHealthMachine, OperatorOfflineIsNotReadmittedByHealth)
     EXPECT_TRUE(s.checker->clean()) << s.checker->report();
 }
 
-TEST(TierHealthMachine, HealthObserverSeesTransitions)
+TEST(TierHealthMachine, TraceSeesTransitionsInOrder)
 {
     FaultStack s;
-    struct Seen
-    {
-        std::vector<std::pair<TierHealth, TierHealth>> transitions;
-    } seen;
-    s.tiers.addHealthObserver(
-        [](void *ctx, TierId, TierHealth from, TierHealth to) {
-            static_cast<Seen *>(ctx)->transitions.emplace_back(from, to);
-        },
-        &seen);
-
     for (int i = 0; i < 16; ++i)
         s.tiers.recordTierError(s.fast);
-    ASSERT_EQ(seen.transitions.size(), 2u);
-    EXPECT_EQ(seen.transitions[0].first, TierHealth::Healthy);
-    EXPECT_EQ(seen.transitions[0].second, TierHealth::Degraded);
-    EXPECT_EQ(seen.transitions[1].first, TierHealth::Degraded);
-    EXPECT_EQ(seen.transitions[1].second, TierHealth::Failed);
+    std::vector<std::pair<uint64_t, uint64_t>> transitions;
+    for (const TraceEvent &event : s.machine.tracer().events()) {
+        if (event.type != TraceEventType::TierHealth)
+            continue;
+        EXPECT_EQ(event.args[0], static_cast<uint64_t>(s.fast));
+        transitions.emplace_back(event.args[1], event.args[2]);
+    }
+    const auto code = [](TierHealth health) {
+        return static_cast<uint64_t>(health);
+    };
+    ASSERT_EQ(transitions.size(), 2u);
+    EXPECT_EQ(transitions[0].first, code(TierHealth::Healthy));
+    EXPECT_EQ(transitions[0].second, code(TierHealth::Degraded));
+    EXPECT_EQ(transitions[1].first, code(TierHealth::Degraded));
+    EXPECT_EQ(transitions[1].second, code(TierHealth::Failed));
 }
 
 // ---------------------------------------------------------------------------

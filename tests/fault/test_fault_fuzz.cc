@@ -31,6 +31,7 @@
 #include "mem/placement.hh"
 #include "policy/registry.hh"
 #include "sim/machine.hh"
+#include "support/lru_membership.hh"
 #include "trace/invariants.hh"
 
 namespace kloc {
@@ -309,6 +310,8 @@ runFuzzSeed(uint64_t seed, const std::string &policy_name = {},
     check(checker.outstandingPins() == 0, "outstanding pins at teardown");
     check(checker.openTransactionalCopies() == 0,
           "transactional windows open at teardown");
+    check(lruListsHoldLiveFrames(tiers),
+          "LRU lists do not hold exactly each tier's live frames");
     check(checker.eventsChecked() > 0, "checker saw no events");
     if (!checker.clean())
         result.errors.push_back("invariant violations:\n" +

@@ -3,7 +3,8 @@
  * TierManager tests: preference-order allocation with fallback,
  * residency/cumulative accounting, lifetime histograms, the rehome()
  * gate ladder and source fates as one table (identity stability,
- * damping, shadows, containment), FrameRef generations, and observers.
+ * damping, shadows, containment), FrameRef generations, and LRU list
+ * membership.
  */
 
 #include <gtest/gtest.h>
@@ -370,18 +371,45 @@ TEST_F(TierManagerTest, FrameRefDetectsFreeAndRecycle)
     tiers.free(recycled);
 }
 
-TEST_F(TierManagerTest, ObserversFire)
+TEST_F(TierManagerTest, FramesStayOnTheirTiersLruLists)
 {
-    int allocs = 0, frees = 0;
-    tiers.addAllocObserver(
-        [](void *ctx, Frame *) { ++*static_cast<int *>(ctx); }, &allocs);
-    tiers.addFreeObserver(
-        [](void *ctx, Frame *) { ++*static_cast<int *>(ctx); }, &frees);
-    Frame *frame = tiers.alloc(0, ObjClass::App, true, {fastId});
-    EXPECT_EQ(allocs, 1);
-    EXPECT_EQ(frees, 0);
-    tiers.free(frame);
-    EXPECT_EQ(frees, 1);
+    // No LruEngine: list membership is TierManager's own.
+    Frame *hot = tiers.alloc(0, ObjClass::App, true, {fastId});
+    Frame *cold = tiers.alloc(0, ObjClass::App, true, {fastId});
+    ASSERT_NE(hot, nullptr);
+    ASSERT_NE(cold, nullptr);
+    Tier &fast = tiers.tier(fastId);
+    Tier &slow = tiers.tier(slowId);
+    EXPECT_EQ(fast.inactiveList().size(), 2u);
+    EXPECT_EQ(fast.inactiveList().front(), cold);
+    EXPECT_TRUE(fast.activeList().empty());
+    EXPECT_FALSE(cold->onActiveList);
+    EXPECT_FALSE(cold->referenced);
+
+    // Promote by hand, as a second reference would.
+    fast.inactiveList().remove(hot);
+    fast.activeList().pushFront(hot);
+    hot->onActiveList = true;
+
+    ASSERT_EQ(tiers.rehome(hot, slowId, Landing::Fresh, SourceFate::Free),
+              MigrateResult::Ok);
+    EXPECT_TRUE(fast.activeList().empty());
+    EXPECT_EQ(slow.activeList().size(), 1u);
+    EXPECT_EQ(slow.activeList().front(), hot);
+    EXPECT_TRUE(slow.inactiveList().empty());
+
+    ASSERT_EQ(tiers.rehome(cold, slowId, Landing::Fresh, SourceFate::Free),
+              MigrateResult::Ok);
+    EXPECT_TRUE(fast.inactiveList().empty());
+    EXPECT_EQ(slow.inactiveList().size(), 1u);
+    EXPECT_EQ(slow.inactiveList().front(), cold);
+
+    tiers.free(hot);
+    EXPECT_FALSE(hot->lruHook.linked());
+    EXPECT_TRUE(slow.activeList().empty());
+    tiers.free(cold);
+    EXPECT_FALSE(cold->lruHook.linked());
+    EXPECT_TRUE(slow.inactiveList().empty());
 }
 
 } // namespace

@@ -36,6 +36,7 @@
 #include "mem/placement.hh"
 #include "policy/registry.hh"
 #include "sim/machine.hh"
+#include "support/lru_membership.hh"
 #include "trace/invariants.hh"
 
 namespace kloc {
@@ -209,6 +210,8 @@ runScenario(const std::string &policy_name, const ScenarioOptions &opts)
     result.outstandingPins = s.checker->outstandingPins();
     check(s.checker->openTransactionalCopies() == 0,
           "transactional windows open at teardown");
+    check(lruListsHoldLiveFrames(s.tiers),
+          "LRU lists do not hold exactly each tier's live frames");
     result.eventsChecked = s.checker->eventsChecked();
     check(s.tiers.liveFrames() <= 16 * KmemCache::kEmptyRetention,
           "frames leaked past slab empty-pool retention");

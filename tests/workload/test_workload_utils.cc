@@ -103,6 +103,7 @@ class ArenaProbe : public Workload
     WorkloadResult run(System &) override { return {}; }
     using Workload::growArena;
     using Workload::touchArena;
+    const std::vector<Frame *> &arena() const { return _arena; }
 };
 
 /**
@@ -112,16 +113,11 @@ class ArenaProbe : public Workload
 std::vector<std::pair<Tick, bool>>
 marksAfterTouch(uint64_t size, uint64_t idx)
 {
-    std::vector<Frame *> frames;
     auto platform = makePlatform();
     System &sys = platform->sys();
-    sys.tiers().addAllocObserver(
-        [](void *ctx, Frame *frame) {
-            static_cast<std::vector<Frame *> *>(ctx)->push_back(frame);
-        },
-        &frames);
     ArenaProbe probe(WorkloadConfig{});
     probe.growArena(sys, size);
+    const std::vector<Frame *> frames = probe.arena();
     EXPECT_EQ(frames.size(), size);
     // Move the clock so the touched frame's tick stands out.
     sys.machine().charge(Tick{1000});

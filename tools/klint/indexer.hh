@@ -81,7 +81,7 @@ struct FunctionDef
     bool isLambda = false;
     /**
      * Name of the registration API this lambda was passed to
-     * (`addAllocObserver`, `schedule`, ...), or `&name` for a
+     * (`setRereadHook`, `schedule`, ...), or `&name` for a
      * function whose address its file hands out (an event
      * trampoline). Non-empty means the function joins the callback
      * pool: any indirect call site may reach it.

@@ -1,8 +1,7 @@
 #include "alloc/slab.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
+#include "base/ordered.hh"
 
 namespace kloc {
 
@@ -31,8 +30,9 @@ KmemCache::~KmemCache()
     // TierManager::free charges time, and charged time can dispatch
     // events that land back in this cache's lists mid-walk.
     std::vector<Frame *> frames;
-    for (auto &[key, list] : _partial) {
-        for (Slab *slab : list) {
+    for (const uint64_t key : sortedSnapshot(_partial)) {
+        SlabList &group = _partial.at(key);
+        for (Slab *slab : group) {
             if (slab->frame)
                 frames.push_back(slab->frame);
             slab->frame = nullptr;
@@ -53,10 +53,13 @@ KmemCache::~KmemCache()
         _tiers.free(frame);
 }
 
-std::vector<KmemCache::Slab *> &
-KmemCache::partialList(uint64_t group_key)
+void
+KmemCache::unlinkPartial(Slab *slab)
 {
-    return _partial[group_key];
+    const auto group = _partial.find(slab->groupKey);
+    group->second.remove(slab);
+    if (group->second.empty() && slab->groupKey != 0)
+        _partial.erase(group);
 }
 
 KmemCache::Slab *
@@ -77,7 +80,6 @@ KmemCache::newSlab(const TierPreference &pref, uint64_t group_key)
     slab->frame = frame;
     slab->groupKey = group_key;
     slab->inUse = 0;
-    slab->onPartial = false;
     _livePages += frame->pages();
     // Buddy-path allocation cost for the new slab page(s).
     _mem.machine().cpuWork(kSlowPathCost);
@@ -106,7 +108,7 @@ KmemCache::alloc(const TierPreference &pref, uint64_t group_key)
     }
     _mem.machine().cpuWork(fast_path ? kFastPathCost : kSlowPathCost);
 
-    auto &partial = partialList(group_key);
+    SlabList &partial = _partial[group_key];
     Slab *slab = nullptr;
     if (!partial.empty()) {
         slab = partial.back();
@@ -116,14 +118,12 @@ KmemCache::alloc(const TierPreference &pref, uint64_t group_key)
         slab = _emptyPool.back();
         _emptyPool.pop_back();
         slab->groupKey = group_key;
-        partial.push_back(slab);
-        slab->onPartial = true;
+        partial.pushBack(slab);
     } else {
         slab = newSlab(pref, group_key);
         if (!slab)
             return SlabRef{};
-        partial.push_back(slab);
-        slab->onPartial = true;
+        partial.pushBack(slab);
     }
 
     ++slab->inUse;
@@ -131,11 +131,7 @@ KmemCache::alloc(const TierPreference &pref, uint64_t group_key)
     ++_totalAllocs;
     if (slab->inUse == _objsPerSlab) {
         // Slab is now full; drop from the partial list.
-        auto &list = partialList(slab->groupKey);
-        list.erase(std::find(list.begin(), list.end(), slab));
-        slab->onPartial = false;
-        if (list.empty() && slab->groupKey != 0)
-            _partial.erase(slab->groupKey);
+        unlinkPartial(slab);
     }
 
     // Touch the slab page: freelist pop + object header init.
@@ -169,16 +165,10 @@ KmemCache::free(SlabRef &ref)
     --_liveObjects;
 
     if (was_full && slab->inUse > 0) {
-        partialList(slab->groupKey).push_back(slab);
-        slab->onPartial = true;
+        _partial[slab->groupKey].pushBack(slab);
     } else if (slab->inUse == 0) {
-        if (slab->onPartial) {
-            auto &list = partialList(slab->groupKey);
-            list.erase(std::find(list.begin(), list.end(), slab));
-            slab->onPartial = false;
-            if (list.empty() && slab->groupKey != 0)
-                _partial.erase(slab->groupKey);
-        }
+        if (slab->partialHook.linked())
+            unlinkPartial(slab);
         if (_emptyPool.size() < kEmptyRetention) {
             _emptyPool.push_back(slab);
         } else {

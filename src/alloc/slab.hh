@@ -21,10 +21,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "base/intrusive_list.hh"
 #include "mem/accessor.hh"
 #include "mem/tier_manager.hh"
 
@@ -108,12 +109,18 @@ class KmemCache
         Frame *frame = nullptr;
         uint64_t groupKey = 0;
         uint32_t inUse = 0;
-        bool onPartial = false;
+        /** Membership in its group's partial list. */
+        ListHook partialHook;
     };
+
+    /** One group's partial slabs, oldest first. */
+    using SlabList = IntrusiveList<Slab, &Slab::partialHook>;
 
     Slab *newSlab(const TierPreference &pref, uint64_t group_key);
     void releaseSlab(Slab *slab);
-    std::vector<Slab *> &partialList(uint64_t group_key);
+    /** Take @p slab off its group's partial list, dropping an emptied
+     *  group other than the shared pool. */
+    void unlinkPartial(Slab *slab);
 
     MemAccessor &_mem;
     TierManager &_tiers;
@@ -124,8 +131,9 @@ class KmemCache
     uint64_t _objsPerSlab;
     bool _klocMode = false;
 
-    /** Partial (has free slots) slabs, keyed by group. */
-    std::map<uint64_t, std::vector<Slab *>> _partial;
+    /** Partial (has free slots) slabs, keyed by group. Map nodes
+     *  never move, so the lists inside stay put. */
+    std::unordered_map<uint64_t, SlabList> _partial;
     /** Cached empty slabs awaiting reuse or release. */
     std::vector<Slab *> _emptyPool;
 

@@ -204,7 +204,7 @@ class RbTree
 
     RbRoot _root;
     size_t _size = 0;
-    KeyFn _keyFn;
+    [[no_unique_address]] KeyFn _keyFn;
     mutable uint64_t _nodesVisited = 0;
 };
 

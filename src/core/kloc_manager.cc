@@ -1,7 +1,6 @@
 #include "core/kloc_manager.hh"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "base/logging.hh"
 
@@ -27,12 +26,7 @@ KlocManager::KlocManager(KernelHeap &heap, MigrationEngine &migrator)
         _heap.mem(), _heap.tiers(), "knode_cache", kKnodeSize,
         ObjClass::KlocMeta);
     _perCpu.resize(_machine.cpuCount());
-    _migrator.setPoisonNotifyHook(
-        [](void *ctx, Frame *frame, TierId origin, bool data_lost) {
-            static_cast<KlocManager *>(ctx)->onFramePoisoned(frame, origin,
-                                                             data_lost);
-        },
-        this);
+    _migrator.setFrameOwner(this);
     _daemon.setBody([this](Tick period) {
         runDemotePass();
         runWatermarkPass();
@@ -46,7 +40,7 @@ KlocManager::~KlocManager()
     // may run over the half-torn-down kmap.
     _daemon.stop();
     _softOfflines.clear();
-    _migrator.setPoisonNotifyHook(nullptr, nullptr);
+    _migrator.setFrameOwner(nullptr);
     // Tear down any knodes subsystems did not unmap.
     while (Knode *knode = _kmap.first()) {
         _kmap.erase(knode);
@@ -77,6 +71,9 @@ void
 KlocManager::setTierOrder(const TierPreference &order)
 {
     KLOC_ASSERT(!order.empty(), "empty tier order");
+    KLOC_ASSERT(_heap.tiers().tierCount() <= Knode::kMaxTiers,
+                "%zu tiers; knodes keep residency lists for %zu",
+                _heap.tiers().tierCount(), Knode::kMaxTiers);
     _tierOrder = order;
     _memLimits.assign(_heap.tiers().tierCount(), Bytes{});
 }
@@ -135,7 +132,6 @@ KlocManager::unmapKnode(Knode *knode)
     if (knode->backing.valid())
         _knodeCache->free(knode->backing);
     ++_stats.knodesDeleted;
-    ++_unmaps;
     delete knode;
 }
 
@@ -207,28 +203,52 @@ KlocManager::cacheOnCpu(Knode *knode)
     noteMetadata();
 }
 
+ObjList &
+KlocManager::residencyList(Knode *knode, KernelObject *obj)
+{
+    if (obj->page() == nullptr)
+        return knode->slabObjs;
+    const auto tier = static_cast<size_t>(obj->frame()->tier);
+    KLOC_ASSERT(tier < Knode::kMaxTiers, "page on untracked tier %zu", tier);
+    return knode->pagesOn[tier];
+}
+
 void
 KlocManager::addObject(Knode *knode, KernelObject *obj)
 {
     KLOC_ASSERT(obj->knode == nullptr, "object already tracked");
     KLOC_ASSERT(obj->backed(), "tracking an unbacked object");
     obj->objId = knode->nextObjId++;
+    KLOC_ASSERT(knode->nextObjId != 0, "object ids of knode %llu wrapped",
+                static_cast<unsigned long long>(knode->id));
     obj->knode = knode;
 
-    Knode::ObjTree &tree = (_splitTrees && !obj->page) ? knode->rbSlab
-                                                       : knode->rbCache;
+    Knode::ObjTree &tree = (_splitTrees && !obj->page()) ? knode->rbSlab
+                                                         : knode->rbCache;
     const uint64_t visits_before = tree.nodesVisited();
     const bool inserted = tree.insert(obj);
     KLOC_ASSERT(inserted, "duplicate object id in knode tree");
+    // Ids only grow, so the slab list stays in objId order.
+    residencyList(knode, obj).pushBack(obj);
+    // The descent's charge below can run a migration of the page, and
+    // the move must relink it, so its frame names it from here. A
+    // poisoning is the KLOC's to contain only after ObjTrack.
+    const bool page_backed = obj->page() != nullptr;
+    if (page_backed) {
+        obj->frame()->owner = obj;
+        _midTrack.push_back(obj);
+    }
     // Tree nodes are hot kernel metadata: the descent is CPU work on
     // cached lines, not cold memory traffic.
     _machine.cpuWork(static_cast<int64_t>(tree.nodesVisited() -
                                        visits_before) * kTreeStepCost);
-    if (obj->frame()) {
-        obj->frame()->owner = knode;
+    if (page_backed)
+        _midTrack.pop_back();
+    if (Frame *frame = obj->frame()) {
+        frame->owner = obj;
         _machine.tracer().emit(TraceEventType::ObjTrack, knode->id,
                                static_cast<uint64_t>(obj->kind),
-                               obj->frame()->tier, obj->frame()->pfn);
+                               frame->tier, frame->pfn);
     }
 
     ++_trackedObjects;
@@ -243,16 +263,16 @@ KlocManager::removeObject(KernelObject *obj)
     KLOC_ASSERT(knode != nullptr, "removing untracked object");
     // Mirror addObject's tree selection (do not flip setSplitTrees
     // while objects are tracked).
-    Knode::ObjTree &tree = (_splitTrees && !obj->page) ? knode->rbSlab
-                                                       : knode->rbCache;
+    Knode::ObjTree &tree = (_splitTrees && !obj->page()) ? knode->rbSlab
+                                                         : knode->rbCache;
     tree.erase(obj);
+    residencyList(knode, obj).remove(obj);
     obj->knode = nullptr;
-    if (obj->frame()) {
-        _machine.tracer().emit(TraceEventType::ObjUntrack, knode->id,
-                               static_cast<uint64_t>(obj->kind),
-                               obj->frame()->tier, obj->frame()->pfn);
-        obj->frame()->owner = nullptr;
-    }
+    Frame *frame = obj->frame();
+    _machine.tracer().emit(TraceEventType::ObjUntrack, knode->id,
+                           static_cast<uint64_t>(obj->kind), frame->tier,
+                           frame->pfn);
+    frame->owner = nullptr;
     _machine.cpuWork(3 * kTreeStepCost);
     KLOC_ASSERT(_trackedObjects > 0, "tracked object underflow");
     --_trackedObjects;
@@ -370,61 +390,120 @@ KlocManager::markInactive(Knode *knode)
     }
 }
 
+namespace {
+
+bool
+byObjId(const KernelObject *a, const KernelObject *b)
+{
+    return a->objId < b->objId;
+}
+
+} // namespace
+
+void
+KlocManager::collectBatch(Knode *knode, TierId dst,
+                          std::vector<FrameRef> &batch)
+{
+    // Page objects off dst. Each has a frame of its own, so none
+    // repeats a frame; the lists are by tier, not by id.
+    _walkPages.clear();
+    for (size_t t = 0; t < Knode::kMaxTiers; ++t) {
+        if (static_cast<TierId>(t) == dst)
+            continue;
+        for (KernelObject *obj : knode->pagesOn[t]) {
+            if (classManaged(obj->frame()->objClass))
+                _walkPages.push_back(obj);
+        }
+    }
+    std::sort(_walkPages.begin(), _walkPages.end(), byObjId);
+
+    // Slab objects off dst, already in id order. Objects share slab
+    // frames, and a frame joins the batch at its first object only.
+    _walkSlabs.clear();
+    for (KernelObject *obj : knode->slabObjs) {
+        const Frame *frame = obj->frame();
+        if (frame->tier != dst && classManaged(frame->objClass))
+            _walkSlabs.push_back(obj);
+    }
+    if (_walkSlabs.size() > 1) {
+        // Group by frame (tier and pfn name a live frame), keep each
+        // group's lowest id, and restore id order.
+        _walkByFrame.assign(_walkSlabs.begin(), _walkSlabs.end());
+        std::sort(_walkByFrame.begin(), _walkByFrame.end(),
+                  [](const KernelObject *a, const KernelObject *b) {
+                      const Frame *fa = a->frame();
+                      const Frame *fb = b->frame();
+                      if (fa->tier != fb->tier)
+                          return fa->tier < fb->tier;
+                      if (fa->pfn != fb->pfn)
+                          return fa->pfn < fb->pfn;
+                      return a->objId < b->objId;
+                  });
+        _walkSlabs.clear();
+        const Frame *last = nullptr;
+        for (KernelObject *obj : _walkByFrame) {
+            if (obj->frame() != last)
+                _walkSlabs.push_back(obj);
+            last = obj->frame();
+        }
+        std::sort(_walkSlabs.begin(), _walkSlabs.end(), byObjId);
+    }
+
+    // Split trees walk rbtree-cache (the page objects) first; one
+    // tree walks every object in id order.
+    batch.clear();
+    batch.reserve(_walkPages.size() + _walkSlabs.size());
+    auto append = [&batch](const KernelObject *obj) {
+        batch.emplace_back(obj->frame());
+    };
+    if (_splitTrees) {
+        std::for_each(_walkPages.begin(), _walkPages.end(), append);
+        std::for_each(_walkSlabs.begin(), _walkSlabs.end(), append);
+        return;
+    }
+    auto page = _walkPages.begin();
+    auto slab = _walkSlabs.begin();
+    while (page != _walkPages.end() || slab != _walkSlabs.end()) {
+        const bool take_page =
+            slab == _walkSlabs.end() ||
+            (page != _walkPages.end() && byObjId(*page, *slab));
+        append(take_page ? *page++ : *slab++);
+    }
+}
+
 uint64_t
 KlocManager::migrateKnodeObjects(Knode *knode, TierId dst)
 {
-    // Nothing can have come off dst since a walk left nothing there
-    // (Knode::WalkStamp): charge the walk's visits and skip it. This
-    // needs a tracked object never to get new backing, which
-    // allocBacking asserts.
-    const Knode::WalkStamp stamp{dst,
-                                 _heap.tiers().tier(dst).kernelDepartures(),
-                                 knode->nextObjId, _managedClasses};
-    if (knode->settled == stamp) {
-        _machine.backgroundTraffic(static_cast<int64_t>(knode->objectCount()) *
-                                   kObjVisitCost);
-        return 0;
-    }
-    std::unordered_set<Frame *> seen;
     std::vector<FrameRef> batch;
-    uint64_t visited = 0;
-    auto collect = [&](KernelObject *obj) {
-        ++visited;
-        Frame *frame = obj->frame();
-        if (frame && frame->tier != dst && classManaged(frame->objClass) &&
-            seen.insert(frame).second) {
-            batch.emplace_back(frame);
-        }
-    };
-    forEachCacheObj(knode, collect);
-    forEachSlabObj(knode, collect);
-    // Stamp before charging: the charge runs due events, which may
-    // unmap the knode.
-    if (batch.empty())
-        knode->settled = stamp;
-    _machine.backgroundTraffic(static_cast<int64_t>(visited) * kObjVisitCost);
+    collectBatch(knode, dst, batch);
+    _machine.backgroundTraffic(static_cast<int64_t>(knode->objectCount()) *
+                               kObjVisitCost);
     if (batch.empty())
         return 0;
-    const uint64_t unmaps = _unmaps;
-    const uint64_t moved = _migrator.migrate(batch, dst);
-    // Settled when every batch frame is now freed or on dst, and the
-    // knode outlived the migration's charges.
-    const bool settled =
-        std::all_of(batch.begin(), batch.end(), [dst](const FrameRef &ref) {
-            return !ref.valid() || ref->tier == dst;
-        });
-    if (settled && _unmaps == unmaps)
-        knode->settled = stamp;
-    return moved;
+    return _migrator.migrate(batch, dst);
 }
 
 void
-KlocManager::onFramePoisoned(Frame *frame, TierId origin_tier,
-                             bool data_lost)
+KlocManager::frameMoved(Frame *frame, TierId src)
 {
-    auto *knode = static_cast<Knode *>(frame->owner);
-    if (knode == nullptr)
+    auto *obj = static_cast<KernelObject *>(frame->owner);
+    if (obj->page() == nullptr)
+        return;  // a slab frame: its objects keep their one list
+    auto *knode = static_cast<Knode *>(obj->knode);
+    knode->pagesOn[static_cast<size_t>(src)].remove(obj);
+    residencyList(knode, obj).pushBack(obj);
+}
+
+void
+KlocManager::framePoisoned(Frame *frame, TierId origin_tier, bool data_lost)
+{
+    const auto *obj = static_cast<const KernelObject *>(frame->owner);
+    if (obj == nullptr ||
+        std::find(_midTrack.begin(), _midTrack.end(), obj) !=
+            _midTrack.end()) {
         return;  // frame backs no tracked object; nothing to contain
+    }
+    auto *knode = static_cast<Knode *>(obj->knode);
     if (data_lost) {
         knode->damaged = true;
         _machine.tracer().emit(TraceEventType::KlocDamaged, knode->id,

@@ -41,8 +41,11 @@ struct KlocStats
     uint64_t promotedPages = 0;
 };
 
-/** The KLOC kernel subsystem. */
-class KlocManager
+/**
+ * The KLOC kernel subsystem. It owns what tracked frames hold, so the
+ * MigrationEngine tells it of their moves and poisonings.
+ */
+class KlocManager : private FrameOwner
 {
   public:
     /** Size of the knode structure charged per open inode (§7.1). */
@@ -118,6 +121,17 @@ class KlocManager
         for (KernelObject *obj = knode->rbCache.first(); obj != nullptr;
              obj = knode->rbCache.next(obj)) {
             fn(obj);
+        }
+    }
+
+    /** Call @p fn on every live knode in inode order; charges nothing. */
+    template <typename Fn>
+    void
+    forEachKnode(Fn &&fn)
+    {
+        for (Knode *knode = _kmap.first(); knode != nullptr;
+             knode = _kmap.next(knode)) {
+            fn(knode);
         }
     }
 
@@ -216,10 +230,21 @@ class KlocManager
 
     /**
      * Migrate every object of @p knode to @p dst; returns pages moved.
-     * A repeat call that cannot find anything to move (Knode::settled)
-     * charges the walk without making it.
+     * Charges a visit per tracked object, as the tree walk of §4.2.3
+     * would, but visits only the residency lists that can hold an
+     * object off @p dst.
      */
     uint64_t migrateKnodeObjects(Knode *knode, TierId dst);
+
+    /**
+     * The batch migrateKnodeObjects(@p knode, @p dst) moves, in its
+     * order, into @p batch: each managed frame off @p dst that backs a
+     * member, once, in the order a walk of rbtree-cache then
+     * rbtree-slab (or of the one tree, unsplit) first meets it.
+     * Charges nothing.
+     */
+    void collectBatch(Knode *knode, TierId dst,
+                      std::vector<FrameRef> &batch);
 
     // -- accounting ---------------------------------------------------------
 
@@ -259,14 +284,19 @@ class KlocManager
     void cacheOnCpu(Knode *knode);
     void noteMetadata();
 
+    /** The residency list a tracked @p obj of @p knode sits on. */
+    static ObjList &residencyList(Knode *knode, KernelObject *obj);
+
+    /** A tracked page object's frame moved: relink it to its tier. */
+    void frameMoved(Frame *frame, TierId src) override;
+
     /**
-     * Poison-notify callback from the MigrationEngine: when a
-     * tracked frame takes an uncorrectable error, mark the owning
-     * KLOC damaged on data loss and schedule a soft-offline that
-     * migrates its sibling objects away from the erroring tier.
+     * When a tracked frame takes an uncorrectable error, mark the
+     * owning KLOC damaged on data loss and schedule a soft-offline
+     * that migrates its sibling objects away from the erroring tier.
      */
-    void onFramePoisoned(Frame *frame, TierId origin_tier,
-                         bool data_lost);
+    void framePoisoned(Frame *frame, TierId origin_tier,
+                       bool data_lost) override;
     /** The deferred half: move inode @p inode's KLOC off @p origin_tier. */
     void softOffline(uint64_t inode, TierId origin_tier);
 
@@ -318,7 +348,15 @@ class KlocManager
     bool _usePerCpuLists = true;
     bool _splitTrees = true;
     uint64_t _knodeTreeVisitsRetired = 0;  ///< from deleted knodes
-    uint64_t _unmaps = 0;  ///< knodes deleted; tells a walk its knode lives
+    /** collectBatch's scratch: page objects, slab objects, and the
+     *  slab objects grouped by frame. Collecting charges nothing, so
+     *  no nested walk can reach them mid-use. */
+    std::vector<KernelObject *> _walkPages;
+    std::vector<KernelObject *> _walkSlabs;
+    std::vector<KernelObject *> _walkByFrame;
+    /** Page objects whose addObject is charging its tree descent,
+     *  innermost last. */
+    std::vector<const KernelObject *> _midTrack;
     KlocStats _stats;
     uint64_t _trackedObjects = 0;   ///< live tracked objects
     Bytes _peakMetadata{};

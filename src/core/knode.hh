@@ -8,6 +8,13 @@
  * slab-backed ones (§4.2.3) — so that when the OS decides the inode
  * is cold, all associated objects can be found and migrated en masse
  * without scanning page tables.
+ *
+ * The trees keep the paper's order; a walk that demotes the KLOC
+ * does not have to visit them all. Each tracked object also sits on
+ * one residency list: a page-backed object on the list of its
+ * frame's tier, a slab object on the knode's one slab list. A walk
+ * to tier t visits the page objects of the other tiers' lists and
+ * the slab list, and finds every object that can be off t.
  */
 
 #ifndef KLOC_CORE_KNODE_HH
@@ -28,10 +35,16 @@ struct ObjIdKey
     uint64_t operator()(const KernelObject &obj) const { return obj.objId; }
 };
 
+/** A knode's residency list of tracked objects. */
+using ObjList = IntrusiveList<KernelObject, &KernelObject::residencyHook>;
+
 /** Per-inode kernel-object context. */
 struct Knode
 {
     using ObjTree = RbTree<KernelObject, &KernelObject::knodeHook, ObjIdKey>;
+
+    /** Tiers a knode keeps page residency lists for. */
+    static constexpr size_t kMaxTiers = 4;
 
     explicit Knode(uint64_t inode_id) : id(inode_id) {}
 
@@ -44,6 +57,15 @@ struct Knode
     /** Active flag: the file/socket is open and in use (§4.1). */
     bool inuse = true;
 
+    /** Queued for the migration daemon's demote pass. */
+    bool pendingDemote = false;
+    /**
+     * An uncorrectable memory error destroyed one of this KLOC's
+     * objects (SIGBUS surfaced to the owner). Sticky: subsystems may
+     * fail reads against a damaged inode until it is recreated.
+     */
+    bool damaged = false;
+
     /**
      * LRU age: reset to zero on access, incremented by scans that do
      * not evict (§4.3). Larger = colder.
@@ -52,6 +74,11 @@ struct Knode
 
     /** CPU that last touched this knode (find_cpu API). */
     int lastCpu = -1;
+
+    /** Monotonic id source for member objects. */
+    uint32_t nextObjId = 1;
+
+    Tick lastActiveTick{};
 
     /** Slab backing of the knode structure itself (64 B, fast mem). */
     SlabRef backing;
@@ -65,38 +92,17 @@ struct Knode
     /** Slab-backed member objects (inode, dentry, extents, ...). */
     ObjTree rbSlab;
 
-    /** Monotonic id source for member objects. */
-    uint64_t nextObjId = 1;
-
-    Tick lastActiveTick{};
-
-    /** Queued for the migration daemon's demote pass. */
-    bool pendingDemote = false;
     /**
-     * An uncorrectable memory error destroyed one of this KLOC's
-     * objects (SIGBUS surfaced to the owner). Sticky: subsystems may
-     * fail reads against a damaged inode until it is recreated.
+     * Page-backed members by the tier of their frame. A successful
+     * migration relinks the object (KlocManager::frameMoved).
      */
-    bool damaged = false;
+    ObjList pagesOn[kMaxTiers];
 
     /**
-     * What a migrateKnodeObjects() walk depends on, taken before it.
-     * A knode whose walk left nothing off `dst` keeps the stamp in
-     * `settled`. While a later call's stamp still matches, no object
-     * was added, no kernel frame left `dst` and no class was newly
-     * managed, so a new walk would find nothing to move either.
+     * Slab-backed members, in objId order: appended when tracked and
+     * never relinked, since a slab frame's move changes no list.
      */
-    struct WalkStamp
-    {
-        TierId dst = kInvalidTier;
-        uint64_t dstDepartures = 0;   ///< Tier::kernelDepartures()
-        uint64_t nextObjId = 0;
-        uint32_t managedClasses = 0;
-
-        bool operator==(const WalkStamp &) const = default;
-    };
-
-    WalkStamp settled;
+    ObjList slabObjs;
 
     uint64_t objectCount() const { return rbCache.size() + rbSlab.size(); }
 };

@@ -43,10 +43,6 @@ KernelHeap::allocBacking(KernelObject &obj, bool knode_active,
     KLOC_ASSERT(_policy != nullptr, "KernelHeap used without a policy");
     KLOC_ASSERT(!obj.backed(), "double allocation of %s",
                 kobjKindName(obj.kind));
-    // KlocManager's walk memo relies on this: a tracked object's
-    // frame changes only by migration, never by new backing.
-    KLOC_ASSERT(obj.knode == nullptr, "new backing for a tracked %s",
-                kobjKindName(obj.kind));
 
     const auto pref =
         _policy->kernelPreference(kobjClass(obj.kind), knode_active);
@@ -65,10 +61,11 @@ KernelHeap::allocBacking(KernelObject &obj, bool knode_active,
     const bool relocatable =
         obj.kind == KobjKind::PageCachePage ||
         obj.kind == KobjKind::JournalPage || _klocInterface;
-    obj.page = _tiers.alloc(0, kobjClass(obj.kind), relocatable, pref);
-    if (!obj.page)
+    Frame *page = _tiers.alloc(0, kobjClass(obj.kind), relocatable, pref);
+    if (!page)
         return false;
-    obj.page->owner = nullptr;
+    page->owner = nullptr;
+    obj.slab.frame = page;
     // Page allocator path cost.
     _mem.machine().cpuWork(KmemCache::kSlowPathCost);
     return true;
@@ -77,15 +74,19 @@ KernelHeap::allocBacking(KernelObject &obj, bool knode_active,
 void
 KernelHeap::freeBacking(KernelObject &obj)
 {
+    // KlocManager's residency lists rely on this: a tracked object
+    // keeps its frame, which changes only by migration.
+    KLOC_ASSERT(obj.knode == nullptr, "freeing the backing of a tracked %s",
+                kobjKindName(obj.kind));
     if (obj.backed()) {
         _objLifetimes[static_cast<unsigned>(obj.kind)].sample(
             static_cast<uint64_t>(_mem.machine().now() - obj.allocTick));
     }
     if (obj.slab.valid()) {
         obj.slab.cache->free(obj.slab);
-    } else if (obj.page) {
-        _tiers.free(obj.page);
-        obj.page = nullptr;
+    } else if (Frame *page = obj.page()) {
+        _tiers.free(page);
+        obj.slab.frame = nullptr;
         _mem.machine().cpuWork(KmemCache::kSlowPathCost);
     }
 }

@@ -56,7 +56,7 @@ class KernelHeap
     bool allocBacking(KernelObject &obj, bool knode_active,
                       uint64_t group_key);
 
-    /** Release @p obj's backing. */
+    /** Release @p obj's backing; @p obj must not be KLOC-tracked. */
     void freeBacking(KernelObject &obj);
 
     /** Charge one access to @p obj (size = the object's size). */

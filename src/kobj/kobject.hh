@@ -3,9 +3,10 @@
  * KernelObject: common base for every simulated kernel object.
  *
  * An object records its kind, its backing (one slab slot or one
- * whole page frame), and its membership hook for the owning knode's
- * red-black tree — the "table of contents" structure at the heart of
- * the KLOC abstraction (Fig. 1).
+ * whole page frame), and its membership hooks for the owning knode:
+ * the red-black tree that is the "table of contents" at the heart of
+ * the KLOC abstraction (Fig. 1), and the residency list that tells a
+ * KLOC walk which objects can be off a tier.
  */
 
 #ifndef KLOC_KOBJ_KOBJECT_HH
@@ -14,6 +15,7 @@
 #include <cstdint>
 
 #include "alloc/slab.hh"
+#include "base/intrusive_list.hh"
 #include "base/rbtree.hh"
 #include "kobj/kinds.hh"
 
@@ -30,15 +32,20 @@ struct KernelObject
 
     KobjKind kind;
 
-    /** Backing when slab-allocated. */
+    /** Key within the owning knode's tree (monotonic per-knode id). */
+    uint32_t objId = 0;
+
+    /**
+     * Backing. A slab object holds its slot here; a page-backed one
+     * holds only `slab.frame`, its own page. An object is never both,
+     * so the two share one frame pointer.
+     */
     SlabRef slab;
-    /** Backing when page-backed (whole frames). */
-    Frame *page = nullptr;
 
     /** Membership in the owning knode's rbtree-slab / rbtree-cache. */
     RbNode knodeHook;
-    /** Key within that tree (monotonic per-knode object id). */
-    uint64_t objId = 0;
+    /** Membership in the owning knode's residency list. */
+    ListHook residencyHook;
     /** Owning Knode, when KLOC tracking is enabled (else nullptr). */
     void *knode = nullptr;
 
@@ -46,10 +53,13 @@ struct KernelObject
     Tick allocTick{};
 
     /** Frame currently backing this object. */
+    Frame *frame() const { return slab.frame; }
+
+    /** The object's own page frame, when page-backed. */
     Frame *
-    frame() const
+    page() const
     {
-        return page ? page : slab.frame;
+        return slab.valid() ? nullptr : slab.frame;
     }
 
     /** Simulated size of this object in bytes. */
@@ -59,8 +69,12 @@ struct KernelObject
         return kobjSize(kind);
     }
 
-    bool backed() const { return page != nullptr || slab.valid(); }
+    bool backed() const { return slab.frame != nullptr; }
 };
+
+// Hundreds of thousands of objects stay live in a large run.
+static_assert(sizeof(KernelObject) <= 104,
+              "KernelObject outgrew its 104-byte budget");
 
 } // namespace kloc
 

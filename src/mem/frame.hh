@@ -63,7 +63,11 @@ struct Frame
 
     ListHook lruHook;              ///< tier active/inactive list
 
-    /** Owning kernel object (Knode-tracked), if any. */
+    /**
+     * The tracked kernel object this frame backs, if any (set by
+     * KlocManager::addObject, cleared by removeObject). A shared slab
+     * frame names the object last tracked on it.
+     */
     void *owner = nullptr;
 
     /**

@@ -91,6 +91,8 @@ MigrationEngine::commitMove(Frame *frame, TierId src, Pfn src_pfn,
 {
     const TierId dst = frame->tier;
     const Pfn dst_pfn = frame->pfn;
+    if (_frameOwner != nullptr && frame->owner != nullptr)
+        _frameOwner->frameMoved(frame, src);
     if (landing == Landing::Shadow) {
         _machine.tracer().emit(TraceEventType::ShadowReuse, dst, dst_pfn,
                                src, src_pfn);
@@ -536,7 +538,8 @@ MigrationEngine::poisonFrame(Frame *frame, PoisonOrigin origin)
     // due events.
     if (cost.copy + cost.fixed > Tick{})
         charge(cost);
-    notifyPoisonOwner(frame, src, !recovered);
+    if (_frameOwner != nullptr)
+        _frameOwner->framePoisoned(frame, src, !recovered);
     return recovered;
 }
 
@@ -611,14 +614,6 @@ MigrationEngine::recoverViaReread(Frame *frame, MoveCost &cost)
                            static_cast<uint64_t>(RecoverySource::Reread));
     ++_poisonStats.recoveredReread;
     return true;
-}
-
-void
-MigrationEngine::notifyPoisonOwner(Frame *frame, TierId origin_tier,
-                                   bool data_lost)
-{
-    if (_poisonNotifyFn != nullptr)
-        _poisonNotifyFn(_poisonNotifyCtx, frame, origin_tier, data_lost);
 }
 
 void

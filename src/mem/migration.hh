@@ -157,6 +157,33 @@ enum class TxnAbortReason : uint8_t
 
 const char *txnAbortReasonName(TxnAbortReason reason);
 
+/**
+ * The layer that owns what tracked frames hold (frames whose
+ * Frame::owner is set): it hears of each such frame's committed
+ * moves, and of every poisoning once containment resolves.
+ */
+class FrameOwner
+{
+  public:
+    /**
+     * A successful rehome() moved @p frame, tracked, off @p src;
+     * `frame->tier` is where it landed. Must not charge time.
+     */
+    virtual void frameMoved(Frame *frame, TierId src) = 0;
+
+    /**
+     * @p frame was poisoned and containment resolved: @p origin_tier
+     * is where the error struck (the frame may have evacuated
+     * elsewhere since) and @p data_lost says whether the bytes
+     * survived. Called for every poisoned frame, tracked or not.
+     */
+    virtual void framePoisoned(Frame *frame, TierId origin_tier,
+                               bool data_lost) = 0;
+
+  protected:
+    ~FrameOwner() = default;
+};
+
 /** Moves batches of frames between tiers and charges their cost. */
 class MigrationEngine
 {
@@ -281,21 +308,11 @@ class MigrationEngine
     }
 
     /**
-     * Register the owner-notification hook, called once per poisoned
-     * frame after containment resolves: @p origin_tier is where the
-     * error struck (the frame may have evacuated elsewhere since) and
-     * @p data_lost says whether the bytes survived. The KlocManager
-     * uses it to mark the owning KLOC damaged and soft-offline its
-     * sibling objects away from the erroring tier.
+     * Register the owner of tracked frames' contents (the KLOC
+     * manager), or nullptr to unregister. One slot: a second owner
+     * replaces the first.
      */
-    void
-    setPoisonNotifyHook(void (*fn)(void *, Frame *, TierId origin_tier,
-                                   bool data_lost),
-                        void *ctx)
-    {
-        _poisonNotifyFn = fn;
-        _poisonNotifyCtx = ctx;
-    }
+    void setFrameOwner(FrameOwner *owner) { _frameOwner = owner; }
 
     /**
      * TierManager's upcall on every health transition of @p tier:
@@ -331,7 +348,8 @@ class MigrationEngine
 
     /**
      * The commit of a successful rehome() from (@p src, @p src_pfn):
-     * ShadowReuse when it landed in its shadow, the MigStart …
+     * FrameOwner::frameMoved for a tracked frame, ShadowReuse when it
+     * landed in its shadow, the MigStart …
      * MigComplete bracket (rehome() already moved the frame's LRU
      * membership; a demotion deactivates it inside), ShadowMake when
      * the source was kept, FrameQuarantine when it was quarantined;
@@ -412,9 +430,6 @@ class MigrationEngine
     /** Bring back @p tier if this engine drained it and it healed. */
     void readmitTier(TierId tier);
 
-    void notifyPoisonOwner(Frame *frame, TierId origin_tier,
-                           bool data_lost);
-
     Machine &_machine;
     TierManager &_tiers;
     LruEngine &_lru;
@@ -425,8 +440,7 @@ class MigrationEngine
     bool (*_rereadProbe)(void *, Frame *) = nullptr;
     bool (*_rereadFn)(void *, Frame *) = nullptr;
     void *_rereadCtx = nullptr;
-    void (*_poisonNotifyFn)(void *, Frame *, TierId, bool) = nullptr;
-    void *_poisonNotifyCtx = nullptr;
+    FrameOwner *_frameOwner = nullptr;
     /** Tiers this engine offlined for health (vs. operator events),
      *  so readmission never onlines an operator-offlined tier. */
     std::vector<uint8_t> _healthOfflined;

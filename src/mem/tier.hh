@@ -202,21 +202,6 @@ class Tier
         _residentPages[static_cast<unsigned>(cls)] += pages;
     }
 
-    /**
-     * Kernel-class frames that have moved off this tier (every move
-     * is a TierManager::rehome). Frees do not count. KlocManager
-     * compares it across calls to know that nothing left a tier.
-     */
-    uint64_t kernelDepartures() const { return _kernelDepartures; }
-
-    /** A frame of @p cls moved off this tier (rehome only). */
-    void
-    noteDepart(ObjClass cls)
-    {
-        if (isKernelClass(cls))
-            ++_kernelDepartures;
-    }
-
   private:
     TierId _id;
     TierSpec _spec;
@@ -227,7 +212,6 @@ class Tier
     /** Per-CPU caches of order-0 pfn blocks; empty = disabled. */
     std::vector<std::vector<Pfn>> _pcp;
     uint64_t _pcpCached = 0;
-    uint64_t _kernelDepartures = 0;
     FrameCount _residentPages[kNumObjClasses] = {};
     FrameCount _cumAllocPages[kNumObjClasses] = {};
 };

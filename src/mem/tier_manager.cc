@@ -275,7 +275,6 @@ TierManager::rehome(Frame *frame, TierId dst, Landing landing,
     // block's buddy pages follow @p source.
     Tier &from = tier(frame->tier);
     from.noteFree(frame->objClass, frame->pages());
-    from.noteDepart(frame->objClass);
     switch (source) {
       case SourceFate::Free:
         freeBlock(from, frame->pfn, frame->order);

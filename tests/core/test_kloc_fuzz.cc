@@ -6,9 +6,11 @@
  * checked throughout:
  *
  *  - object counts in knode trees match a shadow model
- *  - frames' owner back-pointers track their knode
+ *  - frames' owner back-pointers name the object last tracked
  *  - metadata accounting never underflows
  *  - the running per-CPU list entry count matches a recount
+ *  - each knode's residency lists match a recount from its trees,
+ *    and a walk batches what a full walk of the trees would
  *  - every frame is freed by the end (no leaks)
  *  - each tier's buddy allocator validates at the end
  *
@@ -28,6 +30,8 @@
 #include "fs/objects.hh"
 #include "mem/placement.hh"
 #include "sim/machine.hh"
+#include "support/kloc_residency.hh"
+#include "support/kloc_walk_oracle.hh"
 #include "trace/invariants.hh"
 
 namespace kloc {
@@ -101,6 +105,7 @@ TEST_P(KlocFuzz, InvariantsHoldUnderChurn)
     for (int step = 0; step < 8000; ++step) {
         ASSERT_EQ(kloc.perCpuEntries(), recount_per_cpu())
             << "before step " << step;
+        ASSERT_EQ(klocResidencyError(kloc), "") << "before step " << step;
         const double action = rng.nextDouble();
         if (action < 0.12) {
             const uint64_t id = next_id++;
@@ -122,7 +127,7 @@ TEST_P(KlocFuzz, InvariantsHoldUnderChurn)
             }
             kloc.addObject(entry->knode, obj.get());
             ASSERT_EQ(obj->knode, entry->knode);
-            ASSERT_EQ(obj->frame()->owner, entry->knode);
+            ASSERT_EQ(obj->frame()->owner, obj.get());
             entry->objects.push_back(std::move(obj));
         } else if (action < 0.6) {
             Shadow *entry = random_entry();
@@ -152,8 +157,11 @@ TEST_P(KlocFuzz, InvariantsHoldUnderChurn)
         } else if (action < 0.88) {
             Shadow *entry = random_entry();
             if (entry) {
-                kloc.migrateKnodeObjects(
-                    entry->knode, rng.nextBool(0.5) ? slow : fast);
+                const TierId dst = rng.nextBool(0.5) ? slow : fast;
+                ASSERT_EQ(listBatch(kloc, entry->knode, dst),
+                          treeWalkBatch(kloc, entry->knode, dst))
+                    << "step " << step;
+                kloc.migrateKnodeObjects(entry->knode, dst);
             }
         } else if (action < 0.95) {
             // Lookup path + invariant spot checks.
@@ -184,6 +192,7 @@ TEST_P(KlocFuzz, InvariantsHoldUnderChurn)
     }
 
     ASSERT_EQ(kloc.perCpuEntries(), recount_per_cpu());
+    ASSERT_EQ(klocResidencyError(kloc), "");
 
     // Drain: everything must come back.
     for (auto &[id, entry] : model) {

@@ -12,6 +12,7 @@
 #include "fs/objects.hh"
 #include "mem/placement.hh"
 #include "sim/machine.hh"
+#include "support/kloc_residency.hh"
 
 namespace kloc {
 namespace {
@@ -145,7 +146,8 @@ TEST_F(KlocTest, ObjectsSplitAcrossCacheAndSlabTrees)
     EXPECT_EQ(knode->rbSlab.size(), 1u);   // slab-backed
     EXPECT_EQ(knode->objectCount(), 2u);
     EXPECT_EQ(page->knode, knode);
-    EXPECT_EQ(page->frame()->owner, knode);
+    EXPECT_EQ(page->frame()->owner, page);
+    EXPECT_EQ(dentry->frame()->owner, dentry);
 
     int cache_count = 0, slab_count = 0;
     kloc.forEachCacheObj(knode, [&](KernelObject *) { ++cache_count; });
@@ -350,17 +352,17 @@ TEST_F(KlocTest, UnmapReleasesKnodeBacking)
 
 TEST_F(KlocTest, TrackedObjectNeverGetsNewBacking)
 {
-    // The walk memo below relies on it: a tracked object's frame
-    // changes only by migration. The object is a slab one because
-    // removeObject picks a page's tree by its backing.
+    // The residency lists rely on it: a tracked object's frame
+    // changes only by migration. Its backing cannot be freed while
+    // it is tracked, so it cannot be replaced either.
     Knode *knode = kloc.mapKnode(1);
     Dentry dentry;
     ASSERT_TRUE(heap.allocBacking(dentry, true, knode->id));
     kloc.addObject(knode, &dentry);
-    heap.freeBacking(dentry);
-    EXPECT_DEATH(heap.allocBacking(dentry, true, knode->id),
-                 "new backing for a tracked");
+    EXPECT_DEATH(heap.freeBacking(dentry),
+                 "freeing the backing of a tracked");
     kloc.removeObject(&dentry);
+    heap.freeBacking(dentry);
     kloc.unmapKnode(knode);
 }
 
@@ -405,10 +407,11 @@ TEST_F(KlocTest, OneSoftOfflinePerKnodeAtATime)
 }
 
 /**
- * migrateKnodeObjects() skips the walk of a knode whose last walk
- * left nothing off the destination, until something could have put
- * an object off it again. Each case below changes one of those
- * things and expects the next call to move the object it concerns.
+ * migrateKnodeObjects() visits only the residency lists that can hold
+ * an object off its destination: the other tiers' page lists and the
+ * slab list. Each case below puts one object off the destination (or
+ * holds one there) and expects the next call to move exactly it,
+ * with the lists matching the trees after every step.
  */
 class KlocMigrateMemo : public KlocTest
 {
@@ -420,10 +423,21 @@ class KlocMigrateMemo : public KlocTest
         Knode *knode = kloc.mapKnode(1);
         for (int i = 0; i < n; ++i)
             pages.push_back(makePage(knode));
+        EXPECT_EQ(knode->pagesOn[fastId.value()].size(),
+                  static_cast<size_t>(n));
         EXPECT_EQ(kloc.migrateKnodeObjects(knode, slowId),
                   static_cast<uint64_t>(n));
-        EXPECT_EQ(knode->settled.dst, slowId) << "no stamp after the move";
+        expectListed(knode, 0, static_cast<size_t>(n));
         return knode;
+    }
+
+    /** @p knode's page lists hold @p fast and @p slow objects. */
+    void
+    expectListed(Knode *knode, size_t fast, size_t slow)
+    {
+        EXPECT_EQ(knode->pagesOn[fastId.value()].size(), fast);
+        EXPECT_EQ(knode->pagesOn[slowId.value()].size(), slow);
+        EXPECT_EQ(knodeResidencyError(*knode), "");
     }
 
     void
@@ -441,19 +455,19 @@ class KlocMigrateMemo : public KlocTest
 TEST_F(KlocMigrateMemo, RepeatCallChargesTheWalkAndMovesNothing)
 {
     Knode *knode = demotedKnode(8);
-    // Time a walk that finds nothing: forget the stamp first.
-    knode->settled = {};
+    // Nothing is off the slow tier: the call visits no list entry
+    // but charges a visit per member, every time.
     Tick before = machine.now();
     EXPECT_EQ(kloc.migrateKnodeObjects(knode, slowId), 0u);
     const Tick walk = machine.now() - before;
     EXPECT_GT(walk, Tick{});
-    EXPECT_EQ(knode->settled.dst, slowId) << "an empty walk stamps too";
 
     const uint64_t visits = kloc.treeNodesVisited();
     before = machine.now();
     EXPECT_EQ(kloc.migrateKnodeObjects(knode, slowId), 0u);
     EXPECT_EQ(machine.now() - before, walk);
     EXPECT_EQ(kloc.treeNodesVisited(), visits);
+    expectListed(knode, 0, 8);
     for (PageCachePage *page : pages)
         EXPECT_EQ(page->frame()->tier, slowId);
 }
@@ -462,8 +476,11 @@ TEST_F(KlocMigrateMemo, PromotedSiblingMovesBack)
 {
     Knode *knode = demotedKnode(4);
     ASSERT_TRUE(migrator.migrateOne(pages[1]->frame(), fastId));
+    expectListed(knode, 1, 3);
+    EXPECT_EQ(knode->pagesOn[fastId.value()].front(), pages[1]);
     EXPECT_EQ(kloc.migrateKnodeObjects(knode, slowId), 1u);
     EXPECT_EQ(pages[1]->frame()->tier, slowId);
+    expectListed(knode, 0, 4);
 }
 
 TEST_F(KlocMigrateMemo, NewObjectMoves)
@@ -471,8 +488,10 @@ TEST_F(KlocMigrateMemo, NewObjectMoves)
     Knode *knode = demotedKnode(4);
     pages.push_back(makePage(knode));
     ASSERT_EQ(pages.back()->frame()->tier, fastId);
+    expectListed(knode, 1, 4);
     EXPECT_EQ(kloc.migrateKnodeObjects(knode, slowId), 1u);
     EXPECT_EQ(pages.back()->frame()->tier, slowId);
+    expectListed(knode, 0, 5);
 }
 
 TEST_F(KlocMigrateMemo, WidenedClassMaskMovesTheNewClass)
@@ -482,18 +501,22 @@ TEST_F(KlocMigrateMemo, WidenedClassMaskMovesTheNewClass)
     auto *dentry = new Dentry();
     ASSERT_TRUE(heap.allocBacking(*dentry, true, knode->id));
     kloc.addObject(knode, dentry);
+    EXPECT_EQ(knode->slabObjs.size(), 1u);
 
-    // Page-cache pages unmanaged: only the dentry's slab page moves,
-    // and the walk leaves nothing managed behind.
+    // Page-cache pages unmanaged: only the dentry's slab page moves;
+    // the page stays listed on the fast tier.
     kloc.setManagedClasses(
         ~(1u << static_cast<unsigned>(ObjClass::PageCache)));
     EXPECT_EQ(kloc.migrateKnodeObjects(knode, slowId), 1u);
     EXPECT_EQ(dentry->frame()->tier, slowId);
     EXPECT_EQ(pages[0]->frame()->tier, fastId);
+    expectListed(knode, 1, 0);
 
     kloc.setManagedClasses(~0u);
     EXPECT_EQ(kloc.migrateKnodeObjects(knode, slowId), 1u);
     EXPECT_EQ(pages[0]->frame()->tier, slowId);
+    expectListed(knode, 0, 1);
+    EXPECT_EQ(knode->slabObjs.size(), 1u) << "slab moves relink nothing";
 
     kloc.removeObject(dentry);
     heap.freeBacking(*dentry);
@@ -509,10 +532,12 @@ TEST_F(KlocMigrateMemo, PinnedFrameIsNotSettled)
     ++pinned->pinCount;
     EXPECT_EQ(kloc.migrateKnodeObjects(knode, slowId), 3u);
     EXPECT_EQ(pinned->tier, fastId);
+    expectListed(knode, 1, 3);
 
     --pinned->pinCount;
     EXPECT_EQ(kloc.migrateKnodeObjects(knode, slowId), 1u);
     EXPECT_EQ(pinned->tier, slowId);
+    expectListed(knode, 0, 4);
 }
 
 } // namespace

@@ -33,6 +33,7 @@
 #include "platform/two_tier.hh"
 #include "policy/registry.hh"
 #include "sim/machine.hh"
+#include "support/kloc_residency.hh"
 #include "support/lru_membership.hh"
 #include "trace/invariants.hh"
 #include "workload/runner.hh"
@@ -251,6 +252,8 @@ runSoakCell(const std::string &policy_name, uint64_t seed)
     machine.charge(100 * kMillisecond);
     check(tiers.tier(slow).online(),
           "slow tier neither onlined by schedule nor readmitted");
+    check(klocResidencyError(kloc).empty(),
+          "KLOC residency lists do not match the live knode trees");
 
     machine.faults().clear();
     policy->stop();
@@ -291,6 +294,8 @@ runSoakCell(const std::string &policy_name, uint64_t seed)
           "transactional windows open at teardown");
     check(lruListsHoldLiveFrames(tiers),
           "LRU lists do not hold exactly each tier's live frames");
+    check(klocResidencyError(kloc).empty(),
+          "KLOC residency lists do not match the knode trees");
     check(checker.eventsChecked() > 0, "checker saw no events");
     if (!checker.clean())
         result.errors.push_back("invariant violations:\n" +

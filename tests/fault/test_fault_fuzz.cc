@@ -31,6 +31,7 @@
 #include "mem/placement.hh"
 #include "policy/registry.hh"
 #include "sim/machine.hh"
+#include "support/kloc_residency.hh"
 #include "support/lru_membership.hh"
 #include "trace/invariants.hh"
 
@@ -282,6 +283,8 @@ runFuzzSeed(uint64_t seed, const std::string &policy_name = {},
     // Make sure the scheduled offline *and* online events both fired.
     machine.charge(100 * kMillisecond);
     check(tiers.tier(slow).online(), "slow tier never came back online");
+    check(klocResidencyError(kloc).empty(),
+          "KLOC residency lists do not match the live knode trees");
 
     // Heal the device so teardown's flush-and-replay can complete,
     // then tear the filesystem down completely.
@@ -312,6 +315,8 @@ runFuzzSeed(uint64_t seed, const std::string &policy_name = {},
           "transactional windows open at teardown");
     check(lruListsHoldLiveFrames(tiers),
           "LRU lists do not hold exactly each tier's live frames");
+    check(klocResidencyError(kloc).empty(),
+          "KLOC residency lists do not match the knode trees");
     check(checker.eventsChecked() > 0, "checker saw no events");
     if (!checker.clean())
         result.errors.push_back("invariant violations:\n" +

@@ -90,7 +90,7 @@ TEST_F(KernelHeapTest, SlabKindGetsSlabBacking)
     KernelObject inode(KobjKind::Inode);
     ASSERT_TRUE(heap.allocBacking(inode, true, 0));
     EXPECT_TRUE(inode.slab.valid());
-    EXPECT_EQ(inode.page, nullptr);
+    EXPECT_EQ(inode.page(), nullptr);
     EXPECT_NE(inode.frame(), nullptr);
     EXPECT_EQ(inode.frame()->objClass, ObjClass::FsSlab);
     heap.freeBacking(inode);
@@ -102,9 +102,9 @@ TEST_F(KernelHeapTest, PageKindGetsWholeFrame)
     KernelObject page(KobjKind::PageCachePage);
     ASSERT_TRUE(heap.allocBacking(page, true, 0));
     EXPECT_FALSE(page.slab.valid());
-    ASSERT_NE(page.page, nullptr);
-    EXPECT_EQ(page.page->pages(), 1u);
-    EXPECT_EQ(page.page->objClass, ObjClass::PageCache);
+    ASSERT_NE(page.page(), nullptr);
+    EXPECT_EQ(page.page()->pages(), 1u);
+    EXPECT_EQ(page.page()->objClass, ObjClass::PageCache);
     heap.freeBacking(page);
 }
 
@@ -113,19 +113,19 @@ TEST_F(KernelHeapTest, RelocatabilityRules)
     // Page cache and journal pages are always relocatable.
     KernelObject cache_page(KobjKind::PageCachePage);
     heap.allocBacking(cache_page, true, 0);
-    EXPECT_TRUE(cache_page.page->relocatable);
+    EXPECT_TRUE(cache_page.page()->relocatable);
 
     // Driver rx buffers are physically referenced: not relocatable
     // on a stock kernel...
     KernelObject rx(KobjKind::RxBuf);
     heap.allocBacking(rx, true, 0);
-    EXPECT_FALSE(rx.page->relocatable);
+    EXPECT_FALSE(rx.page()->relocatable);
 
     // ...until the KLOC allocation interface is enabled.
     heap.setKlocInterface(true);
     KernelObject rx2(KobjKind::RxBuf);
     heap.allocBacking(rx2, true, 0);
-    EXPECT_TRUE(rx2.page->relocatable);
+    EXPECT_TRUE(rx2.page()->relocatable);
 
     // Slab objects follow the same rule.
     KernelObject inode(KobjKind::Inode);

@@ -36,6 +36,7 @@
 #include "mem/placement.hh"
 #include "policy/registry.hh"
 #include "sim/machine.hh"
+#include "support/kloc_residency.hh"
 #include "support/lru_membership.hh"
 #include "trace/invariants.hh"
 
@@ -212,6 +213,8 @@ runScenario(const std::string &policy_name, const ScenarioOptions &opts)
           "transactional windows open at teardown");
     check(lruListsHoldLiveFrames(s.tiers),
           "LRU lists do not hold exactly each tier's live frames");
+    check(klocResidencyError(s.kloc).empty(),
+          "KLOC residency lists do not match the knode trees");
     result.eventsChecked = s.checker->eventsChecked();
     check(s.tiers.liveFrames() <= 16 * KmemCache::kEmptyRetention,
           "frames leaked past slab empty-pool retention");

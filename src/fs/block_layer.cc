@@ -69,7 +69,7 @@ BlockLayer::submit(Knode *knode, bool active, uint64_t sector, Bytes length,
     // (the DMA targets its physical address), so pin it for the
     // duration of the submission — including every retry backoff,
     // which also advances the clock.
-    ++backing->pinCount;
+    backing->pin();
     machine.tracer().emit(TraceEventType::FramePin, backing->tier,
                           backing->pfn);
     machine.tracer().emit(TraceEventType::BioSubmit, bio_id, frame_key,
@@ -110,7 +110,7 @@ BlockLayer::submit(Knode *knode, bool active, uint64_t sector, Bytes length,
     machine.tracer().emit(TraceEventType::BioComplete, bio_id);
     machine.tracer().emit(TraceEventType::FrameUnpin, backing->tier,
                           backing->pfn);
-    --backing->pinCount;
+    backing->unpin();
     if (_kloc && bio->knode)
         _kloc->removeObject(bio.get());
     _heap.freeBacking(*bio);

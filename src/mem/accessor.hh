@@ -11,6 +11,10 @@
 #ifndef KLOC_MEM_ACCESSOR_HH
 #define KLOC_MEM_ACCESSOR_HH
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
+
 #include "mem/lru.hh"
 #include "sim/machine.hh"
 
@@ -93,10 +97,76 @@ class MemAccessor
         return quiet + 1;
     }
 
+    /**
+     * Touch @p bytes of each of @p frames[0 .. n-1] in order, each
+     * exactly as touch(): the same clock, RefStats, frame fields, LRU
+     * lists and trace, and every event dispatched at the same touch.
+     *
+     * The stretch up to the next event deadline is charged in locals
+     * against a page cost per tier looked up once: a touch that ends
+     * before the deadline and needs no promotion (its frame is not
+     * inactive and referenced) sets the frame's timestamps, dirty bit
+     * and referenced bit, and the clock and RefStats are written back
+     * once per stretch (Machine::accessRun). Any other touch — an
+     * event due, faults armed, a promotion, a tier past the cost
+     * table — goes through touch(), and the next stretch re-reads
+     * the deadline, the costs and the socket, which it may change.
+     */
+    void
+    touchEach(Frame *const *frames, size_t n, Bytes bytes, AccessType type)
+    {
+        const bool write = type == AccessType::Write;
+        size_t i = 0;
+        while (i < n) {
+            if (_machine.faults().armed()) {
+                touch(frames[i++], bytes, type);
+                continue;
+            }
+            const MemoryModel &model = _machine.memModel();
+            const size_t tiers = std::min(model.tierCount(), kRunTiers);
+            const int socket = _machine.currentSocket();
+            std::array<Tick, kRunTiers> cost{};
+            for (size_t t = 0; t < tiers; ++t) {
+                cost[t] = model.accessCost(static_cast<TierId>(t), bytes,
+                                           type, socket);
+            }
+            const Tick deadline = _machine.events().nextDeadline();
+            Tick now = _machine.now();
+            RefStats refs;
+            for (; i < n; ++i) {
+                Frame *frame = frames[i];
+                const auto t = static_cast<size_t>(frame->tier.value());
+                if (t >= tiers)
+                    break;
+                const Tick end = now + cost[t];
+                const bool linked = frame->lruHook.linked();
+                if (end >= deadline ||
+                    (linked && !frame->onActiveList && frame->referenced))
+                    break;
+                now = end;
+                refs.account(domainOf(frame), cost[t]);
+                if (write) {
+                    frame->dirty = true;
+                    frame->lastWriteTick = now;
+                }
+                frame->lastAccessTick = now;
+                if (linked)
+                    frame->referenced = true;
+            }
+            _machine.accessRun(now, refs);
+            if (i < n)
+                touch(frames[i++], bytes, type);
+        }
+    }
+
     Machine &machine() { return _machine; }
     LruEngine &lru() { return _lru; }
 
   private:
+    /** Tiers touchEach keeps a page cost for; touches of a frame on
+     *  a later tier go through touch(). */
+    static constexpr size_t kRunTiers = 4;
+
     static RefDomain
     domainOf(const Frame *frame)
     {

@@ -148,6 +148,16 @@ BuddyAllocator::BuddyAllocator(FrameCount frames)
     }
 }
 
+bool
+BuddyAllocator::isFree(Pfn pfn) const
+{
+    for (unsigned k = 0; k <= kMaxOrder; ++k) {
+        if (_free[k].covers(pfn))
+            return true;
+    }
+    return false;
+}
+
 void
 BuddyAllocator::assertNotFree(Pfn pfn, unsigned order,
                               const char *what) const

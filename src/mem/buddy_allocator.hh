@@ -78,6 +78,9 @@ class BuddyAllocator
     /** Largest order that can currently be satisfied; -1 if none. */
     int maxAvailableOrder() const;
 
+    /** True when a free block of any order covers @p pfn. */
+    bool isFree(Pfn pfn) const;
+
     /**
      * Verify internal consistency; panics on corruption (tests): free
      * blocks are inside the frame space and disjoint, the summary

@@ -11,14 +11,24 @@
  * Frame objects have stable identity for their whole allocation
  * lifetime: migration re-homes the frame (new tier + pfn) in place,
  * so kernel objects can hold Frame* across moves.
+ *
+ * Every simulated page reference reads and writes a Frame, so its
+ * size is the cache footprint of a page sweep. The fields a touch
+ * uses (tier, class, LRU hook and flags, access and write ticks)
+ * come first, in 48 bytes, and the whole record is 80 bytes: Linux
+ * holds struct page to 64 bytes for the same reason.
+ * A Nomad shadow copy's location lives in TierManager's side table;
+ * the frame keeps only the flag that one exists.
  */
 
 #ifndef KLOC_MEM_FRAME_HH
 #define KLOC_MEM_FRAME_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "base/intrusive_list.hh"
+#include "base/logging.hh"
 #include "base/objclass.hh"
 #include "base/units.hh"
 
@@ -27,20 +37,16 @@ namespace kloc {
 /** Metadata for one simulated physical frame allocation. */
 struct Frame
 {
+    // -- what a touch reads and writes -----------------------------------
+    ListHook lruHook;              ///< tier active/inactive list
+    Tick lastAccessTick{};
+    Tick lastWriteTick{};          ///< for transactional-copy aborts
     TierId tier = kInvalidTier;
-    Pfn pfn = kInvalidPfn;
-    uint8_t order = 0;             ///< buddy order (covers 2^order pages)
     ObjClass objClass = ObjClass::App;
-
-    // Placement/migration state.
-    bool relocatable = true;       ///< slab-legacy frames are not
-    uint8_t migrateCount = 0;      ///< saturating 8-bit counter (§4.5)
-    uint32_t pinCount = 0;         ///< pinned frames cannot move
 
     // Linux-style LRU state.
     bool onActiveList = false;
     bool referenced = false;       ///< accessed since last scan
-    uint8_t scanMarks = 0;         ///< scan-confirmation counter
 
     // Dirty state (writeback interacts with migration).
     bool dirty = false;
@@ -50,18 +56,23 @@ struct Frame
     // space). The physical block is quarantined when the frame frees.
     bool poisoned = false;
 
+    // -- placement and migration state ------------------------------------
+
+    /**
+     * A Nomad-style non-exclusive shadow copy backs this frame: the
+     * slow-tier block it was transactionally promoted from stays
+     * allocated, so a clean demotion is a free remap. Where the copy
+     * sits is TierManager's record (TierManager::shadowOf).
+     */
+    bool shadowed = false;
+    uint8_t order = 0;             ///< buddy order (covers 2^order pages)
+    bool relocatable = true;       ///< slab-legacy frames are not
+    uint8_t migrateCount = 0;      ///< saturating 8-bit counter (§4.5)
+    uint8_t scanMarks = 0;         ///< scan-confirmation counter
+    uint16_t pinCount = 0;         ///< pinned frames cannot move; pin()
+
+    Pfn pfn = kInvalidPfn;
     Tick allocTick{};
-    Tick lastAccessTick{};
-    Tick lastWriteTick{};          ///< for transactional-copy aborts
-
-    // Nomad-style non-exclusive shadow copy: the slow-tier location
-    // this frame was transactionally promoted from. While set, those
-    // buddy pages stay allocated so a clean demotion is a free remap.
-    TierId shadowTier = kInvalidTier;
-    Pfn shadowPfn = kInvalidPfn;
-    Tick shadowSince{};            ///< promotion time (staleness check)
-
-    ListHook lruHook;              ///< tier active/inactive list
 
     /**
      * The tracked kernel object this frame backs, if any (set by
@@ -84,12 +95,37 @@ struct Frame
 
     bool pinned() const { return pinCount > 0; }
 
-    /** True while a slow-tier shadow copy backs this frame. */
-    bool hasShadow() const { return shadowTier != kInvalidTier; }
+    /** Hold the frame in place (in-flight I/O); undo with unpin(). */
+    void
+    pin()
+    {
+        KLOC_ASSERT(pinCount < UINT16_MAX, "pin count overflow");
+        ++pinCount;
+    }
 
-    /** Shadow still matches memory: no write since the promotion. */
-    bool shadowClean() const { return lastWriteTick <= shadowSince; }
+    void
+    unpin()
+    {
+        KLOC_ASSERT(pinCount > 0, "unpin of an unpinned frame");
+        --pinCount;
+    }
+
+    /** True while a slow-tier shadow copy backs this frame. */
+    bool hasShadow() const { return shadowed; }
 };
+
+// A touch moves the lines that hold the fields it uses; keep them in
+// the first 48 bytes and the record at 80.
+static_assert(sizeof(Frame) <= 80, "Frame grew past 80 bytes");
+static_assert(offsetof(Frame, lruHook) + sizeof(ListHook) <= 48);
+static_assert(offsetof(Frame, lastAccessTick) + sizeof(Tick) <= 48);
+static_assert(offsetof(Frame, lastWriteTick) + sizeof(Tick) <= 48);
+static_assert(offsetof(Frame, tier) + sizeof(TierId) <= 48);
+static_assert(offsetof(Frame, objClass) < 48);
+static_assert(offsetof(Frame, onActiveList) < 48);
+static_assert(offsetof(Frame, referenced) < 48);
+static_assert(offsetof(Frame, dirty) < 48);
+static_assert(offsetof(Frame, poisoned) < 48);
 
 /**
  * Generation-checked reference to a Frame. Migration candidates are

@@ -108,9 +108,10 @@ MigrationEngine::commitMove(Frame *frame, TierId src, Pfn src_pfn,
     _machine.tracer().emit(TraceEventType::MigComplete, dst, dst_pfn,
                            frame->pages(), dst > src ? 1 : 0);
     if (source == SourceFate::KeepShadow) {
-        _machine.tracer().emit(TraceEventType::ShadowMake,
-                               frame->shadowTier, frame->shadowPfn,
-                               static_cast<uint64_t>(dst), dst_pfn);
+        const ShadowRecord *shadow = _tiers.shadowOf(frame);
+        _machine.tracer().emit(TraceEventType::ShadowMake, shadow->tier,
+                               shadow->pfn, static_cast<uint64_t>(dst),
+                               dst_pfn);
         ++_stats.shadowMakes;
     } else if (source == SourceFate::Quarantine) {
         _tiers.noteQuarantined(src, src_pfn, frame->order);
@@ -154,11 +155,12 @@ MigrationEngine::moveFrame(Frame *frame, TierId dst, SourceFate source,
     // promotion. Anything else is released up front so the frame
     // takes the copy path below.
     if (frame->hasShadow()) {
-        if (!_tiers.tier(frame->shadowTier).online())
+        const TierId shadow_tier = _tiers.shadowOf(frame)->tier;
+        if (!_tiers.tier(shadow_tier).online())
             _tiers.dropShadow(frame, ShadowDropReason::Offline);
-        else if (frame->shadowTier != dst)
+        else if (shadow_tier != dst)
             _tiers.dropShadow(frame, ShadowDropReason::FrameMoved);
-        else if (!frame->shadowClean())
+        else if (!_tiers.shadowClean(frame))
             _tiers.dropShadow(frame, ShadowDropReason::Stale);
     }
     if (frame->hasShadow()) {
@@ -518,13 +520,13 @@ MigrationEngine::poisonFrame(Frame *frame, PoisonOrigin origin)
     // immediately on evacuation, or at free time when stuck in place.
     MoveCost cost;
     bool recovered = false;
+    const ShadowRecord *shadow = _tiers.shadowOf(frame);
     if (!frame->relocatable || frame->pinned()) {
         // Unmovable: the error stays resident until the frame is
         // released; its block quarantines on free.
         emitDataLoss(frame, DataLossReason::Unmovable);
-    } else if (frame->hasShadow() && frame->shadowClean() &&
-               frame->shadowTier != src &&
-               _tiers.tier(frame->shadowTier).online()) {
+    } else if (_tiers.shadowClean(frame) && shadow->tier != src &&
+               _tiers.tier(shadow->tier).online()) {
         recovered = recoverViaShadow(frame, cost);
     } else if (_rereadProbe != nullptr && _rereadProbe(_rereadCtx, frame)) {
         recovered = recoverViaReread(frame, cost);
@@ -548,8 +550,9 @@ MigrationEngine::recoverViaShadow(Frame *frame, MoveCost &cost)
 {
     const TierId src = frame->tier;
     const Pfn src_pfn = frame->pfn;
-    const MigrateResult result = _tiers.rehome(
-        frame, frame->shadowTier, Landing::Shadow, SourceFate::Quarantine);
+    const MigrateResult result =
+        _tiers.rehome(frame, _tiers.shadowOf(frame)->tier, Landing::Shadow,
+                      SourceFate::Quarantine);
     // The caller pre-checked every failure leg (relocatable, unpinned,
     // distinct online shadow tier), so adoption cannot fail.
     KLOC_ASSERT(result == MigrateResult::Ok, "shadow recovery failed: %s",
@@ -597,11 +600,11 @@ MigrationEngine::recoverViaReread(Frame *frame, MoveCost &cost)
     // mid-recovery.
     const TierId dst = frame->tier;
     const Pfn dst_pfn = frame->pfn;
-    ++frame->pinCount;
+    frame->pin();
     _machine.tracer().emit(TraceEventType::FramePin, dst, dst_pfn);
     const bool read_ok = _rereadFn != nullptr && _rereadFn(_rereadCtx, frame);
     _machine.tracer().emit(TraceEventType::FrameUnpin, dst, dst_pfn);
-    --frame->pinCount;
+    frame->unpin();
 
     if (!read_ok) {
         // The frame moved but its bytes did not: the device gave up.

@@ -142,6 +142,22 @@ class Tier
         }
     }
 
+    /** True when @p pfn is free: in a free buddy block or parked in
+     *  a per-CPU cache. */
+    bool
+    pageFree(Pfn pfn) const
+    {
+        if (_buddy.isFree(pfn))
+            return true;
+        for (const std::vector<Pfn> &cache : _pcp) {
+            for (const Pfn cached : cache) {
+                if (cached == pfn)
+                    return true;
+            }
+        }
+        return false;
+    }
+
     /** Flush every CPU cache to the buddy (offline, toggle-off). */
     void
     drainPcp()

@@ -221,7 +221,7 @@ TierManager::rehome(Frame *frame, TierId dst, Landing landing,
 {
     KLOC_ASSERT(frame->tier != kInvalidTier, "re-homing freed frame");
     KLOC_ASSERT(landing == Landing::Fresh ||
-                    (frame->hasShadow() && frame->shadowTier == dst),
+                    (frame->hasShadow() && shadowOf(frame)->tier == dst),
                 "no shadow on the destination to land in");
     KLOC_ASSERT(source != SourceFate::KeepShadow ||
                     (landing == Landing::Fresh && !frame->hasShadow()),
@@ -257,11 +257,10 @@ TierManager::rehome(Frame *frame, TierId dst, Landing landing,
     Pfn new_pfn;
     if (landing == Landing::Shadow) {
         // The shadow's buddy pages are already ours; adopt them.
-        new_pfn = frame->shadowPfn;
+        new_pfn = shadowOf(frame)->pfn;
+        _shadows.erase(frame);
         _shadowPages -= frame->pages();
-        frame->shadowTier = kInvalidTier;
-        frame->shadowPfn = kInvalidPfn;
-        frame->shadowSince = Tick{};
+        frame->shadowed = false;
     } else {
         new_pfn = allocBlock(to, frame->order);
         if (new_pfn == kInvalidPfn)
@@ -280,9 +279,9 @@ TierManager::rehome(Frame *frame, TierId dst, Landing landing,
         freeBlock(from, frame->pfn, frame->order);
         break;
       case SourceFate::KeepShadow:
-        frame->shadowTier = frame->tier;
-        frame->shadowPfn = frame->pfn;
-        frame->shadowSince = _machine.now();
+        _shadows.emplace(frame,
+                         ShadowRecord{frame->tier, frame->pfn, _machine.now()});
+        frame->shadowed = true;
         _shadowPages += frame->pages();
         break;
       case SourceFate::Quarantine:
@@ -307,15 +306,14 @@ TierManager::dropShadow(Frame *frame, ShadowDropReason reason)
 {
     if (!frame->hasShadow())
         return;
-    _machine.tracer().emit(TraceEventType::ShadowDrop, frame->shadowTier,
-                           frame->shadowPfn,
-                           static_cast<uint64_t>(reason));
-    freeBlock(tier(frame->shadowTier), frame->shadowPfn, frame->order);
+    const ShadowRecord shadow = *shadowOf(frame);
+    _shadows.erase(frame);
+    frame->shadowed = false;
+    _machine.tracer().emit(TraceEventType::ShadowDrop, shadow.tier,
+                           shadow.pfn, static_cast<uint64_t>(reason));
+    freeBlock(tier(shadow.tier), shadow.pfn, frame->order);
     _shadowPages -= frame->pages();
     ++_shadowDrops;
-    frame->shadowTier = kInvalidTier;
-    frame->shadowPfn = kInvalidPfn;
-    frame->shadowSince = Tick{};
 }
 
 void
@@ -331,7 +329,8 @@ void
 TierManager::dropShadowsOn(TierId id, ShadowDropReason reason)
 {
     _frameArena.forEach([&](Frame &frame) {
-        if (frame.tier != kInvalidTier && frame.shadowTier == id)
+        if (frame.tier != kInvalidTier && frame.hasShadow() &&
+            shadowOf(&frame)->tier == id)
             dropShadow(&frame, reason);
     });
 }

@@ -19,6 +19,7 @@
 #define KLOC_MEM_TIER_MANAGER_HH
 
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "base/inline_vec.hh"
@@ -105,6 +106,14 @@ enum class ShadowDropReason : uint8_t
 };
 
 const char *shadowDropReasonName(ShadowDropReason reason);
+
+/** Where a frame's Nomad shadow copy sits (TierManager::shadowOf). */
+struct ShadowRecord
+{
+    TierId tier = kInvalidTier;
+    Pfn pfn = kInvalidPfn;
+    Tick since{};  ///< promotion time (staleness check)
+};
 
 /**
  * Per-tier health: an error-rate EWMA with hysteresis. Transitions
@@ -219,8 +228,8 @@ class TierManager
 
     /**
      * Release @p frame's shadow copy: frees the shadow buddy pages,
-     * emits ShadowDrop, and clears the frame's shadow fields. No-op
-     * without a shadow.
+     * emits ShadowDrop, clears the frame's shadow flag and erases its
+     * record. No-op without a shadow.
      */
     void dropShadow(Frame *frame, ShadowDropReason reason);
 
@@ -273,6 +282,29 @@ class TierManager
 
     /** Pages currently held by non-exclusive shadow copies. */
     uint64_t shadowPages() const { return _shadowPages; }
+
+    /** Where @p frame's shadow copy sits; nullptr without one. */
+    const ShadowRecord *
+    shadowOf(const Frame *frame) const
+    {
+        if (!frame->hasShadow())
+            return nullptr;
+        const auto it = _shadows.find(frame);
+        KLOC_ASSERT(it != _shadows.end(), "shadowed frame has no record");
+        return &it->second;
+    }
+
+    /** @p frame has a shadow and it still matches memory: no write
+     *  since the promotion. */
+    bool
+    shadowClean(const Frame *frame) const
+    {
+        const ShadowRecord *shadow = shadowOf(frame);
+        return shadow != nullptr && frame->lastWriteTick <= shadow->since;
+    }
+
+    /** Shadow records held: one per live frame with a shadow. */
+    size_t shadowRecords() const { return _shadows.size(); }
 
     /** Cumulative shadow copies released, by any reason. */
     uint64_t shadowDrops() const { return _shadowDrops; }
@@ -327,6 +359,13 @@ class TierManager
     uint64_t _liveFrames = 0;
     uint64_t _shadowPages = 0;
     uint64_t _shadowDrops = 0;
+    /**
+     * The shadow copy of each frame that has one, kept off Frame so a
+     * touch does not carry it. Only looked up, never iterated: the
+     * walks that drop shadows go over the frame arena in creation
+     * order.
+     */
+    std::unordered_map<const Frame *, ShadowRecord> _shadows;
 
     Histogram _lifetimes[kNumObjClasses];
 

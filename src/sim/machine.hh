@@ -58,6 +58,16 @@ struct RefStats
         }
     }
 
+    /** Add @p other's counts, as its account() calls made here. */
+    void
+    add(const RefStats &other)
+    {
+        kernelRefs += other.kernelRefs;
+        userRefs += other.userRefs;
+        kernelRefTicks += other.kernelRefTicks;
+        userRefTicks += other.userRefTicks;
+    }
+
     void
     reset()
     {
@@ -177,6 +187,21 @@ class Machine
     {
         _clock.advance(cost * n);
         _refs.account(domain, cost, n);
+    }
+
+    /**
+     * Close a run of accesses charged outside the machine: the clock
+     * moves to @p end and RefStats gain @p refs, as the access()
+     * calls the run stands for would leave them. Exact only when
+     * @p end is before events().nextDeadline(), so that none of those
+     * accesses ran an event; MemAccessor::touchEach stops its runs
+     * there.
+     */
+    void
+    accessRun(Tick end, const RefStats &refs)
+    {
+        _clock.advance(end - _clock.now());
+        _refs.add(refs);
     }
 
     /**

@@ -53,10 +53,10 @@ ThrashWorkload::run(System &sys)
         // resident page is touched once per lap; pages the slide
         // abandons go cold until the window wraps back around.
         cursor = sweepChunk(base, ws, arena, cursor, kChunkPages,
-                            [&](uint64_t page, bool write) {
-                                touchArena(sys, page, 4 * kKiB,
-                                           write ? AccessType::Write
-                                                 : AccessType::Read);
+                            [&](uint64_t first, uint64_t len, bool write) {
+                                touchArenaRun(sys, first, len, 4 * kKiB,
+                                              write ? AccessType::Write
+                                                    : AccessType::Read);
                             });
         if (op % kLogInterval == 0) {
             const int fd =

@@ -26,6 +26,7 @@
 #ifndef KLOC_WORKLOAD_THRASH_HH
 #define KLOC_WORKLOAD_THRASH_HH
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -81,33 +82,43 @@ class ThrashWorkload : public Workload
      * One operation's sweep: @p chunk window slots from @p cursor
      * onward, slot `pos = (cursor + j) % ws` landing on arena page
      * `(base + pos) % arena` and writing when `pos * kWriteBandDiv <
-     * ws`. Calls @p touch(page, write) once per slot, in order.
+     * ws`. Calls @p run(first_page, len, write) for each run of
+     * consecutive slots on consecutive pages, in order; a run ends
+     * where the window wraps, where the arena wraps and at the
+     * write-band edge `(ws + kWriteBandDiv - 1) / kWriteBandDiv`.
      * Needs `base < arena` and `1 <= ws <= arena`; @p cursor may be
      * any value (it is left over from a larger window when the wave
-     * shrinks). Both cursors wrap with a compare, not a division.
+     * shrinks).
      * @return the next operation's cursor, `(cursor + chunk) % ws`.
      */
-    template <typename Touch>
+    template <typename Run>
     static uint64_t
     sweepChunk(uint64_t base, uint64_t ws, uint64_t arena, uint64_t cursor,
-               uint64_t chunk, Touch &&touch)
+               uint64_t chunk, Run &&run)
     {
         KLOC_ASSERT(base < arena && ws >= 1 && ws <= arena,
                     "sweep window %llu+%llu outside arena %llu",
                     static_cast<unsigned long long>(base),
                     static_cast<unsigned long long>(ws),
                     static_cast<unsigned long long>(arena));
+        const uint64_t band = (ws + kWriteBandDiv - 1) / kWriteBandDiv;
         uint64_t pos = cursor % ws;
         // base + pos < base + ws <= base + arena < 2 * arena.
         uint64_t page = base + pos;
         if (page >= arena)
             page -= arena;
-        for (uint64_t j = 0; j < chunk; ++j) {
-            touch(page, pos * kWriteBandDiv < ws);
-            if (++pos == ws) {
+        while (chunk > 0) {
+            const bool write = pos < band;
+            const uint64_t len =
+                std::min({chunk, (write ? band : ws) - pos, arena - page});
+            run(page, len, write);
+            chunk -= len;
+            pos += len;
+            page += len;
+            if (pos == ws) {
                 pos = 0;
                 page = base;
-            } else if (++page == arena) {
+            } else if (page == arena) {
                 page = 0;
             }
         }

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/rng.hh"
 #include "base/units.hh"
 #include "platform/system.hh"
@@ -125,6 +126,25 @@ class Workload
         if (idx >= size) [[unlikely]]
             idx %= size;
         sys.mem().touch(_arena[idx], bytes, type);
+    }
+
+    /**
+     * Touch @p bytes of arena pages @p first .. @p first + @p n - 1 in
+     * order, exactly as n touchArena calls would, through
+     * MemAccessor::touchEach. The run must lie inside the arena; an
+     * empty arena touches nothing.
+     */
+    void
+    touchArenaRun(System &sys, uint64_t first, uint64_t n, Bytes bytes,
+                  AccessType type)
+    {
+        if (_arena.empty())
+            return;
+        KLOC_ASSERT(first <= _arena.size() && n <= _arena.size() - first,
+                    "arena run %llu+%llu past %zu pages",
+                    static_cast<unsigned long long>(first),
+                    static_cast<unsigned long long>(n), _arena.size());
+        sys.mem().touchEach(_arena.data() + first, n, bytes, type);
     }
 
     uint64_t arenaSize() const { return _arena.size(); }

@@ -35,6 +35,7 @@
 #include "sim/machine.hh"
 #include "support/kloc_residency.hh"
 #include "support/lru_membership.hh"
+#include "support/shadow_table.hh"
 #include "trace/invariants.hh"
 #include "workload/runner.hh"
 #include "workload/workload.hh"
@@ -254,6 +255,8 @@ runSoakCell(const std::string &policy_name, uint64_t seed)
           "slow tier neither onlined by schedule nor readmitted");
     check(klocResidencyError(kloc).empty(),
           "KLOC residency lists do not match the live knode trees");
+    check(shadowTableMatchesFrames(tiers),
+          "shadow records do not match the shadowed live frames");
 
     machine.faults().clear();
     policy->stop();
@@ -294,6 +297,8 @@ runSoakCell(const std::string &policy_name, uint64_t seed)
           "transactional windows open at teardown");
     check(lruListsHoldLiveFrames(tiers),
           "LRU lists do not hold exactly each tier's live frames");
+    check(tiers.shadowRecords() == 0 && shadowTableMatchesFrames(tiers),
+          "shadow records left at teardown");
     check(klocResidencyError(kloc).empty(),
           "KLOC residency lists do not match the knode trees");
     check(checker.eventsChecked() > 0, "checker saw no events");

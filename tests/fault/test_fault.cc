@@ -1009,8 +1009,8 @@ TEST(PoisonLifecycle, CleanShadowRecoversForFree)
     ASSERT_EQ(s.migrator.promoteTransactional({FrameRef(frame)}, s.fast,
                                               Tick{0}), 1u);
     ASSERT_TRUE(frame->hasShadow());
-    ASSERT_TRUE(frame->shadowClean());
-    const Pfn shadow_pfn = frame->shadowPfn;
+    ASSERT_TRUE(s.tiers.shadowClean(frame));
+    const Pfn shadow_pfn = s.tiers.shadowOf(frame)->pfn;
 
     EXPECT_TRUE(s.migrator.poisonFrame(frame, PoisonOrigin::Access));
     // The frame re-adopted its shadow: back on slow, poison cleared,

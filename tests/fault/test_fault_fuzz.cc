@@ -33,6 +33,7 @@
 #include "sim/machine.hh"
 #include "support/kloc_residency.hh"
 #include "support/lru_membership.hh"
+#include "support/shadow_table.hh"
 #include "trace/invariants.hh"
 
 namespace kloc {
@@ -285,6 +286,8 @@ runFuzzSeed(uint64_t seed, const std::string &policy_name = {},
     check(tiers.tier(slow).online(), "slow tier never came back online");
     check(klocResidencyError(kloc).empty(),
           "KLOC residency lists do not match the live knode trees");
+    check(shadowTableMatchesFrames(tiers),
+          "shadow records do not match the shadowed live frames");
 
     // Heal the device so teardown's flush-and-replay can complete,
     // then tear the filesystem down completely.
@@ -315,6 +318,8 @@ runFuzzSeed(uint64_t seed, const std::string &policy_name = {},
           "transactional windows open at teardown");
     check(lruListsHoldLiveFrames(tiers),
           "LRU lists do not hold exactly each tier's live frames");
+    check(tiers.shadowRecords() == 0 && shadowTableMatchesFrames(tiers),
+          "shadow records left at teardown");
     check(klocResidencyError(kloc).empty(),
           "KLOC residency lists do not match the knode trees");
     check(checker.eventsChecked() > 0, "checker saw no events");

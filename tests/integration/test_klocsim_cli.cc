@@ -5,9 +5,10 @@
  * accept a registry name through --strategy, both reject an unknown
  * one with a nonzero exit, --stats exports every MigrationStats
  * counter, malformed or out-of-range numeric flags are usage errors
- * rather than silent misreads or panics, and a fault spec naming a
- * tier the platform lacks is refused with the tier number in the
- * message.
+ * rather than silent misreads or panics, --seed reaches the workload
+ * (its default is the seed every run used before it), and a fault
+ * spec naming a tier the platform lacks is refused with the tier
+ * number in the message.
  */
 
 #include <gtest/gtest.h>
@@ -143,12 +144,15 @@ TEST(KlocsimCli, NumericFlagWithJunkIsAUsageError)
         expectUsageError(klocsimRun(flags), "--ops");
     }
     expectUsageError(klocsimRun("--fault-seed 7x"), "--fault-seed");
+    expectUsageError(klocsimRun("--seed abc"), "--seed");
+    expectUsageError(klocsimRun("--seed 7x"), "--seed");
 }
 
 TEST(KlocsimCli, NegativeNumericFlagIsAUsageError)
 {
     for (const char *flag :
-         {"--ops", "--scale", "--ratio", "--fast-gb", "--fault-seed"}) {
+         {"--ops", "--scale", "--ratio", "--fast-gb", "--fault-seed",
+          "--seed"}) {
         SCOPED_TRACE(flag);
         expectUsageError(klocsimRun(std::string(flag) + " -3"), flag);
     }
@@ -174,6 +178,44 @@ TEST(KlocsimCli, ZeroIsValidWhereNothingDividesByIt)
     const CliResult r = klocsimRun("--ops 0 --fault-seed 0");
     EXPECT_EQ(r.code, 0) << r.out;
     EXPECT_NE(r.out.find("(0 ops,"), std::string::npos) << r.out;
+}
+
+/** The line of @p out that starts with @p prefix, or "". */
+std::string
+lineStartingWith(const std::string &out, const std::string &prefix)
+{
+    const size_t at = out.find(prefix);
+    if (at == std::string::npos)
+        return "";
+    return out.substr(at, out.find('\n', at) - at);
+}
+
+TEST(KlocsimCli, SeedFortyTwoIsTheDefault)
+{
+    for (const char *command : {"run", "optane", "characterize"}) {
+        SCOPED_TRACE(command);
+        const std::string base =
+            std::string(command) + " --workload rocksdb --ops 300 --scale 256";
+        const CliResult plain = klocsim(base);
+        const CliResult seeded = klocsim(base + " --seed 42");
+        EXPECT_EQ(plain.code, 0) << plain.out;
+        EXPECT_EQ(seeded.code, 0) << seeded.out;
+        EXPECT_EQ(plain.out, seeded.out);
+    }
+}
+
+TEST(KlocsimCli, SeedChangesTheWorkload)
+{
+    const std::string base = "run --workload rocksdb --ops 300 --scale 256";
+    const CliResult plain = klocsim(base);
+    const CliResult seeded = klocsim(base + " --seed 7");
+    ASSERT_EQ(plain.code, 0) << plain.out;
+    ASSERT_EQ(seeded.code, 0) << seeded.out;
+    const std::string want = lineStartingWith(plain.out, "rocksdb under");
+    const std::string got = lineStartingWith(seeded.out, "rocksdb under");
+    ASSERT_NE(want, "") << plain.out;
+    ASSERT_NE(got, "") << seeded.out;
+    EXPECT_NE(got, want);
 }
 
 TEST(KlocsimCli, FaultSpecNamingAMissingTierExitsNonzero)

@@ -3,14 +3,17 @@
  * TierManager tests: preference-order allocation with fallback,
  * residency/cumulative accounting, lifetime histograms, the rehome()
  * gate ladder and source fates as one table (identity stability,
- * damping, shadows, containment), FrameRef generations, and LRU list
- * membership.
+ * damping, shadows, containment), FrameRef generations, LRU list
+ * membership, and the shadow side table across recycled frames.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/tier_manager.hh"
 #include "sim/machine.hh"
+#include "support/shadow_table.hh"
 
 namespace kloc {
 namespace {
@@ -312,8 +315,9 @@ TEST(TierManagerRehome, GateLadderAndSourceFates)
             EXPECT_EQ(tiers.quarantinedPages(),
                       row.source == SourceFate::Quarantine ? 1u : 0u);
             if (row.source == SourceFate::KeepShadow) {
-                EXPECT_EQ(frame->shadowTier, from);
-                EXPECT_EQ(frame->shadowPfn, from_pfn);
+                ASSERT_NE(tiers.shadowOf(frame), nullptr);
+                EXPECT_EQ(tiers.shadowOf(frame)->tier, from);
+                EXPECT_EQ(tiers.shadowOf(frame)->pfn, from_pfn);
                 EXPECT_EQ(tiers.shadowPages(), 1u);
             } else {
                 EXPECT_FALSE(frame->hasShadow());
@@ -410,6 +414,63 @@ TEST_F(TierManagerTest, FramesStayOnTheirTiersLruLists)
     tiers.free(cold);
     EXPECT_FALSE(cold->lruHook.linked());
     EXPECT_TRUE(slow.inactiveList().empty());
+}
+
+/**
+ * Shadow records live exactly as long as their shadows. 10,000 frames
+ * on recycled slots each make a shadow, and each shadow ends one of
+ * four ways: the frame is freed, the shadow is dropped, the frame
+ * lands back in it, or a fresh landing strands it. With up to eight
+ * shadows live at once, the side table holds one record per live
+ * shadow throughout and ends empty.
+ */
+TEST_F(TierManagerTest, ShadowRecordsFollowRecycledFrames)
+{
+    constexpr size_t kLive = 8;
+    std::vector<Frame *> live;
+    for (int round = 0; round < 10000; ++round) {
+        Frame *frame = tiers.alloc(0, ObjClass::App, true, {slowId});
+        ASSERT_NE(frame, nullptr);
+        ASSERT_EQ(tiers.rehome(frame, fastId, Landing::Fresh,
+                               SourceFate::KeepShadow),
+                  MigrateResult::Ok);
+        ASSERT_TRUE(frame->hasShadow());
+        live.push_back(frame);
+        if (live.size() > kLive) {
+            Frame *oldest = live.front();
+            live.erase(live.begin());
+            switch (round % 4) {
+              case 0:
+                break;
+              case 1:
+                tiers.dropShadow(oldest, ShadowDropReason::Pressure);
+                break;
+              case 2:
+                ASSERT_EQ(tiers.rehome(oldest, slowId, Landing::Shadow,
+                                       SourceFate::Free),
+                          MigrateResult::Ok);
+                break;
+              default:
+                ASSERT_EQ(tiers.rehome(oldest, slowId, Landing::Fresh,
+                                       SourceFate::Free),
+                          MigrateResult::Ok);
+                break;
+            }
+            EXPECT_FALSE(round % 4 != 0 && oldest->hasShadow());
+            tiers.free(oldest);
+        }
+        ASSERT_EQ(tiers.shadowRecords(), live.size());
+        if (round % 1000 == 0) {
+            ASSERT_TRUE(shadowTableMatchesFrames(tiers)) << round;
+        }
+    }
+    EXPECT_TRUE(shadowTableMatchesFrames(tiers));
+    for (Frame *frame : live)
+        tiers.free(frame);
+    EXPECT_EQ(tiers.shadowRecords(), 0u);
+    EXPECT_EQ(tiers.shadowPages(), 0u);
+    EXPECT_EQ(tiers.liveFrames(), 0u);
+    EXPECT_TRUE(shadowTableMatchesFrames(tiers));
 }
 
 } // namespace

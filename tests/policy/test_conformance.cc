@@ -38,6 +38,7 @@
 #include "sim/machine.hh"
 #include "support/kloc_residency.hh"
 #include "support/lru_membership.hh"
+#include "support/shadow_table.hh"
 #include "trace/invariants.hh"
 
 namespace kloc {
@@ -202,6 +203,8 @@ runScenario(const std::string &policy_name, const ScenarioOptions &opts)
               "slow tier never came back online");
 
     s.machine.faults().clear();
+    check(shadowTableMatchesFrames(s.tiers),
+          "shadow records do not match the shadowed live frames");
     s.policy->stop();
     for (Frame *frame : pages)
         s.heap.freeAppPage(frame);
@@ -213,6 +216,8 @@ runScenario(const std::string &policy_name, const ScenarioOptions &opts)
           "transactional windows open at teardown");
     check(lruListsHoldLiveFrames(s.tiers),
           "LRU lists do not hold exactly each tier's live frames");
+    check(s.tiers.shadowRecords() == 0 && shadowTableMatchesFrames(s.tiers),
+          "shadow records left at teardown");
     check(klocResidencyError(s.kloc).empty(),
           "KLOC residency lists do not match the knode trees");
     result.eventsChecked = s.checker->eventsChecked();

@@ -30,6 +30,7 @@
 #include "policy/registry.hh"
 #include "policy/strategy.hh"
 #include "sim/machine.hh"
+#include "support/shadow_table.hh"
 #include "trace/invariants.hh"
 
 #ifndef KLOC_TRACE_GOLDEN_DIR
@@ -121,19 +122,22 @@ TEST(NomadShadow, CommittedPromotionKeepsSourceAsShadow)
     EXPECT_EQ(s.promote(frame), 1u);
     EXPECT_EQ(frame->tier, s.fast);
     ASSERT_TRUE(frame->hasShadow());
-    EXPECT_EQ(frame->shadowTier, s.slow);
-    EXPECT_EQ(frame->shadowPfn, src_pfn);
-    EXPECT_TRUE(frame->shadowClean());
+    EXPECT_EQ(s.tiers.shadowOf(frame)->tier, s.slow);
+    EXPECT_EQ(s.tiers.shadowOf(frame)->pfn, src_pfn);
+    EXPECT_TRUE(s.tiers.shadowClean(frame));
     EXPECT_EQ(s.tiers.shadowPages(), 1u);
     EXPECT_EQ(s.migrator.stats().shadowMakes, 1u);
     EXPECT_EQ(s.migrator.stats().txnCommits, 1u);
     // The shadow holds slow-tier residency: the source pages were
     // never freed.
     EXPECT_EQ(s.tiers.tier(s.slow).usedPages().value(), 1u);
+    EXPECT_TRUE(shadowTableMatchesFrames(s.tiers));
 
     s.heap.freeAppPage(frame);
     EXPECT_EQ(s.tiers.shadowPages(), 0u)
         << "freeing the frame must drop its shadow";
+    EXPECT_EQ(s.tiers.shadowRecords(), 0u);
+    EXPECT_TRUE(shadowTableMatchesFrames(s.tiers));
     EXPECT_TRUE(s.checker->clean()) << s.checker->report();
 }
 
@@ -175,6 +179,7 @@ TEST(NomadShadow, CleanShadowServesFreeDemotion)
     EXPECT_EQ(stats.shadowFreeDemotions, 1u);
     EXPECT_EQ(stats.migratedPages, copied_before + 1);
     EXPECT_EQ(s.tiers.shadowPages(), 0u);
+    EXPECT_TRUE(shadowTableMatchesFrames(s.tiers));
 
     s.heap.freeAppPage(frame);
     EXPECT_TRUE(s.checker->clean()) << s.checker->report();
@@ -189,13 +194,14 @@ TEST(NomadShadow, DirtyShadowIsDroppedAndDemotionCopies)
     // Dirty the fast copy; the slow shadow is now stale.
     s.machine.charge(1 * kMillisecond);
     s.mem.touch(frame, 4 * kKiB, AccessType::Write);
-    EXPECT_FALSE(frame->shadowClean());
+    EXPECT_FALSE(s.tiers.shadowClean(frame));
 
     EXPECT_EQ(s.demote(frame), 1u);
     EXPECT_EQ(frame->tier, s.slow);
     EXPECT_EQ(s.migrator.stats().shadowFreeDemotions, 0u);
     EXPECT_EQ(s.tiers.shadowPages(), 0u);
     EXPECT_EQ(s.tiers.shadowDrops(), 1u);
+    EXPECT_TRUE(shadowTableMatchesFrames(s.tiers));
 
     s.heap.freeAppPage(frame);
     EXPECT_TRUE(s.checker->clean()) << s.checker->report();
@@ -230,6 +236,7 @@ TEST(NomadShadow, OfflineTierReclaimsItsShadows)
     EXPECT_EQ(s.tiers.shadowPages(), 0u)
         << "shadow pages must not pin an offline tier";
     EXPECT_FALSE(frame->hasShadow());
+    EXPECT_TRUE(shadowTableMatchesFrames(s.tiers));
 
     s.migrator.onlineTier(s.slow);
     s.heap.freeAppPage(frame);
@@ -315,6 +322,8 @@ runThrashNomad()
         machine.charge(10 * kMillisecond);
     }
 
+    if (!shadowTableMatchesFrames(tiers))
+        out.errors.push_back("shadow table out of step mid-run");
     policy->stop();
     if (dynamic_cast<const TieringStrategy &>(*policy).scanTicks() == 0)
         out.errors.push_back("no scan ticks fired");
@@ -322,6 +331,8 @@ runThrashNomad()
         out.errors.push_back("thrash never made a shadow copy");
     for (Frame *frame : pages)
         heap.freeAppPage(frame);
+    if (tiers.shadowRecords() != 0 || !shadowTableMatchesFrames(tiers))
+        out.errors.push_back("shadow records left after teardown");
     if (!checker.clean())
         out.errors.push_back("invariant violations:\n" +
                              checker.report());
@@ -367,6 +378,9 @@ runPoisonRecoveryNomad()
                "transactional promotion did not commit"))
         return out;
 
+    check(shadowTableMatchesFrames(s.tiers),
+          "shadow table out of step after promotion");
+
     // One page takes write traffic, staling its shadow.
     s.mem.touch(pages[5], 4 * kKiB, AccessType::Write);
 
@@ -390,6 +404,8 @@ runPoisonRecoveryNomad()
         s.heap.freeAppPage(frame);
     check(s.tiers.quarantinedPages() == 4,
           "in-place poisoned block not quarantined on free");
+    check(s.tiers.shadowRecords() == 0 && shadowTableMatchesFrames(s.tiers),
+          "shadow records left after teardown");
     if (!s.checker->clean())
         out.errors.push_back("invariant violations:\n" +
                              s.checker->report());
@@ -574,10 +590,14 @@ runTxnFuzzSeed(uint64_t seed)
     check(s.tiers.tier(s.slow).online(),
           "slow tier never came back online");
     s.machine.faults().clear();
+    check(shadowTableMatchesFrames(s.tiers),
+          "shadow table out of step before teardown");
 
     for (Frame *frame : pages)
         s.heap.freeAppPage(frame);
     pages.clear();
+    check(s.tiers.shadowRecords() == 0 && shadowTableMatchesFrames(s.tiers),
+          "shadow records left after teardown");
 
     result.migration = s.migrator.stats();
     const MigrationStats &mig = result.migration;

@@ -103,6 +103,7 @@ class ArenaProbe : public Workload
     WorkloadResult run(System &) override { return {}; }
     using Workload::growArena;
     using Workload::touchArena;
+    using Workload::touchArenaRun;
     const std::vector<Frame *> &arena() const { return _arena; }
 };
 
@@ -148,15 +149,69 @@ TEST(ArenaTest, EmptyArenaTouchesNothing)
     const Tick before = sys.machine().now();
     for (const uint64_t idx : {0, 1, 7})
         probe.touchArena(sys, idx, Bytes{64}, AccessType::Write);
+    for (const uint64_t first : {0, 1, 7}) {
+        for (const uint64_t n : {0, 1, 512})
+            probe.touchArenaRun(sys, first, n, Bytes{64}, AccessType::Write);
+    }
     EXPECT_EQ(sys.machine().now(), before);
+    EXPECT_EQ(sys.machine().userRefs() + sys.machine().kernelRefs(), 0u);
 }
 
 /**
- * ThrashWorkload::sweepChunk against the closed form it replaces,
- * over a grid that reaches every wrap: a cursor left past a shrunken
- * window, a window straddling the arena end, one-page windows and
- * arenas, a window as large as the arena, and chunks longer than the
- * window.
+ * touchArenaRun against touchArena slot by slot, on twin platforms:
+ * the same clock, RefStats, and access marks on every arena frame,
+ * over runs that cover the whole arena several times.
+ */
+TEST(ArenaTest, RunTouchesAsSlotTouchesDo)
+{
+    constexpr uint64_t kSize = 96;
+    struct Twin
+    {
+        std::unique_ptr<TwoTierPlatform> platform = makePlatform();
+        ArenaProbe probe{WorkloadConfig{}};
+    };
+    Twin slots;
+    Twin runs;
+    for (Twin *twin : {&slots, &runs})
+        twin->probe.growArena(twin->platform->sys(), kSize);
+    System &a = slots.platform->sys();
+    System &b = runs.platform->sys();
+    for (uint64_t lap = 0; lap < 4; ++lap) {
+        for (const auto &[first, n] :
+             {std::pair<uint64_t, uint64_t>{0, 40}, {40, 1}, {41, 55},
+              {17, 60}, {95, 1}}) {
+            const AccessType type =
+                (first + lap) % 2 == 0 ? AccessType::Write : AccessType::Read;
+            for (uint64_t k = 0; k < n; ++k)
+                slots.probe.touchArena(a, first + k, 4 * kKiB, type);
+            runs.probe.touchArenaRun(b, first, n, 4 * kKiB, type);
+        }
+    }
+    EXPECT_EQ(a.machine().now(), b.machine().now());
+    EXPECT_EQ(a.machine().userRefs(), b.machine().userRefs());
+    EXPECT_EQ(a.machine().userRefTicks(), b.machine().userRefTicks());
+    EXPECT_EQ(a.machine().kernelRefs(), b.machine().kernelRefs());
+    for (uint64_t i = 0; i < kSize; ++i) {
+        const Frame &x = *slots.probe.arena()[i];
+        const Frame &y = *runs.probe.arena()[i];
+        EXPECT_EQ(x.tier, y.tier) << i;
+        EXPECT_EQ(x.lastAccessTick, y.lastAccessTick) << i;
+        EXPECT_EQ(x.lastWriteTick, y.lastWriteTick) << i;
+        EXPECT_EQ(x.dirty, y.dirty) << i;
+        EXPECT_EQ(x.referenced, y.referenced) << i;
+        EXPECT_EQ(x.onActiveList, y.onActiveList) << i;
+    }
+    slots.probe.teardown(a);
+    runs.probe.teardown(b);
+}
+
+/**
+ * ThrashWorkload::sweepChunk's runs, expanded page by page, against
+ * the per-slot closed form, over a grid that reaches every wrap: a
+ * cursor left past a shrunken window, a window straddling the arena
+ * end, one-page windows and arenas, a window as large as the arena,
+ * and chunks longer than the window. Every run is non-empty and lies
+ * inside the arena, as touchArenaRun requires.
  */
 TEST(ThrashSweep, MatchesClosedFormAtEveryWrap)
 {
@@ -176,11 +231,17 @@ TEST(ThrashSweep, MatchesClosedFormAtEveryWrap)
                     for (const uint64_t chunk :
                          {0ul, 1ul, ws, ws + 1, 3 * ws + 2}) {
                         std::vector<std::pair<uint64_t, bool>> got;
+                        bool runs_fit = true;
                         const uint64_t next = ThrashWorkload::sweepChunk(
                             base, ws, arena, cursor, chunk,
-                            [&](uint64_t page, bool write) {
-                                got.emplace_back(page, write);
+                            [&](uint64_t first, uint64_t len, bool write) {
+                                runs_fit = runs_fit && len >= 1 &&
+                                           first < arena &&
+                                           len <= arena - first;
+                                for (uint64_t k = 0; k < len; ++k)
+                                    got.emplace_back(first + k, write);
                             });
+                        ASSERT_TRUE(runs_fit);
                         std::vector<std::pair<uint64_t, bool>> want;
                         for (uint64_t j = 0; j < chunk; ++j) {
                             const uint64_t pos = (cursor + j) % ws;

@@ -10,6 +10,10 @@
  *
  * --stats appends the full system snapshot to a run's summary.
  *
+ * --seed N (run, optane and characterize) seeds the workload's random
+ * choices (keys, file picks); the default, 42, is the seed every
+ * bench and golden uses, so `--seed 42` changes nothing.
+ *
  * --workload and --strategy take registry names; `klocsim list`
  * prints the workloads and both platforms' policies.
  *
@@ -57,6 +61,7 @@ struct Args
     bool check = false;
     std::string faultSpecPath;
     uint64_t faultSeed = 0;  ///< 0 = keep the spec file's seed
+    uint64_t seed = WorkloadConfig{}.seed;  ///< workload RNG seed
 };
 
 Args
@@ -99,6 +104,8 @@ parseArgs(int argc, char **argv, int first)
             args.faultSpecPath = value();
         else if (flag == "--fault-seed")
             args.faultSeed = number(0, kAny);
+        else if (flag == "--seed")
+            args.seed = number(0, kAny);
         else
             fatal("unknown flag '%s'", flag.c_str());
     }
@@ -323,13 +330,14 @@ finishTracing(System &sys, const Args &args, TraceSession session)
     return session.checker->clean() ? 0 : 2;
 }
 
-/** The --workload driver's config at --scale and --ops. */
+/** The --workload driver's config at --scale, --ops and --seed. */
 WorkloadConfig
 workloadConfig(const Args &args)
 {
     WorkloadConfig config;
     config.scale = args.scale;
     config.operations = args.ops;
+    config.seed = args.seed;
     return config;
 }
 
